@@ -17,6 +17,7 @@ from .poly import (
     VariableMismatchError,
     monomials_up_to,
     parse_poly,
+    sum_of_products,
 )
 from .maps import (
     Covector,
@@ -58,7 +59,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ExtField", "ExtScalar", "Rational", "Scalar", "scalar_str",
     "Poly", "PolyError", "PolyParseError", "VariableMismatchError",
-    "monomials_up_to", "parse_poly",
+    "monomials_up_to", "parse_poly", "sum_of_products",
     "Covector", "PolyMap", "PolyMatrix", "adjugate", "compose",
     "corank_at_zero", "differential", "jacobian_det", "jacobian_matrix",
     "CertifyReport", "Conormal", "FrontalPackage", "build_certified",

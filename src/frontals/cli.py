@@ -248,6 +248,8 @@ def _corpus_entry_lines(report: _Report, er) -> dict:
 
 
 def cmd_corpus(args) -> tuple[_Report, int]:
+    if args.k and args.name not in (None, "four_k"):
+        raise ValueError(f"--k applies to the four_k family only, not to {args.name!r}")
     report = _Report("corpus")
     k_values = _parse_k_range(args.k) if args.k else (2, 3)
     if args.name:

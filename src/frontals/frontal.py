@@ -23,8 +23,8 @@ from typing import Sequence
 
 from . import linalg
 from .maps import PolyMap, adjugate, differential, jacobian_det, jacobian_matrix
-from .poly import Poly, PolyError
-from .scalars import Scalar, scalar_is_zero
+from .poly import Poly, PolyError, sum_of_products
+from .scalars import Scalar, scalar_str
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,7 @@ class Conormal:
         return len(self.head) + len(self.tail)
 
     def value_at_zero(self) -> tuple[Scalar, ...]:
-        origin = [Fraction(0)] * len(self.head[0].vars)
-        return tuple(h.eval(origin) for h in self.head) + self.tail
+        return tuple(h.constant_term() for h in self.head) + self.tail
 
     def entries(self) -> tuple[Poly, ...]:
         """The full vector with the constant tail lifted to polynomials."""
@@ -50,8 +49,6 @@ class Conormal:
         return self.head + tuple(Poly.const(vs, t) for t in self.tail)
 
     def __str__(self) -> str:
-        from .scalars import scalar_str
-
         parts = [str(h) for h in self.head] + [scalar_str(t) for t in self.tail]
         return "(" + ", ".join(parts) + ")"
 
@@ -120,15 +117,17 @@ def conormals(f: PolyMap, mus: Sequence[Poly]) -> tuple[Conormal, ...]:
     """The explicit conormal fields of the Jacobian-squared construction."""
     _check_build_inputs(f, mus)
     n = f.source_dim
+    vs = f.source_vars
     det = jacobian_det(f)
     adj = adjugate(jacobian_matrix(f))
     ddet = differential(det)
     out = []
     for i, mu in enumerate(mus):
         dmu = differential(mu)
-        row = tuple(det * dmu[j] + mu.scale(2) * ddet[j] for j in range(n))
+        mu2 = mu.scale(2)
+        row = tuple(sum_of_products(vs, ((det, dmu[j]), (mu2, ddet[j]))) for j in range(n))
         head = tuple(
-            sum((row[r] * adj.entry(r, j) for r in range(1, n)), row[0] * adj.entry(0, j))
+            sum_of_products(vs, ((row[r], adj.entry(r, j)) for r in range(n)))
             for j in range(n)
         )
         tail = tuple(
@@ -162,16 +161,13 @@ def certify_frontal(F: PolyMap, phis: Sequence[Conormal]) -> CertifyReport:
     for i, phi in enumerate(phis, start=1):
         entries = phi.entries()
         for j in range(1, n + 1):
-            column = jac.column(j - 1)
-            residual = Poly.zero(F.source_vars)
-            for e, dcomp in zip(entries, column):
-                residual = residual + e * dcomp
+            residual = sum_of_products(F.source_vars, zip(entries, jac.column(j - 1)))
             if not residual.is_zero():
                 cond1_failures.append((i, j, residual))
 
     values = tuple(phi.value_at_zero() for phi in phis)
     cond2_failures = tuple(
-        i for i, v in enumerate(values, start=1) if all(scalar_is_zero(x) for x in v)
+        i for i, v in enumerate(values, start=1) if not any(v)
     )
     rank = linalg.scalar_rank(values)
     return CertifyReport(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .scalars import Scalar, scalar_is_zero
+from .scalars import Scalar
 
 
 class SparseSolver:
@@ -33,7 +33,7 @@ class SparseSolver:
         return len(self.pivots)
 
     def add_row(self, row: Mapping[int, Scalar], rhs: Scalar = Fraction(0)) -> None:
-        work = {c: v for c, v in row.items() if not scalar_is_zero(v)}
+        work = {c: v for c, v in row.items() if v}
         while work:
             lead = min(work)
             pivot = self.pivots.get(lead)
@@ -51,12 +51,12 @@ class SparseSolver:
                 if c == lead:
                     continue
                 nv = work.get(c, Fraction(0)) - factor * v
-                if scalar_is_zero(nv):
-                    work.pop(c, None)
-                else:
+                if nv:
                     work[c] = nv
+                else:
+                    work.pop(c, None)
             rhs = rhs - factor * prhs
-        if not scalar_is_zero(rhs):
+        if rhs:
             self.inconsistent = True
 
     def solve(self) -> dict[int, Scalar]:
@@ -71,9 +71,9 @@ class SparseSolver:
                 if c == col:
                     continue
                 val = values.get(c)
-                if val is not None and not scalar_is_zero(val):
+                if val:
                     acc = acc - v * val
-            if not scalar_is_zero(acc):
+            if acc:
                 values[col] = acc
         return values
 
@@ -94,7 +94,7 @@ def scalar_det(rows: Sequence[Sequence[Scalar]]) -> Scalar:
     det: Scalar = Fraction(1)
     for col in range(n):
         pivot_row = next(
-            (r for r in range(col, n) if not scalar_is_zero(m[r][col])), None
+            (r for r in range(col, n) if m[r][col]), None
         )
         if pivot_row is None:
             return Fraction(0)
@@ -104,7 +104,7 @@ def scalar_det(rows: Sequence[Sequence[Scalar]]) -> Scalar:
         det = det * m[col][col]
         inv = Fraction(1) / m[col][col] if isinstance(m[col][col], Fraction) else m[col][col] ** -1
         for r in range(col + 1, n):
-            if scalar_is_zero(m[r][col]):
+            if not m[r][col]:
                 continue
             factor = m[r][col] * inv
             for c in range(col, n):

@@ -1,12 +1,15 @@
 """Multiplicity of an equidimensional germ via jet-truncated ideal linear algebra.
 
-dim Q(f) = dim E_n / (f_1, ..., f_n) is approximated at each jet order k by
+With I = (f_1, ..., f_n) and m the maximal ideal at the origin, the
+codimension c_k = dim E_n / (I + m^(k+1)) is computed at each jet order k as
 the codimension of span{ jet_k(m * f_i) : deg(m) <= k } inside the space of
 polynomials of degree <= k (the constant monomial included, so the class of 1
-is counted).  For a finite germ the codimensions stabilize; the first value
-attained at two consecutive orders is reported.  Stabilization by a finite
-cap is a certificate of finiteness in the heuristic sense only, and the
-result says so rather than overclaiming.
+is counted).  The first order k with c_(k-1) = c_k ends the search, and the
+value there is dim Q(f) = dim E_n / I exactly, not an estimate: equal
+codimensions give I + m^k = I + m^(k+1), so m^k is contained in I + m*m^k,
+and Nakayama's lemma (m^k is finitely generated) gives m^k contained in I.
+When no two consecutive orders up to the cap agree, the result is reported
+as not stabilized.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ def multiplicity(f: PolyMap, k_max: int = 12) -> MultiplicityResult:
         raise PolyError("multiplicity is defined here for equidimensional germs only")
     if not f.is_origin_preserving:
         raise PolyError("multiplicity needs an origin-preserving germ")
+    if k_max < 0:
+        raise PolyError(f"jet cap must be >= 0, got {k_max}")
     sequence: list[int] = []
     for k in range(k_max + 1):
         d = _codimension_at_order(f, k)
@@ -75,5 +80,6 @@ def multiplicity(f: PolyMap, k_max: int = 12) -> MultiplicityResult:
 
 
 def is_finite_up_to(f: PolyMap, k_max: int = 12) -> bool:
-    """True iff the multiplicity stabilizes by k_max (heuristic certificate)."""
+    """True iff the multiplicity stabilizes by k_max, which proves that the
+    germ is finite (m^k lies in the ideal of its components)."""
     return multiplicity(f, k_max).stabilized

@@ -10,12 +10,11 @@ identity and composition associativity hold as exact polynomial statements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
 from .poly import Poly, PolyError, VariableMismatchError
-from .scalars import ExtField, Scalar, scalar_is_zero
+from .scalars import ExtField, Scalar
 
 Covector = tuple[Poly, ...]
 
@@ -65,7 +64,7 @@ class PolyMap:
 
     @property
     def is_origin_preserving(self) -> bool:
-        return all(scalar_is_zero(c.constant_term()) for c in self.components)
+        return not any(c.constant_term() for c in self.components)
 
     def eval(self, point: Sequence) -> tuple[Scalar, ...]:
         return tuple(c.eval(point) for c in self.components)
@@ -240,19 +239,22 @@ def compose(g: PolyMap, f: PolyMap) -> PolyMap:
     return PolyMap(tuple(comp.substitute(images) for comp in g.components))
 
 
+def _jacobian_at_zero(f: PolyMap) -> list[list[Scalar]]:
+    """Jf(0): entry (i, j) is the coefficient of x_j in f_i."""
+    n = f.source_dim
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return [[comp.coefficient(u) for u in units] for comp in f.components]
+
+
 def corank_at_zero(f: PolyMap) -> int:
     """n minus the rank of the differential at the origin."""
     if not f.is_equidimensional:
         raise PolyError("corank is defined here for equidimensional maps only")
-    origin = [Fraction(0)] * f.source_dim
-    values = jacobian_matrix(f).eval(origin)
-    return f.source_dim - linalg.scalar_rank(values)
+    return f.source_dim - linalg.scalar_rank(_jacobian_at_zero(f))
 
 
 def linear_part_invertible_at_zero(f: PolyMap) -> bool:
     """True when the differential at 0 is an isomorphism (diffeomorphism-germ witness)."""
     if not f.is_equidimensional:
         return False
-    origin = [Fraction(0)] * f.source_dim
-    values = jacobian_matrix(f).eval(origin)
-    return not scalar_is_zero(linalg.scalar_det(values))
+    return bool(linalg.scalar_det(_jacobian_at_zero(f)))

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Sequence, Union
 
-from .scalars import ExtField, ExtScalar, Scalar, scalar_is_zero, scalar_str
+from .scalars import ExtField, ExtScalar, Scalar, scalar_str
 
 Exponents = tuple[int, ...]
 
@@ -52,7 +53,7 @@ def _grlex_descending(monomials: Iterable[Exponents]) -> list[Exponents]:
 
 
 def _coerce_coeff(value: Union[int, Fraction, ExtScalar]) -> Scalar:
-    if isinstance(value, ExtScalar):
+    if isinstance(value, (Fraction, ExtScalar)):
         return value
     return Fraction(value)
 
@@ -71,10 +72,20 @@ class Poly:
                     f"exponent tuple {mono} does not match {len(vs)} variables"
                 )
             c = _coerce_coeff(coeff)
-            if not scalar_is_zero(c):
+            if c:
                 table[mono] = c
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "terms", table)
+
+    @classmethod
+    def _raw(cls, vars: tuple[str, ...], table: dict[Exponents, Scalar]) -> "Poly":
+        """Trusted constructor for results that are already canonical: a
+        variable tuple, and a table the new Poly owns whose exponent tuples
+        match it and whose coefficients are nonzero Fractions or ExtScalars."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "vars", vars)
+        object.__setattr__(p, "terms", table)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -87,7 +98,7 @@ class Poly:
 
     @classmethod
     def const(cls, vars: Sequence[str], value: Union[int, Fraction, ExtScalar]) -> "Poly":
-        return cls(vars, {(0,) * len(tuple(vars)): _coerce_coeff(value)})
+        return cls(vars, {(0,) * len(tuple(vars)): value})
 
     @classmethod
     def variable(cls, vars: Sequence[str], name: str) -> "Poly":
@@ -164,15 +175,19 @@ class Poly:
         self._check_same_vars(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            s = out.get(mono, 0) + coeff
-            if scalar_is_zero(s):
-                out.pop(mono, None)
+            prev = out.get(mono)
+            if prev is None:
+                out[mono] = coeff
             else:
-                out[mono] = s
-        return Poly(self.vars, out)
+                s = prev + coeff
+                if s:
+                    out[mono] = s
+                else:
+                    del out[mono]
+        return Poly._raw(self.vars, out)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.vars, {m: -c for m, c in self.terms.items()})
+        return Poly._raw(self.vars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -182,23 +197,14 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        self._check_same_vars(other)
-        out: dict[Exponents, Scalar] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mono = tuple(x + y for x, y in zip(ma, mb))
-                s = out.get(mono, 0) + ca * cb
-                if scalar_is_zero(s):
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        return Poly(self.vars, out)
+        return sum_of_products(self.vars, ((self, other),))
 
     def scale(self, value: Union[int, Fraction, ExtScalar]) -> "Poly":
         c = _coerce_coeff(value)
-        if scalar_is_zero(c):
+        if not c:
             return Poly.zero(self.vars)
-        return Poly(self.vars, {m: c * v for m, v in self.terms.items()})
+        # both coefficient rings are fields: a nonzero times a nonzero is nonzero
+        return Poly._raw(self.vars, {m: c * v for m, v in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -220,18 +226,14 @@ class Poly:
         if var not in self.vars:
             raise VariableMismatchError(f"unknown variable {var!r} (have {self.vars})")
         idx = self.vars.index(var)
+        # distinct monomials have distinct derivatives and e >= 1: no term
+        # collects or vanishes
         out: dict[Exponents, Scalar] = {}
         for mono, coeff in self.terms.items():
             e = mono[idx]
-            if e == 0:
-                continue
-            dm = mono[:idx] + (e - 1,) + mono[idx + 1 :]
-            s = out.get(dm, 0) + coeff * e
-            if scalar_is_zero(s):
-                out.pop(dm, None)
-            else:
-                out[dm] = s
-        return Poly(self.vars, out)
+            if e:
+                out[mono[:idx] + (e - 1,) + mono[idx + 1 :]] = coeff * e
+        return Poly._raw(self.vars, out)
 
     def substitute(self, images: Sequence["Poly"]) -> "Poly":
         """Exact composition p(images); a ring homomorphism into the images' ring."""
@@ -259,8 +261,9 @@ class Poly:
                 cache[e] = sq if e % 2 == 0 else sq * images[i]
             return cache[e]
 
+        zero_mono = (0,) * len(target_vars)
         for mono, coeff in self.terms.items():
-            term = Poly.const(target_vars, coeff)
+            term = Poly._raw(target_vars, {zero_mono: coeff})
             for i, e in enumerate(mono):
                 if e:
                     term = term * image_power(i, e)
@@ -287,7 +290,7 @@ class Poly:
         """Truncate to total degree <= k (the k-jet at the origin)."""
         if k < 0:
             raise PolyError(f"jet order must be >= 0, got {k}")
-        return Poly(self.vars, {m: c for m, c in self.terms.items() if sum(m) <= k})
+        return Poly._raw(self.vars, {m: c for m, c in self.terms.items() if sum(m) <= k})
 
     # -- printing --------------------------------------------------------------
 
@@ -337,11 +340,66 @@ class Poly:
         return f"Poly({self})"
 
 
+def _over_common_denominator(p: Poly) -> tuple[list[tuple[Exponents, int]], int] | None:
+    """p's terms as integer numerators over their common denominator, or None
+    when a coefficient is not a Fraction."""
+    coeffs = p.terms.values()
+    if not all(type(c) is Fraction for c in coeffs):
+        return None
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    den = math.lcm(*[d for _, d in ratios])
+    return [(m, n * (den // d)) for m, (n, d) in zip(p.terms, ratios)], den
+
+
+def sum_of_products(vars: Sequence[str], pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
+    """Sum of a_i * b_i over the (a_i, b_i) pairs, collected in one term table.
+
+    Over Q every operand is taken as integer numerators over its common
+    denominator, and each pair's numerators are brought to the common
+    denominator D of all pair products; the loop then adds plain int products
+    and each output term becomes one Fraction(v, D).  With an ExtScalar
+    coefficient anywhere, the same loop runs on the coefficients as they are.
+    """
+    vs = tuple(vars)
+    pairs = list(pairs)
+    for a, b in pairs:
+        if a.vars != vs or b.vars != vs:
+            raise VariableMismatchError(
+                f"mismatched variable lists {a.vars} * {b.vars}, expected {vs}")
+    pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
+    integral = [(_over_common_denominator(a), _over_common_denominator(b)) for a, b in pairs]
+    if all(ia and ib for ia, ib in integral):
+        den = math.lcm(*(da * db for (_, da), (_, db) in integral))
+        tables = [(ta if den == da * db else [(m, v * (den // (da * db))) for m, v in ta], tb)
+                  for (ta, da), (tb, db) in integral]
+    else:
+        den = None
+        tables = [(a.terms.items(), b.terms.items()) for a, b in pairs]
+    out: dict = {}
+    get = out.get
+    for ta, tb in tables:
+        for ma, ca in ta:
+            for mb, cb in tb:
+                mono = tuple(map(add, ma, mb))
+                prev = get(mono)
+                out[mono] = ca * cb if prev is None else prev + ca * cb
+    if den is None:
+        table = {m: v for m, v in out.items() if v}
+    elif den == 1:
+        table = {m: Fraction(v) for m, v in out.items() if v}
+    else:
+        table = {m: Fraction(v, den) for m, v in out.items() if v}
+    return Poly._raw(vs, table)
+
+
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
 
 _OPS = set("+-*^()/")
+# each open parenthesis costs four nested parser calls; the cap keeps a
+# parse well inside the interpreter's default recursion limit
+MAX_NESTING = 100
 
 
 class _Token:
@@ -390,6 +448,7 @@ class _Parser:
         self.i = 0
         self.vars = vars
         self.field = field
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -449,9 +508,14 @@ class _Parser:
     def parse_base(self) -> Poly:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "(":
+            if self.depth == MAX_NESTING:
+                raise PolyParseError(
+                    f"parentheses nested deeper than {MAX_NESTING} levels", tok.pos)
             self.advance()
+            self.depth += 1
             inner = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         if tok.kind == "op" and tok.text == "-":
             self.advance()

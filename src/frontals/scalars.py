@@ -276,12 +276,6 @@ class ExtScalar:
         return f"ExtScalar({self.field!r}, {self})"
 
 
-def scalar_is_zero(value: Scalar) -> bool:
-    if isinstance(value, ExtScalar):
-        return not value
-    return value == 0
-
-
 def scalar_str(value: Scalar) -> str:
     """Render a scalar exactly: "a/b" for rationals, a polynomial in c otherwise."""
     if isinstance(value, ExtScalar):

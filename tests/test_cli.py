@@ -184,3 +184,31 @@ def test_text_reports_are_deterministic(capsys):
     _, j1 = run_cli(capsys, "jacobian", GERMS / "swallowtail.germ")
     _, j2 = run_cli(capsys, "jacobian", GERMS / "swallowtail.germ")
     assert j1 == j2
+
+
+def _assert_input_error(capsys, *argv):
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+    return lines[0]
+
+
+def test_multiplicity_negative_jet_cap_exit_2(capsys):
+    message = _assert_input_error(capsys, "multiplicity", GERMS / "fold.germ",
+                                  "--jet-cap", "-3")
+    assert "jet cap" in message
+
+
+def test_corpus_k_on_a_single_non_family_entry_exit_2(capsys):
+    message = _assert_input_error(capsys, "corpus", "fold", "--k", "3")
+    assert "four_k" in message
+
+
+def test_ramify_deeply_nested_psi_exit_2(capsys):
+    psi = "(" * 5000 + "x" + ")" * 5000
+    message = _assert_input_error(capsys, "ramify", GERMS / "fold.germ", "--psi", psi)
+    assert "nested" in message

@@ -114,3 +114,9 @@ def test_multiplicity_one_iff_corank_zero():
         if corank_at_zero(f) == 0:
             assert result.value == 1
     assert seen_units > 0
+
+
+def test_negative_jet_cap_rejected():
+    f = PolyMap.from_exprs(["x^2", "y"], ("x", "y"))
+    with pytest.raises(PolyError):
+        multiplicity(f, -1)

@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frontals.poly import (
+    MAX_NESTING,
     Poly,
     PolyParseError,
     VariableMismatchError,
     monomials_up_to,
     parse_poly,
+    sum_of_products,
 )
-from frontals.scalars import ExtField
+from frontals.scalars import ExtField, ExtScalar
 
 from helpers import random_poly
 
@@ -48,6 +50,14 @@ def test_parse_reports_position():
     with pytest.raises(PolyParseError) as err:
         P("x + @")
     assert err.value.position == 4
+
+
+def test_parse_nesting_cap():
+    assert P("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == P("x")
+    deeper = MAX_NESTING + 1
+    with pytest.raises(PolyParseError, match="nested deeper") as err:
+        P("(" * deeper + "x" + ")" * deeper)
+    assert err.value.position == MAX_NESTING
 
 
 def test_parse_unknown_variable():
@@ -271,3 +281,115 @@ def test_arithmetic_cross_checked_against_sympy():
             {sympy.Symbol(v): to_sympy(g) for v, g in zip(vars3, images)},
             simultaneous=True)
         assert sympy.expand(subs - to_sympy(composed)) == 0
+
+
+# -- the product kernel against an independent reference --------------------
+#
+# The reference stores a polynomial over Q(c), c^k = 6, as a dict from
+# (exponents, power of c) to a nonzero Fraction, and multiplies term by term.
+
+KERNEL_VARS = ("x", "y")
+
+
+def to_reference(p: Poly) -> dict:
+    ref = {}
+    for mono, coeff in p.terms.items():
+        parts = coeff.coeffs if isinstance(coeff, ExtScalar) else (coeff,)
+        for j, q in enumerate(parts):
+            if q:
+                ref[(mono, j)] = Fraction(q)
+    return ref
+
+
+def reference_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for key, q in b.items():
+        out[key] = out.get(key, Fraction(0)) + sign * q
+    return {key: q for key, q in out.items() if q}
+
+
+def reference_mul(a: dict, b: dict, k: int) -> dict:
+    out = {}
+    for (ma, ja), qa in a.items():
+        for (mb, jb), qb in b.items():
+            j, q = ja + jb, qa * qb
+            if j >= k:
+                j, q = j - k, 6 * q
+            key = (tuple(x + y for x, y in zip(ma, mb)), j)
+            out[key] = out.get(key, Fraction(0)) + q
+    return {key: q for key, q in out.items() if q}
+
+
+FRACTIONS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 5]))
+
+
+def coefficients(k: int | None):
+    """Fractions (k None), elements of ExtField(k), or a mix of both (k < 0)."""
+    if k is None:
+        return FRACTIONS
+    field = ExtField(abs(k))
+    ext = st.lists(FRACTIONS, min_size=abs(k), max_size=abs(k)).map(field.element)
+    return st.one_of(FRACTIONS, ext) if k < 0 else ext
+
+
+@st.composite
+def kernel_operands(draw):
+    """(k for the reference, pairs of polys over one coefficient ring)."""
+    k = draw(st.sampled_from([None, 2, 3, 4, -2, -3]))
+    monos = monomials_up_to(KERNEL_VARS, 3)
+    poly = st.dictionaries(st.sampled_from(monos), coefficients(k), max_size=4).map(
+        lambda table: Poly(KERNEL_VARS, table))
+    pairs = draw(st.lists(st.tuples(poly, poly), min_size=2, max_size=3))
+    return abs(k or 1), pairs
+
+
+def assert_canonical(p: Poly, rational: bool) -> None:
+    assert all(p.terms.values())
+    if rational:
+        assert all(type(c) is Fraction for c in p.terms.values())
+    assert Poly(p.vars, p.terms) == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_operands())
+def test_kernel_matches_reference(operands):
+    k, pairs = operands
+    rational = all(type(c) is Fraction for a, b in pairs
+                   for c in (*a.terms.values(), *b.terms.values()))
+    a, b = pairs[0]
+    ra, rb = to_reference(a), to_reference(b)
+    cases = [
+        (a * b, reference_mul(ra, rb, k)),
+        (a + b, reference_add(ra, rb)),
+        (a - b, reference_add(ra, rb, -1)),
+    ]
+    expected = {}
+    for p, q in pairs:
+        expected = reference_add(expected, reference_mul(to_reference(p), to_reference(q), k))
+    cases.append((sum_of_products(KERNEL_VARS, pairs), expected))
+    # a cancelling pair removes exactly a*b from the sum
+    cases.append((sum_of_products(KERNEL_VARS, pairs + [(-a, b)]),
+                  reference_add(expected, reference_mul(ra, rb, k), -1)))
+    for result, reference in cases:
+        assert to_reference(result) == reference
+        assert_canonical(result, rational)
+
+
+def test_kernel_rejects_mismatched_variables():
+    p = parse_poly("x + y", XY)
+    q = parse_poly("x + z", ("x", "z"))
+    for op in (lambda: p * q, lambda: p + q, lambda: p - q,
+               lambda: sum_of_products(XY, [(p, p), (p, q)]),
+               lambda: sum_of_products(("x", "z"), [(q, q), (p, p)])):
+        with pytest.raises(VariableMismatchError):
+            op()
+
+
+def test_sum_of_products_of_nothing_is_zero():
+    assert sum_of_products(XY, []) == Poly.zero(XY)
+    assert sum_of_products(XY, [(Poly.zero(XY), P("x"))]) == Poly.zero(XY)
+
+
+def test_sum_of_products_over_mixed_denominators():
+    pairs = [(P("1/2*x"), P("y")), (P("1/3*x"), P("1/5*y + 1")), (P("x"), P("y"))]
+    assert sum_of_products(XY, pairs) == P("47/30*x*y + 1/3*x")

@@ -31,7 +31,7 @@ from .ramification import (
     gradient_module_membership,
     jsq_plus_pullback_membership,
 )
-from .scalars import scalar_str
+from .scalars import MAX_EXT_ORDER, scalar_str
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -306,9 +306,12 @@ def _parse_k_range(text: str) -> tuple[int, ...]:
             continue
         if "-" in piece[1:]:
             lo_text, hi_text = piece.split("-", 1)
-            values.extend(range(int(lo_text), int(hi_text) + 1))
+            lo, hi = int(lo_text), int(hi_text)
         else:
-            values.append(int(piece))
+            lo = hi = int(piece)
+        if hi > MAX_EXT_ORDER:
+            raise ValueError(f"--k values above {MAX_EXT_ORDER} are not supported, got {hi}")
+        values.extend(range(lo, hi + 1))
     if not values:
         raise ValueError(f"empty k range {text!r}")
     return tuple(values)
@@ -365,9 +368,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves the parser unchanged, so one instance serves every call
+PARSER = build_arg_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     start = time.perf_counter()
     try:
         report, code = args.handler(args)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .maps import PolyMap
 from .poly import Poly, PolyParseError, parse_poly
-from .scalars import ExtField
+from .scalars import MAX_EXT_ORDER, ExtField
 
 
 class GermFileError(ValueError):
@@ -72,8 +72,8 @@ def parse_germ_file(text: str) -> GermFile:
                 ext_order = int(line[4:].strip())
             except ValueError:
                 raise GermFileError("ext: expects an integer order", lineno) from None
-            if ext_order < 1:
-                raise GermFileError("ext: order must be >= 1", lineno)
+            if not 1 <= ext_order <= MAX_EXT_ORDER:
+                raise GermFileError(f"ext: order must be between 1 and {MAX_EXT_ORDER}", lineno)
             continue
         if lowered == "map:":
             block = "map"

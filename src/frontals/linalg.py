@@ -20,8 +20,10 @@ class SparseSolver:
 
     Each inserted row is reduced against the stored pivot rows (pivot = its
     smallest column index); a row that vanishes against a nonzero right-hand
-    side marks the system inconsistent.  Stored pivot rows are normalized to
-    leading coefficient 1.
+    side marks the system inconsistent.  A stored pivot row is scaled to
+    leading coefficient 1 with one reciprocal and kept without that implied
+    leading entry.  Entries and right-hand sides must be Fractions or
+    ExtScalars: the reciprocal 1 / lead of a plain int would be a float.
     """
 
     def __init__(self) -> None:
@@ -38,23 +40,18 @@ class SparseSolver:
             lead = min(work)
             pivot = self.pivots.get(lead)
             if pivot is None:
-                lead_coeff = work.pop(lead)
-                one = lead_coeff / lead_coeff  # 1 in whatever field the row lives in
-                normalized = {lead: one}
-                for c, v in work.items():
-                    normalized[c] = v / lead_coeff
-                self.pivots[lead] = (normalized, rhs / lead_coeff)
+                inv = 1 / work.pop(lead)
+                self.pivots[lead] = ({c: v * inv for c, v in work.items()}, rhs * inv)
                 return
             prow, prhs = pivot
             factor = work.pop(lead)
             for c, v in prow.items():
-                if c == lead:
-                    continue
-                nv = work.get(c, Fraction(0)) - factor * v
+                prev = work.get(c)
+                nv = -(factor * v) if prev is None else prev - factor * v
                 if nv:
                     work[c] = nv
                 else:
-                    work.pop(c, None)
+                    del work[c]
             rhs = rhs - factor * prhs
         if rhs:
             self.inconsistent = True
@@ -65,11 +62,8 @@ class SparseSolver:
             raise ValueError("system is inconsistent")
         values: dict[int, Scalar] = {}
         for col in sorted(self.pivots, reverse=True):
-            prow, prhs = self.pivots[col]
-            acc = prhs
+            prow, acc = self.pivots[col]
             for c, v in prow.items():
-                if c == col:
-                    continue
                 val = values.get(c)
                 if val:
                     acc = acc - v * val
@@ -83,30 +77,3 @@ def scalar_rank(rows: Sequence[Sequence[Scalar]]) -> int:
     for row in rows:
         solver.add_row({j: v for j, v in enumerate(row)})
     return solver.rank
-
-
-def scalar_det(rows: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Determinant of a small square scalar matrix by exact elimination."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant requires a square matrix")
-    m = [list(r) for r in rows]
-    det: Scalar = Fraction(1)
-    for col in range(n):
-        pivot_row = next(
-            (r for r in range(col, n) if m[r][col]), None
-        )
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = -det
-        det = det * m[col][col]
-        inv = Fraction(1) / m[col][col] if isinstance(m[col][col], Fraction) else m[col][col] ** -1
-        for r in range(col + 1, n):
-            if not m[r][col]:
-                continue
-            factor = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] = m[r][c] - factor * m[col][c]
-    return det

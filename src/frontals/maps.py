@@ -257,4 +257,4 @@ def linear_part_invertible_at_zero(f: PolyMap) -> bool:
     """True when the differential at 0 is an isomorphism (diffeomorphism-germ witness)."""
     if not f.is_equidimensional:
         return False
-    return bool(linalg.scalar_det(_jacobian_at_zero(f)))
+    return linalg.scalar_rank(_jacobian_at_zero(f)) == f.source_dim

@@ -14,8 +14,11 @@ from fractions import Fraction
 
 from .frontal import build_frontal
 from .maps import PolyMap
-from .poly import Poly, PolyError
+from .poly import Poly, PolyError, _over_common_denominator
 from .scalars import ExtScalar, Scalar
+
+# largest grid resolution m accepted: the OBJ text grows as m^2
+MAX_RESOLUTION = 256
 
 
 def decimal12(value: Scalar) -> str:
@@ -53,13 +56,35 @@ def build_obj(F: PolyMap, r: Fraction, m: int) -> str:
         raise PolyError(f"grid half-width must be positive, got {r}")
     if m < 2:
         raise PolyError(f"grid resolution must be at least 2, got {m}")
+    if m > MAX_RESOLUTION:
+        raise PolyError(f"grid resolution must be at most {MAX_RESOLUTION}, got {m}")
+    tables = [_over_common_denominator(c.demote_rational()) for c in F.components]
+    if None in tables:
+        raise PolyError("mesh export needs rational coefficients")
+    # grid coordinate i is -r + i*2r/m = grid[i] / q, and a component of
+    # degree d with integer numerators over D is S / (D * q^d) at a grid
+    # point, S an integer sum of numerators times powers of grid values
+    grid = [(2 * i - m) * r.numerator for i in range(m + 1)]
+    q = r.denominator * m
+    components = []
+    for terms, den in tables:
+        deg = max((ex + ey for (ex, ey), _ in terms), default=0)
+        components.append(([(ex, ey, n * q ** (deg - ex - ey)) for (ex, ey), n in terms],
+                           den * q**deg))
+    top = max((ex + ey for terms, _ in tables for (ex, ey), _ in terms), default=0)
+    powers = [[a**e for e in range(top + 1)] for a in grid]
     lines: list[str] = []
-    step = Fraction(2 * r, m)
-    coords = [-r + step * i for i in range(m + 1)]
-    for y in coords:
-        for x in coords:
-            vx, vy, vz = F.eval([x, y])
-            lines.append(f"v {decimal12(vx)} {decimal12(vy)} {decimal12(vz)}")
+    for py in powers:
+        # each component restricted to this row, as integer coefficients of x^e
+        rows = []
+        for terms, den in components:
+            row: dict[int, int] = {}
+            for ex, ey, n in terms:
+                row[ex] = row.get(ex, 0) + n * py[ey]
+            rows.append((list(row.items()), den))
+        for px in powers:
+            lines.append("v " + " ".join(
+                decimal12(Fraction(sum(c * px[e] for e, c in row), den)) for row, den in rows))
     width = m + 1
     for j in range(m):
         for i in range(m):

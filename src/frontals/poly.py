@@ -302,11 +302,10 @@ class Poly:
             if e > 0
         ]
         if isinstance(coeff, ExtScalar) and not coeff.is_rational():
-            nonzero = [q for q in coeff.coeffs if q != 0]
+            nonzero = [(i, q) for i, q in enumerate(coeff.coeffs) if q]
             if len(nonzero) == 1:
                 # single power of c: pull its rational sign out
-                i = next(i for i, q in enumerate(coeff.coeffs) if q != 0)
-                q = coeff.coeffs[i]
+                i, q = nonzero[0]
                 sym = coeff.field.symbol
                 cpow = sym if i == 1 else f"{sym}^{i}"
                 head = [] if abs(q) == 1 else [str(abs(q))]
@@ -400,6 +399,9 @@ _OPS = set("+-*^()/")
 # each open parenthesis costs four nested parser calls; the cap keeps a
 # parse well inside the interpreter's default recursion limit
 MAX_NESTING = 100
+# the size of a power grows with its exponent: (x + y + z)^100 already has
+# 5151 terms
+MAX_EXPONENT = 100
 
 
 class _Token:
@@ -501,8 +503,11 @@ class _Parser:
             exp_tok = self.peek()
             if exp_tok.kind != "int":
                 raise PolyParseError("exponent must be a non-negative integer", exp_tok.pos)
+            exponent = int(exp_tok.text)
+            if exponent > MAX_EXPONENT:
+                raise PolyParseError(f"exponent above {MAX_EXPONENT}", exp_tok.pos)
             self.advance()
-            return base ** int(exp_tok.text)
+            return base ** exponent
         return base
 
     def parse_base(self) -> Poly:

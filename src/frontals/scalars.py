@@ -5,66 +5,32 @@ lowest terms with positive denominator).  The extension field Q[c]/(c^k - 6)
 exists for compositions whose diffeomorphisms contain the k-th root of 6;
 c^k - 6 is irreducible over Q (Eisenstein at 2), so the quotient is a field
 and every nonzero residue is invertible.
+
+An extension element is stored as k integer numerators of 1, c, ...,
+c^(k-1) over one positive denominator, in lowest terms: products are integer
+convolutions folded with c^k = 6, sums work over the common denominator, and
+each result is normalised by a single gcd.  The canonical form makes
+equality and hashing plain field compares; a residue of degree 0 equals and
+hashes like its ``Fraction``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import add, sub
 from typing import Sequence, Union
 
 Rational = Fraction
 Scalar = Union[Fraction, "ExtScalar"]
 
+# largest extension order accepted from input (germ files, corpus --k); the
+# cost of one product grows as k^2 and of one inverse as k^3
+MAX_EXT_ORDER = 32
+
 
 class ScalarError(ArithmeticError):
     pass
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient/remainder of dense univariate rational polynomials (lists, low degree first)."""
-    a = list(a)
-    db = len(b) - 1
-    while b and b[-1] == 0:
-        b = b[:-1]
-        db -= 1
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        coeff = a[-1] / b[-1]
-        shift = len(a) - 1 - db
-        q[shift] = coeff
-        for i, bc in enumerate(b):
-            a[shift + i] -= coeff * bc
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
-def _poly_ext_gcd(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Return (g, s) with s*a = g modulo b, g the gcd of a and b."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    while any(r1):
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        # s_next = s0 - q*s1
-        prod = [Fraction(0)] * (len(q) + len(s1))
-        for i, qc in enumerate(q):
-            for j, sc in enumerate(s1):
-                prod[i + j] += qc * sc
-        nxt = [Fraction(0)] * max(len(s0), len(prod))
-        for i, c in enumerate(s0):
-            nxt[i] += c
-        for i, c in enumerate(prod):
-            nxt[i] -= c
-        s0, s1 = s1, nxt
-    return r0, s0
 
 
 class ExtField:
@@ -87,11 +53,7 @@ class ExtField:
 
     def element(self, coeffs: Sequence[Union[int, Fraction]]) -> "ExtScalar":
         """Residue with the given coefficients of 1, c, ..., c^(k-1)."""
-        cs = [Fraction(v) for v in coeffs]
-        if len(cs) > self.k:
-            raise ValueError(f"residue degree must be < {self.k}")
-        cs += [Fraction(0)] * (self.k - len(cs))
-        return ExtScalar(self, tuple(cs))
+        return ExtScalar(self, coeffs)
 
     @property
     def generator(self) -> "ExtScalar":
@@ -105,131 +67,173 @@ class ExtField:
     def one(self) -> "ExtScalar":
         return self.element([1])
 
-    def coerce(self, value: Union[int, Fraction, "ExtScalar"]) -> "ExtScalar":
-        if isinstance(value, ExtScalar):
-            if value.field != self:
-                raise ScalarError("cannot mix elements of different extension fields")
-            return value
-        return self.element([Fraction(value)])
-
 
 class ExtScalar:
-    """Element of an ExtField, stored as the reduced residue (degree < k)."""
+    """Element of an ExtField: the reduced residue
+    (nums[0] + nums[1]*c + ... + nums[k-1]*c^(k-1)) / den, with integer
+    numerators, den > 0 and gcd(den, *nums) == 1."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "nums", "den")
 
-    def __init__(self, field: ExtField, coeffs: tuple[Fraction, ...]):
+    def __init__(self, field: ExtField, coeffs: Sequence[Union[int, Fraction]]):
+        """The residue with the given rational coefficients of 1, c, ...;
+        coefficients beyond the given ones are zero."""
+        if len(coeffs) > field.k:
+            raise ValueError(f"residue degree must be < {field.k}")
+        qs = [Fraction(v) for v in coeffs]
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        den = math.lcm(*(q.denominator for q in qs))
         self.field = field
-        self.coeffs = coeffs
+        self.nums = (tuple(q.numerator * (den // q.denominator) for q in qs)
+                     + (0,) * (field.k - len(qs)))
+        self.den = den
+
+    @classmethod
+    def _make(cls, field: ExtField, nums: tuple[int, ...], den: int) -> "ExtScalar":
+        """Trusted constructor: k integer numerators over den > 0, brought to
+        lowest terms here."""
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = tuple(n // g for n in nums)
+            den //= g
+        x = object.__new__(cls)
+        x.field = field
+        x.nums = nums
+        x.den = den
+        return x
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients of 1, c, ..., c^(k-1)."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def to_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ScalarError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.nums)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ExtScalar):
-            if other.field == self.field:
-                return self.coeffs == other.coeffs
-            if self.is_rational() and other.is_rational():
-                return self.coeffs[0] == other.coeffs[0]
-            return False
+            if other.field is self.field or other.field == self.field:
+                return self.nums == other.nums and self.den == other.den
+            return (self.is_rational() and other.is_rational()
+                    and self.nums[0] == other.nums[0] and self.den == other.den)
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return (self.nums[0] == other.numerator and self.den == other.denominator
+                    and self.is_rational())
         return NotImplemented
 
     def __hash__(self) -> int:
         if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.field, self.coeffs))
+            return hash(Fraction(self.nums[0], self.den))
+        return hash((self.field, self.nums, self.den))
 
     # -- arithmetic --------------------------------------------------------
 
-    def _lift(self, other) -> "ExtScalar | None":
+    def _operand(self, other) -> "tuple[tuple[int, ...], int] | None":
+        """other as (numerators, denominator) in this field; None when it is
+        not a scalar."""
         if isinstance(other, ExtScalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ScalarError("cannot mix elements of different extension fields")
-            return other
+            return other.nums, other.den
         if isinstance(other, (int, Fraction)):
-            return self.field.coerce(other)
+            return (other.numerator,) + (0,) * (self.field.k - 1), other.denominator
         return None
 
     def __add__(self, other):
-        o = self._lift(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return ExtScalar(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        nums, den = o
+        if den == self.den:
+            return ExtScalar._make(self.field, tuple(map(add, self.nums, nums)), den)
+        return ExtScalar._make(
+            self.field, tuple(a * den + b * self.den for a, b in zip(self.nums, nums)),
+            self.den * den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExtScalar(self.field, tuple(-a for a in self.coeffs))
+        return ExtScalar._make(self.field, tuple(-a for a in self.nums), self.den)
 
     def __sub__(self, other):
-        o = self._lift(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return ExtScalar(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        nums, den = o
+        if den == self.den:
+            return ExtScalar._make(self.field, tuple(map(sub, self.nums, nums)), den)
+        return ExtScalar._make(
+            self.field, tuple(a * den - b * self.den for a, b in zip(self.nums, nums)),
+            self.den * den)
 
     def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return o - self
+        return -self + other
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        k = self.field.k
-        prod = [Fraction(0)] * (2 * k - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b != 0:
-                    prod[i + j] += a * b
-        # reduce with c^k = 6
-        for i in range(2 * k - 2, k - 1, -1):
-            if prod[i] != 0:
+        if isinstance(other, ExtScalar):
+            field = self.field
+            if other.field is not field and other.field != field:
+                raise ScalarError("cannot mix elements of different extension fields")
+            k = field.k
+            prod = [0] * (2 * k - 1)
+            right = [(j, b) for j, b in enumerate(other.nums) if b]
+            for i, a in enumerate(self.nums):
+                if a:
+                    for j, b in right:
+                        prod[i + j] += a * b
+            # reduce with c^k = 6
+            for i in range(k, 2 * k - 1):
                 prod[i - k] += 6 * prod[i]
-                prod[i] = Fraction(0)
-        return ExtScalar(self.field, tuple(prod[:k]))
+            return ExtScalar._make(field, tuple(prod[:k]), self.den * other.den)
+        if isinstance(other, (int, Fraction)):
+            p = other.numerator
+            return ExtScalar._make(self.field, tuple(a * p for a in self.nums),
+                                   self.den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ExtScalar":
+        """1/self: the solution x of N x = den*e_0, N the matrix of
+        multiplication by nums[0] + nums[1]*c + ... on the basis 1, c, ...;
+        N is invertible because c^k - 6 is irreducible."""
+        from .linalg import SparseSolver  # linalg imports this module
+
         if not self:
             raise ZeroDivisionError("inverse of zero in extension field")
-        k = self.field.k
-        modulus = [Fraction(-6)] + [Fraction(0)] * (k - 1) + [Fraction(1)]
-        g, s = _poly_ext_gcd(list(self.coeffs), modulus)
-        # modulus irreducible, so g is a nonzero constant
-        g0 = g[0]
-        inv = [c / g0 for c in s]
-        _, rem = _poly_divmod(inv, modulus)
-        rem += [Fraction(0)] * (k - len(rem))
-        return ExtScalar(self.field, tuple(rem[:k]))
+        k, a = self.field.k, self.nums
+        solver = SparseSolver()
+        for r in range(k):
+            # entry (r, j) is the coefficient of c^r in nums(c) * c^j
+            solver.add_row({j: Fraction(a[r - j] if j <= r else 6 * a[r - j + k])
+                            for j in range(k)},
+                           Fraction(self.den if r == 0 else 0))
+        x = solver.solve()
+        return ExtScalar(self.field, [x.get(j, 0) for j in range(k)])
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        if isinstance(other, ExtScalar):
+            return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self * Fraction(1, other)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self.inverse() * other
+        return NotImplemented
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -250,10 +254,11 @@ class ExtScalar:
     def __str__(self) -> str:
         if not self:
             return "0"
+        coeffs = self.coeffs
         sym = self.field.symbol
         parts: list[str] = []
         for i in range(self.field.k - 1, -1, -1):
-            q = self.coeffs[i]
+            q = coeffs[i]
             if q == 0:
                 continue
             if i == 0:

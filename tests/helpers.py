@@ -38,13 +38,13 @@ def random_origin_germ(rng: random.Random, n: int, max_degree: int) -> PolyMap:
 
 
 def random_linear_iso(rng: random.Random, n: int) -> PolyMap:
-    """Random invertible linear map, by rejection on the exact determinant."""
-    from frontals.linalg import scalar_det
+    """Random invertible linear map, by rejection on the exact rank."""
+    from frontals.linalg import scalar_rank
 
     vars = VARSETS[n]
     while True:
         entries = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-        if scalar_det(entries) != 0:
+        if scalar_rank(entries) == n:
             break
     comps = []
     for i in range(n):

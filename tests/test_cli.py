@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from frontals.cli import main
+from frontals.mesh import MAX_RESOLUTION
+from frontals.scalars import MAX_EXT_ORDER
 
 GERMS = Path(__file__).resolve().parent.parent / "germs"
 
@@ -212,3 +214,29 @@ def test_ramify_deeply_nested_psi_exit_2(capsys):
     psi = "(" * 5000 + "x" + ")" * 5000
     message = _assert_input_error(capsys, "ramify", GERMS / "fold.germ", "--psi", psi)
     assert "nested" in message
+
+
+def test_exponent_above_the_cap_exit_2(capsys):
+    message = _assert_input_error(capsys, "ramify", GERMS / "fold.germ",
+                                  "--psi", "(x + y)^100000000")
+    assert "exponent above" in message
+
+
+def test_ext_order_above_the_cap_exit_2(tmp_path, capsys):
+    germ = tmp_path / "ext.germ"
+    germ.write_text(f"vars: x y\next: {MAX_EXT_ORDER + 1}\nmap:\nf1 = x\nf2 = y\n",
+                    encoding="utf-8")
+    message = _assert_input_error(capsys, "jacobian", germ)
+    assert "ext: order" in message
+
+
+@pytest.mark.parametrize("k", [f"{MAX_EXT_ORDER + 1}", "2-100000000000"])
+def test_corpus_k_above_the_cap_exit_2(k, capsys):
+    message = _assert_input_error(capsys, "corpus", "--k", k)
+    assert "--k values above" in message
+
+
+def test_mesh_resolution_above_the_cap_exit_2(capsys):
+    message = _assert_input_error(capsys, "mesh", GERMS / "fold.germ", "--range", "1",
+                                  "--res", MAX_RESOLUTION + 1)
+    assert "grid resolution" in message

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from frontals.maps import PolyMap
-from frontals.mesh import build_obj, decimal12, frontal_surface
+from frontals.mesh import MAX_RESOLUTION, build_obj, decimal12, frontal_surface
 from frontals.poly import PolyError, parse_poly
+from frontals.scalars import ExtField
 
 XY = ("x", "y")
 
@@ -70,3 +71,36 @@ def test_obj_values_are_exactly_rounded_samples():
     x = y = Fraction(-1, 3)
     expected = F.eval([x, y])
     assert first == "v " + " ".join(decimal12(v) for v in expected)
+
+
+def reference_vertices(F: PolyMap, r: Fraction, m: int) -> list[str]:
+    """The vertex records sampled one point at a time with exact F.eval."""
+    step = Fraction(2 * r, m)
+    coords = [-r + step * i for i in range(m + 1)]
+    return ["v " + " ".join(decimal12(v) for v in F.eval([x, y]))
+            for y in coords for x in coords]
+
+
+@pytest.mark.parametrize("exprs, mu, field, r, m", [
+    (["1/2*x^2 + x*y", "y"], "1", None, Fraction(1), 2),
+    (["1/3*x^3 + x*y", "y"], "3/2 - x*y", None, Fraction(3, 2), 7),
+    (["1/3*x^3 - 1/6*c^3*x*y^3", "y"], "1/6*c^3", ExtField(3), Fraction(1), 20),
+    (["x^4 + 2/7*x^2*y + x^2*y^2 - y^3 + 4*y^2", "-5*y"], "x - 2/3*y^2", None,
+     Fraction(5, 3), 9),
+])
+def test_obj_vertices_match_pointwise_evaluation(exprs, mu, field, r, m):
+    germ = PolyMap.from_exprs(exprs, XY, field)
+    F = frontal_surface(germ, (parse_poly(mu, XY, field),))
+    vertices = build_obj(F, r, m).splitlines()[:(m + 1) ** 2]
+    assert vertices == reference_vertices(F, r, m)
+
+
+def test_obj_rejects_irrational_maps_and_oversized_grids():
+    field = ExtField(2)
+    F = PolyMap.from_exprs(["x", "y", "c*x*y"], XY, field)
+    with pytest.raises(PolyError, match="rational"):
+        build_obj(F, Fraction(1), 4)
+    germ = PolyMap.from_exprs(["1/2*x^2 + x*y", "y"], XY)
+    F = frontal_surface(germ, (parse_poly("1", XY),))
+    with pytest.raises(PolyError, match="at most"):
+        build_obj(F, Fraction(1), MAX_RESOLUTION + 1)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frontals.poly import (
+    MAX_EXPONENT,
     MAX_NESTING,
     Poly,
     PolyParseError,
@@ -58,6 +59,13 @@ def test_parse_nesting_cap():
     with pytest.raises(PolyParseError, match="nested deeper") as err:
         P("(" * deeper + "x" + ")" * deeper)
     assert err.value.position == MAX_NESTING
+
+
+def test_parse_exponent_cap():
+    assert P(f"x^{MAX_EXPONENT}") == Poly(("x", "y"), {(MAX_EXPONENT, 0): 1})
+    with pytest.raises(PolyParseError, match="exponent above") as err:
+        P(f"x + y^{MAX_EXPONENT + 1}")
+    assert err.value.position == 6
 
 
 def test_parse_unknown_variable():

@@ -9,7 +9,7 @@ reductions (fold, cuspidal edge, umbrellas, swallowtails, the 4_k family)
 by literal composition.
 """
 
-from .scalars import ExtField, ExtScalar, Rational, Scalar, scalar_str
+from .scalars import ExtField, ExtScalar, Scalar
 from .poly import (
     Poly,
     PolyError,
@@ -39,7 +39,7 @@ from .frontal import (
     certify_frontal,
     conormals,
 )
-from .local_algebra import MultiplicityResult, is_finite_up_to, multiplicity
+from .local_algebra import MultiplicityResult, multiplicity
 from .ramification import (
     GeneratorListReport,
     GradientCertificate,
@@ -48,7 +48,6 @@ from .ramification import (
     check_generator_list,
     gradient_module_membership,
     jsq_plus_pullback_membership,
-    verify_identity,
 )
 from . import corpus
 from .germfile import GermFile, GermFileError, load_germ_file, parse_germ_file
@@ -57,18 +56,17 @@ from .mesh import build_obj, decimal12, frontal_surface
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExtField", "ExtScalar", "Rational", "Scalar", "scalar_str",
+    "ExtField", "ExtScalar", "Scalar",
     "Poly", "PolyError", "PolyParseError", "VariableMismatchError",
     "monomials_up_to", "parse_poly", "sum_of_products",
     "Covector", "PolyMap", "PolyMatrix", "adjugate", "compose",
     "corank_at_zero", "differential", "jacobian_det", "jacobian_matrix",
     "CertifyReport", "Conormal", "FrontalPackage", "build_certified",
     "build_frontal", "certify_frontal", "conormals",
-    "MultiplicityResult", "is_finite_up_to", "multiplicity",
+    "MultiplicityResult", "multiplicity",
     "GeneratorListReport", "GradientCertificate", "MembershipVerdict",
     "PullbackCertificate", "check_generator_list",
     "gradient_module_membership", "jsq_plus_pullback_membership",
-    "verify_identity",
     "corpus",
     "GermFile", "GermFileError", "load_germ_file", "parse_germ_file",
     "build_obj", "decimal12", "frontal_surface",

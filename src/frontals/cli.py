@@ -22,16 +22,16 @@ from . import corpus as corpus_mod
 from .frontal import CertifyReport, build_certified
 from .germfile import GermFile, GermFileError, load_germ_file
 from .local_algebra import multiplicity
-from .maps import PolyMap, adjugate, jacobian_det, jacobian_matrix
+from .maps import adjugate, jacobian_matrix
 from .mesh import build_obj, frontal_surface
-from .poly import PolyError, PolyParseError, parse_poly
+from .poly import PolyError, PolyParseError, parse_poly, sum_of_products
 from .ramification import (
     MEMBER,
     NOT_MEMBER_MOD_JET,
     gradient_module_membership,
     jsq_plus_pullback_membership,
 )
-from .scalars import MAX_EXT_ORDER, scalar_str
+from .scalars import MAX_EXT_ORDER
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -64,15 +64,11 @@ def _matrix_strs(matrix) -> list[list[str]]:
     return [[str(e) for e in row] for row in matrix.rows]
 
 
-def _map_str(pm: PolyMap) -> str:
-    return str(pm)
-
-
 def _germ_summary(report: _Report, gf: GermFile) -> None:
     report.line(f"vars: {' '.join(gf.vars)}")
     if gf.ext_order is not None:
         report.line(f"ext: {gf.ext_order}")
-    report.line(f"f = {_map_str(gf.germ)}")
+    report.line(f"f = {gf.germ}")
     report.set("vars", list(gf.vars))
     report.set("ext", gf.ext_order)
     report.set("map", [str(c) for c in gf.germ.components])
@@ -86,7 +82,7 @@ def _certify_lines(report: _Report, cert: CertifyReport) -> None:
     for i, j, residual in cert.condition1_failures:
         report.line(f"  failure at (i, j) = ({i}, {j}): residual {residual}")
     values = [
-        "(" + ", ".join(scalar_str(x) for x in v) + ")" for v in cert.condition2_values
+        "(" + ", ".join(map(str, v)) + ")" for v in cert.condition2_values
     ]
     report.line(f"condition 2 (phi_i(0) != 0): {'PASS' if cert.condition2_ok else 'FAIL'}"
                 f"  [{', '.join(values)}]")
@@ -99,7 +95,7 @@ def _certify_lines(report: _Report, cert: CertifyReport) -> None:
             {"i": i, "j": j, "residual": str(r)} for i, j, r in cert.condition1_failures
         ],
         "condition2": cert.condition2_ok,
-        "condition2_values": [[scalar_str(x) for x in v] for v in cert.condition2_values],
+        "condition2_values": [[str(x) for x in v] for v in cert.condition2_values],
         "condition3": cert.condition3_ok,
         "condition3_rank": cert.condition3_rank,
         "pass": cert.ok,
@@ -115,12 +111,18 @@ def cmd_jacobian(args) -> tuple[_Report, int]:
     gf = load_germ_file(args.file)
     report = _Report("jacobian")
     _germ_summary(report, gf)
-    jac = jacobian_matrix(gf.germ)
+    f = gf.germ
+    if not f.is_equidimensional:
+        raise PolyError(f"Jacobian determinant needs an equidimensional map, got "
+                        f"{f.source_dim} -> {f.target_dim}")
+    jac = jacobian_matrix(f)
     report.line("Jf =")
     for row in _matrix_strs(jac):
         report.line("  [" + ", ".join(row) + "]")
-    det = jacobian_det(gf.germ)
     adj = adjugate(jac)
+    # det(Jf) is the (0, 0) entry of Jf*adj(Jf) = det(Jf)*I
+    det = sum_of_products(f.source_vars,
+                          ((jac.rows[0][j], adj.rows[j][0]) for j in range(f.source_dim)))
     report.line(f"|Jf| = {det}")
     report.line("adj(Jf) =")
     for row in _matrix_strs(adj):
@@ -142,7 +144,7 @@ def cmd_frontal(args) -> tuple[_Report, int]:
     report = _Report("frontal")
     _germ_summary(report, gf)
     package = build_certified(gf.germ, gf.multipliers)
-    report.line(f"F = {_map_str(package.frontal_map)}")
+    report.line(f"F = {package.frontal_map}")
     for i, phi in enumerate(package.conormal_fields, start=1):
         report.line(f"phi{i} = {phi}")
     _certify_lines(report, package.report)
@@ -226,11 +228,11 @@ def _corpus_entry_lines(report: _Report, er) -> dict:
                 + (f" | corrected: {'MATCH' if er.corrected.matches else 'MISMATCH'}"
                    if er.corrected is not None else "")
                 + f" | path: {er.path}")
-    report.line(f"  claimed = {_map_str(er.entry.claimed)}")
+    report.line(f"  claimed = {er.entry.claimed}")
     if not er.literal.matches:
         if er.literal.rational:
-            report.line(f"  literal result = {_map_str(er.literal.result)}")
-            report.line(f"  residual (claimed - literal) = {_map_str(er.literal.residual)}")
+            report.line(f"  literal result = {er.literal.result}")
+            report.line(f"  residual (claimed - literal) = {er.literal.residual}")
         else:
             report.line("  literal result has irrational coefficients")
     for note in er.notes:
@@ -280,20 +282,18 @@ def cmd_mesh(args) -> tuple[_Report, int]:
     r = Fraction(args.range)
     F = frontal_surface(gf.germ, gf.multipliers)
     obj_text = build_obj(F, r, args.res)
+    report = _Report("mesh")
     if args.out:
         Path(args.out).write_text(obj_text, encoding="utf-8")
-        report = _Report("mesh")
         vertex_count = (args.res + 1) ** 2
-        report.line(f"wrote {args.out}: {vertex_count} vertices, "
-                    f"{2 * args.res ** 2} triangles")
+        faces = 2 * args.res**2
+        report.line(f"wrote {args.out}: {vertex_count} vertices, {faces} triangles")
         report.set("out", args.out)
         report.set("vertices", vertex_count)
-        report.set("faces", 2 * args.res**2)
-        report.set("status", "ok")
-        return report, EXIT_OK
-    report = _Report("mesh")
-    report.lines = [obj_text.rstrip("\n")]
-    report.set("obj", obj_text)
+        report.set("faces", faces)
+    else:
+        report.lines = [obj_text.rstrip("\n")]
+        report.set("obj", obj_text)
     report.set("status", "ok")
     return report, EXIT_OK
 

@@ -83,9 +83,7 @@ class EntryReport:
 
     @property
     def reached(self) -> bool:
-        if self.literal.matches:
-            return True
-        return self.corrected is not None and self.corrected.matches
+        return self.path != "failed"
 
     @property
     def path(self) -> str:

@@ -24,7 +24,7 @@ from typing import Sequence
 from . import linalg
 from .maps import PolyMap, adjugate, differential, jacobian_det, jacobian_matrix
 from .poly import Poly, PolyError, sum_of_products
-from .scalars import Scalar, scalar_str
+from .scalars import Scalar
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,7 @@ class Conormal:
         return self.head + tuple(Poly.const(vs, t) for t in self.tail)
 
     def __str__(self) -> str:
-        parts = [str(h) for h in self.head] + [scalar_str(t) for t in self.tail]
-        return "(" + ", ".join(parts) + ")"
+        return "(" + ", ".join(map(str, self.head + self.tail)) + ")"
 
 
 @dataclass(frozen=True)
@@ -118,8 +117,10 @@ def conormals(f: PolyMap, mus: Sequence[Poly]) -> tuple[Conormal, ...]:
     _check_build_inputs(f, mus)
     n = f.source_dim
     vs = f.source_vars
-    det = jacobian_det(f)
-    adj = adjugate(jacobian_matrix(f))
+    jac = jacobian_matrix(f)
+    adj = adjugate(jac)
+    # det(Jf) is the (0, 0) entry of Jf*adj(Jf) = det(Jf)*I
+    det = sum_of_products(vs, ((jac.rows[0][j], adj.rows[j][0]) for j in range(n)))
     ddet = differential(det)
     out = []
     for i, mu in enumerate(mus):

@@ -36,11 +36,11 @@ class GermFile:
     vars: tuple[str, ...]
     germ: PolyMap
     multipliers: tuple[Poly, ...]
-    ext_order: int | None
+    field: ExtField | None  # built once: every coefficient holds this object
 
     @property
-    def field(self) -> ExtField | None:
-        return ExtField(self.ext_order) if self.ext_order is not None else None
+    def ext_order(self) -> int | None:
+        return self.field.k if self.field is not None else None
 
 
 def parse_germ_file(text: str) -> GermFile:
@@ -113,7 +113,7 @@ def parse_germ_file(text: str) -> GermFile:
     germ = PolyMap(components)
     if not germ.is_origin_preserving:
         raise GermFileError("map components must have zero constant term")
-    return GermFile(vars=vars_, germ=germ, multipliers=multipliers, ext_order=ext_order)
+    return GermFile(vars=vars_, germ=germ, multipliers=multipliers, field=field)
 
 
 def load_germ_file(path: str | Path) -> GermFile:

@@ -77,9 +77,3 @@ def multiplicity(f: PolyMap, k_max: int = 12) -> MultiplicityResult:
                                       dimension_sequence=tuple(sequence))
     return MultiplicityResult(value=None, jet_order=k_max,
                               dimension_sequence=tuple(sequence))
-
-
-def is_finite_up_to(f: PolyMap, k_max: int = 12) -> bool:
-    """True iff the multiplicity stabilizes by k_max, which proves that the
-    germ is finite (m^k lies in the ideal of its components)."""
-    return multiplicity(f, k_max).stabilized

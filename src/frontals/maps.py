@@ -5,6 +5,10 @@ represents a map-germ based at the origin when every component has zero
 constant term.  All determinants are expanded by exact cofactors (source
 dimensions here never exceed a handful), and the chain rule, adjugate
 identity and composition associativity hold as exact polynomial statements.
+
+Callers that need both det(Jf) and adj(Jf) build Jf and expand adj(Jf) once,
+then read det(Jf) off the (0, 0) entry of Jf*adj(Jf) = det(Jf)*I: n products
+instead of a second expansion.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import linalg
-from .poly import Poly, PolyError, VariableMismatchError
+from .poly import Poly, PolyError, VariableMismatchError, sum_of_products
 from .scalars import ExtField, Scalar
 
 Covector = tuple[Poly, ...]
@@ -122,26 +126,15 @@ class PolyMatrix:
     def column(self, j: int) -> tuple[Poly, ...]:
         return tuple(row[j] for row in self.rows)
 
-    def transpose(self) -> "PolyMatrix":
-        r, c = self.shape
-        return PolyMatrix(tuple(tuple(self.rows[i][j] for i in range(r)) for j in range(c)))
-
     def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
-        r, k = self.shape
+        _, k = self.shape
         k2, c = other.shape
         if k != k2:
             raise PolyError(f"cannot multiply {self.shape} by {other.shape}")
-        zero = Poly.zero(self.vars)
-        out = []
-        for i in range(r):
-            row = []
-            for j in range(c):
-                acc = zero
-                for t in range(k):
-                    acc = acc + self.rows[i][t] * other.rows[t][j]
-                row.append(acc)
-            out.append(tuple(row))
-        return PolyMatrix(tuple(out))
+        return PolyMatrix(tuple(
+            tuple(sum_of_products(self.vars, ((row[t], other.rows[t][j]) for t in range(k)))
+                  for j in range(c))
+            for row in self.rows))
 
     def scale(self, p: Poly) -> "PolyMatrix":
         return PolyMatrix(tuple(tuple(p * e for e in row) for row in self.rows))
@@ -151,17 +144,11 @@ class PolyMatrix:
             tuple(e.substitute(images) for e in row) for row in self.rows
         ))
 
-    def eval(self, point: Sequence) -> list[list[Scalar]]:
-        return [[e.eval(point) for e in row] for row in self.rows]
-
     def det(self) -> Poly:
         r, c = self.shape
         if r != c:
             raise PolyError(f"determinant of a non-square {self.shape} matrix")
         return _det_cofactor(self.rows)
-
-    def adjugate(self) -> "PolyMatrix":
-        return adjugate(self)
 
     def __str__(self) -> str:
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.rows)

@@ -9,7 +9,7 @@ into two triangles.
 
 from __future__ import annotations
 
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
 
 from .frontal import build_frontal
@@ -19,6 +19,8 @@ from .scalars import ExtScalar, Scalar
 
 # largest grid resolution m accepted: the OBJ text grows as m^2
 MAX_RESOLUTION = 256
+# shared: a fresh local context per coordinate cost as much as the rendering
+CTX = Context(prec=12, rounding=ROUND_HALF_EVEN)
 
 
 def decimal12(value: Scalar) -> str:
@@ -27,12 +29,7 @@ def decimal12(value: Scalar) -> str:
         value = value.to_fraction()
     if value == 0:
         return "0"
-    with localcontext() as ctx:
-        ctx.prec = 12
-        ctx.rounding = ROUND_HALF_EVEN
-        d = Decimal(value.numerator) / Decimal(value.denominator)
-        d = d.normalize()
-    return format(d, "f")
+    return format(CTX.divide(value.numerator, value.denominator).normalize(CTX), "f")
 
 
 def frontal_surface(germ: PolyMap, multipliers: tuple[Poly, ...]) -> PolyMap:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator, Sequence, Union
 
-from .scalars import ExtField, ExtScalar, Scalar, scalar_str
+from .scalars import ExtField, ExtScalar, Scalar
 
 Exponents = tuple[int, ...]
 
@@ -110,10 +110,6 @@ class Poly:
 
     # -- inspection ----------------------------------------------------------
 
-    @property
-    def arity(self) -> int:
-        return len(self.vars)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -159,7 +155,8 @@ class Poly:
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.vars, frozenset((m, scalar_str(c)) for m, c in self.terms.items())))
+        # a rational ExtScalar hashes like its Fraction, so this agrees with ==
+        return hash((self.vars, frozenset(self.terms.items())))
 
     # -- ring operations -----------------------------------------------------
 
@@ -402,6 +399,9 @@ MAX_NESTING = 100
 # the size of a power grows with its exponent: (x + y + z)^100 already has
 # 5151 terms
 MAX_EXPONENT = 100
+# largest term count a parsed '^' or '*' may reach by the bound of
+# _Parser.check_terms, so nested powers cannot grow without limit
+MAX_TERMS = 1000
 
 
 class _Token:
@@ -477,13 +477,25 @@ class _Parser:
             else:
                 return result
 
+    def check_terms(self, what: str, tok: _Token, terms: int, degree: int) -> None:
+        """Refuse, before computing it, a result with at most ``terms`` terms
+        and at most the monomials of degree <= ``degree`` if that exceeds MAX_TERMS."""
+        n = len(self.vars)
+        bound = min(terms, math.comb(n + max(degree, 0), n))
+        if bound > MAX_TERMS:
+            raise PolyParseError(
+                f"{what} may have up to {bound} terms, more than {MAX_TERMS}", tok.pos)
+
     def parse_term(self) -> Poly:
         result = self.parse_factor()
         while True:
             tok = self.peek()
             if tok.kind == "op" and tok.text == "*":
                 self.advance()
-                result = result * self.parse_factor()
+                rhs = self.parse_factor()
+                self.check_terms("product", tok, len(result.terms) * len(rhs.terms),
+                                 result.degree() + rhs.degree())
+                result = result * rhs
             elif tok.kind == "op" and tok.text == "/":
                 raise PolyParseError(
                     "division by a non-constant: '/' is only allowed inside a"
@@ -506,6 +518,11 @@ class _Parser:
             exponent = int(exp_tok.text)
             if exponent > MAX_EXPONENT:
                 raise PolyParseError(f"exponent above {MAX_EXPONENT}", exp_tok.pos)
+            if base.terms:
+                # one term per multiset of e of the t terms of the base
+                t = len(base.terms)
+                self.check_terms("power", tok, math.comb(t + exponent - 1, exponent),
+                                 exponent * base.degree())
             self.advance()
             return base ** exponent
         return base

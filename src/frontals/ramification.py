@@ -249,11 +249,6 @@ def jsq_plus_pullback_membership(
     return MembershipVerdict(status=MEMBER, jet_order=k, certificate=cert)
 
 
-def verify_identity(lhs: Poly, rhs: Poly) -> bool:
-    """Exact equality of canonical forms."""
-    return lhs == rhs
-
-
 @dataclass(frozen=True)
 class GeneratorCheck:
     generator: Poly

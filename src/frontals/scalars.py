@@ -21,7 +21,6 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Sequence, Union
 
-Rational = Fraction
 Scalar = Union[Fraction, "ExtScalar"]
 
 # largest extension order accepted from input (germ files, corpus --k); the
@@ -279,19 +278,3 @@ class ExtScalar:
 
     def __repr__(self) -> str:
         return f"ExtScalar({self.field!r}, {self})"
-
-
-def scalar_str(value: Scalar) -> str:
-    """Render a scalar exactly: "a/b" for rationals, a polynomial in c otherwise."""
-    if isinstance(value, ExtScalar):
-        if value.is_rational():
-            return str(value.to_fraction())
-        return str(value)
-    return str(value)
-
-
-def as_rational(value: Scalar) -> Fraction:
-    """Demote to a Fraction; raises ScalarError for genuine extension elements."""
-    if isinstance(value, ExtScalar):
-        return value.to_fraction()
-    return Fraction(value)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -220,6 +221,21 @@ def test_exponent_above_the_cap_exit_2(capsys):
     message = _assert_input_error(capsys, "ramify", GERMS / "fold.germ",
                                   "--psi", "(x + y)^100000000")
     assert "exponent above" in message
+
+
+@pytest.mark.parametrize("expr", ["((1+x+y)^100)^100", "(1+x+y+z+w)^100"])
+def test_power_above_the_term_cap_exit_2(expr, tmp_path, capsys):
+    plain = tmp_path / "plain.germ"
+    plain.write_text("vars: x y z w\nmap:\nf1 = x\nf2 = y\nf3 = z\nf4 = w\n",
+                     encoding="utf-8")
+    big = tmp_path / "big.germ"
+    big.write_text(f"vars: x y z w\nmap:\nf1 = x*{expr}\nf2 = y\nf3 = z\nf4 = w\n",
+                   encoding="utf-8")
+    for argv in (("ramify", plain, "--psi", expr), ("jacobian", big)):
+        start = time.perf_counter()
+        message = _assert_input_error(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert "terms, more than" in message
 
 
 def test_ext_order_above_the_cap_exit_2(tmp_path, capsys):

@@ -43,6 +43,15 @@ f2 = y
     assert gf.field is not None and gf.field.k == 3
 
 
+def test_ext_field_is_one_object_shared_with_psi():
+    gf = parse_germ_file("vars: x y\next: 3\nmap:\nf1 = 1/6*c^2*x\nf2 = y\n")
+    assert gf.field is gf.field
+    (germ_coeff,) = gf.germ.components[0].terms.values()
+    (psi_coeff,) = parse_poly("c*x^2", gf.vars, gf.field).terms.values()
+    assert germ_coeff.field is gf.field
+    assert psi_coeff.field is gf.field
+
+
 def test_missing_vars_rejected():
     with pytest.raises(GermFileError, match="vars"):
         parse_germ_file("map:\nf1 = 1\n")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from frontals.local_algebra import is_finite_up_to, multiplicity
+from frontals.local_algebra import multiplicity
 from frontals.maps import PolyMap, compose, corank_at_zero
 from frontals.poly import Poly, PolyError
 
@@ -48,7 +48,7 @@ def test_brute_force_square_example():
     f = PolyMap.from_exprs(["x^2", "y^2"], XY)
     result = multiplicity(f, 6)
     assert result.value == 4
-    assert is_finite_up_to(f, 6)
+    assert multiplicity(f, 6).stabilized
 
 
 def test_non_finite_germ_does_not_stabilize():
@@ -57,7 +57,7 @@ def test_non_finite_germ_does_not_stabilize():
     result = multiplicity(f, 12)
     assert result.value is None
     assert not result.stabilized
-    assert not is_finite_up_to(f, 12)
+    assert not multiplicity(f, 12).stabilized
     # codimension keeps growing with the jet order
     assert result.dimension_sequence[-1] > result.dimension_sequence[-3]
 

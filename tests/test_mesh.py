@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,30 @@ def test_decimal12_rendering():
     assert decimal12(Fraction(100)) == "100"
     # round-half-even at the 12th significant digit
     assert decimal12(Fraction(1000000000005, 10**13)) == "0.1"
+
+
+def _decimal12_in_local_context(value: Fraction) -> str:
+    """The reference rendering: a fresh local context for every value."""
+    if value == 0:
+        return "0"
+    with localcontext() as ctx:
+        ctx.prec = 12
+        ctx.rounding = ROUND_HALF_EVEN
+        d = (Decimal(value.numerator) / Decimal(value.denominator)).normalize()
+    return format(d, "f")
+
+
+def test_decimal12_matches_a_local_context_rendering():
+    rng = random.Random(12)
+    values = [Fraction(rng.randint(-10 ** rng.randint(1, 30), 10 ** rng.randint(1, 30)),
+                       rng.randint(1, 10 ** rng.randint(1, 30)))
+              for _ in range(3000)]
+    # exact ties at the 13th significant digit, with either parity of the 12th
+    values += [Fraction(rng.choice((-1, 1)) * (10 * rng.randint(10**11, 10**12 - 1) + 5))
+               * Fraction(10) ** rng.randint(-25, 25)
+               for _ in range(1000)]
+    for v in values:
+        assert decimal12(v) == _decimal12_in_local_context(v)
 
 
 def test_obj_grid_counts_and_origin_vertex():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from frontals.poly import (
     MAX_EXPONENT,
     MAX_NESTING,
+    MAX_TERMS,
     Poly,
     PolyParseError,
     VariableMismatchError,
@@ -66,6 +67,31 @@ def test_parse_exponent_cap():
     with pytest.raises(PolyParseError, match="exponent above") as err:
         P(f"x + y^{MAX_EXPONENT + 1}")
     assert err.value.position == 6
+
+
+def test_parse_term_cap():
+    # the cap is read off an upper bound before any product is formed
+    assert MAX_TERMS == 1000
+    # power, monomial bound: all comb(2 + 42, 2) = 946 monomials of degree <= 42
+    dense = "(1 + x + y + x*y + x^2 + y^2)"
+    assert len(P(f"{dense}^21").terms) == 946
+    with pytest.raises(PolyParseError, match="power may have up to 1035 terms") as err:
+        P(f"x + {dense}^22")
+    assert err.value.position == len(f"x + {dense}")
+    # power, multiset bound: (x + y)^100 has comb(2 + 99, 100) = 101 terms
+    assert len(P("(x + y)^100").terms) == 101
+    # product, monomial bound: 231*253 products, at most comb(2 + 41, 2) = 903 terms
+    assert len(P("(1 + x + y)^20*(1 + x + y)^21").terms) == 903
+    with pytest.raises(PolyParseError, match="product may have up to 1035 terms") as err:
+        P("(1 + x + y)^20*(1 + x + y)^24")
+    assert err.value.position == len("(1 + x + y)^20")
+    # product, term-count bound: one term times one term
+    assert P("x^100*y^100*x^100") == Poly(XY, {(200, 100): 1})
+    # nested powers are rejected at the first bound above the cap
+    with pytest.raises(PolyParseError, match="terms, more than"):
+        P("((1 + x + y)^100)^100")
+    with pytest.raises(PolyParseError, match="terms, more than"):
+        P("(1 + x + y + z + w)^100", ("x", "y", "z", "w"))
 
 
 def test_parse_unknown_variable():

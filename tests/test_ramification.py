@@ -15,7 +15,6 @@ from frontals.ramification import (
     check_generator_list,
     gradient_module_membership,
     jsq_plus_pullback_membership,
-    verify_identity,
 )
 
 from helpers import VARSETS, random_origin_germ, random_poly
@@ -102,7 +101,7 @@ def test_unfolding_identity_witness():
     assert stated.recheck()
 
 
-# -- verify_identity (the four generator identities, alpha free) -----------------
+# -- the four generator identities, alpha free -------------------------------------
 
 
 XA = ("x", "a")
@@ -113,28 +112,27 @@ def PA(text):
 
 
 def test_identity_one():
-    assert verify_identity(PA("(x + a)^2"), PA("2*(1/2*x^2 + a*x) + a^2"))
+    assert PA("(x + a)^2") == PA("2*(1/2*x^2 + a*x) + a^2")
 
 
 def test_identity_two():
-    assert verify_identity(
-        PA("x*(x + a)^2"),
-        PA("3*(1/3*x^3 + 1/2*a*x^2) + a*(1/2*x^2 + a*x)"))
+    assert (PA("x*(x + a)^2")
+            == PA("3*(1/3*x^3 + 1/2*a*x^2) + a*(1/2*x^2 + a*x)"))
 
 
 def test_identity_three():
-    assert verify_identity(PA("(x^2 + a)^2"), PA("4*(1/4*x^4 + 1/2*a*x^2) + a^2"))
+    assert PA("(x^2 + a)^2") == PA("4*(1/4*x^4 + 1/2*a*x^2) + a^2")
 
 
 def test_identity_four_balances_exactly():
     lhs = PA("x*(x^2 + a)^2")
     rhs = PA("5*(1/5*x^5 + 1/3*a*x^3) + a*(1/3*x^3 + a*x)")
-    assert verify_identity(lhs, rhs)
+    assert lhs == rhs
     assert lhs == PA("x^5 + 2*a*x^3 + a^2*x")
 
 
 def test_verify_identity_negative():
-    assert not verify_identity(PA("x^2"), PA("x^3"))
+    assert PA("x^2") != PA("x^3")
 
 
 # -- generator lists ---------------------------------------------------------------

@@ -166,6 +166,8 @@ def cmd_multiplicity(args) -> tuple[_Report, int]:
     report.set("stabilized", result.stabilized)
     report.set("jet_order", result.jet_order)
     report.set("dimension_sequence", list(result.dimension_sequence))
+    if result.reason:
+        report.set("reason", result.reason)
     report.set("status", "ok" if result.stabilized else "not-stabilized")
     return report, EXIT_OK
 

@@ -126,19 +126,6 @@ _XY = ("x", "y")
 _XYZ = ("X", "Y", "Z")
 _XYU = ("X", "Y", "U1", "U2", "U3")
 
-FIXED_ENTRY_NAMES = (
-    "fold",
-    "cuspidal_edge",
-    "folded_umbrella",
-    "cuspidal_crosscap_alt",
-    "open_folded_umbrella",
-    "swallowtail",
-    "open_swallowtail",
-)
-
-ENTRY_NAMES = FIXED_ENTRY_NAMES + ("four_k",)
-
-
 def _pmap(exprs, vars, ext=None) -> PolyMap:
     return PolyMap.from_exprs(exprs, vars, ext)
 
@@ -343,6 +330,9 @@ _FIXED_BUILDERS = {
     "swallowtail": swallowtail_entry,
     "open_swallowtail": open_swallowtail_entry,
 }
+
+FIXED_ENTRY_NAMES = tuple(_FIXED_BUILDERS)
+ENTRY_NAMES = FIXED_ENTRY_NAMES + ("four_k",)
 
 
 def get_entry(name: str, **parameters) -> CorpusEntry:

@@ -1,10 +1,10 @@
 """Exact linear algebra over the coefficient field (no floats, no pivot scaling).
 
 Used for ranks of scalar matrices (corank, conormal independence), and for the
-sparse jet-level systems in the local-algebra and ramification modules.  Rows
-are dicts keyed by integer column indices; column order is the integer order,
-which callers fix deterministically, so elimination and the extracted
-solutions are reproducible.
+sparse jet-level systems of the local-algebra and ramification modules, built
+by `jet_rows`.  Rows are dicts keyed by integer column indices; column order
+is the integer order, which callers fix deterministically, so elimination and
+the extracted solutions are reproducible.
 """
 
 from __future__ import annotations
@@ -12,7 +12,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .poly import Exponents, Poly
 from .scalars import Scalar
+
+# one unknown: a monomial shift and the tuple of polynomials it multiplies
+Unknown = tuple[Exponents, tuple[Poly, ...]]
 
 
 class SparseSolver:
@@ -77,3 +81,40 @@ def scalar_rank(rows: Sequence[Sequence[Scalar]]) -> int:
     for row in rows:
         solver.add_row({j: v for j, v in enumerate(row)})
     return solver.rank
+
+
+def jet_rows(k: int, unknowns: Sequence[Unknown]
+             ) -> dict[tuple[int, Exponents], dict[int, Scalar]]:
+    """The k-jet equations of sum_c u_c * x^(m_c) * v_c over unknown scalars u_c.
+
+    Unknown c is the pair (m_c, v_c) of a shift and a tuple of polynomials;
+    entry b of the sum is sum_c u_c * x^(m_c) * v_c[b].  The row of (b, mono)
+    holds the coefficient of u_c at mono in entry b, for each c that reaches
+    it; terms of degree above k are dropped.
+    """
+    rows: dict[tuple[int, Exponents], dict[int, Scalar]] = {}
+    for c, (shift, polys) in enumerate(unknowns):
+        room = k - sum(shift)
+        for b, p in enumerate(polys):
+            for term, coeff in p.terms.items():
+                if sum(term) <= room:
+                    mono = tuple(a + e for a, e in zip(shift, term))
+                    rows.setdefault((b, mono), {})[c] = coeff
+    return rows
+
+
+def jet_solve(k: int, monos: Sequence[Exponents], rhs: Sequence[Poly],
+              unknowns: Sequence[Unknown]) -> dict[int, Scalar] | None:
+    """Solve jet_k(sum_c u_c * x^(m_c) * v_c) = rhs entrywise for the u_c.
+
+    The equations enter in (entry, monomial) order, monomials in the order of
+    `monos`; returns None at the first inconsistent one, else `solve()`.
+    """
+    rows = jet_rows(k, unknowns)
+    solver = SparseSolver()
+    for b, target in enumerate(rhs):
+        for mono in monos:
+            solver.add_row(rows.get((b, mono), {}), target.coefficient(mono))
+            if solver.inconsistent:
+                return None
+    return solver.solve()

@@ -9,16 +9,21 @@ value there is dim Q(f) = dim E_n / I exactly, not an estimate: equal
 codimensions give I + m^k = I + m^(k+1), so m^k is contained in I + m*m^k,
 and Nakayama's lemma (m^k is finitely generated) gives m^k contained in I.
 When no two consecutive orders up to the cap agree, the result is reported
-as not stabilized.
+as not stabilized.  So is a search that stops before an order k at which the
+unknowns of orders 0..k, n * C(n+k+1, n+1) in all, would exceed MAX_UNKNOWNS;
+its `reason` names that cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
-from .linalg import SparseSolver
+from .linalg import SparseSolver, jet_rows
 from .maps import PolyMap
 from .poly import PolyError, monomials_up_to
+
+MAX_UNKNOWNS = 100_000
 
 
 @dataclass(frozen=True)
@@ -28,6 +33,7 @@ class MultiplicityResult:
     value: int | None            # None <=> not stabilized by the cap
     jet_order: int               # order where stabilization was seen, else the cap
     dimension_sequence: tuple[int, ...]  # codimension at orders 0..jet_order
+    reason: str | None = None    # set when MAX_UNKNOWNS stopped the search
 
     @property
     def stabilized(self) -> bool:
@@ -37,26 +43,17 @@ class MultiplicityResult:
         seq = ", ".join(str(d) for d in self.dimension_sequence)
         if self.stabilized:
             return f"multiplicity {self.value} (stabilized at jet order {self.jet_order}; sequence {seq})"
-        return f"not stabilized at jet order {self.jet_order} (sequence {seq})"
+        line = f"not stabilized at jet order {self.jet_order} (sequence {seq})"
+        return f"{line}; {self.reason}" if self.reason else line
 
 
 def _codimension_at_order(f: PolyMap, k: int) -> int:
-    vs = f.source_vars
-    monos = monomials_up_to(vs, k)
-    index = {m: i for i, m in enumerate(monos)}
+    """len(P_k) minus the rank of the jet equations of sum_(i,m) u_(i,m) m f_i."""
+    monos = monomials_up_to(f.source_vars, k)
+    comps = [(comp.jet(k),) for comp in f.components]
     solver = SparseSolver()
-    for comp in f.components:
-        comp_k = comp.jet(k)
-        if comp_k.is_zero():
-            continue
-        for m in monos:
-            row: dict = {}
-            for term, coeff in comp_k.terms.items():
-                shifted = tuple(a + b for a, b in zip(m, term))
-                if sum(shifted) <= k:
-                    row[index[shifted]] = row.get(index[shifted], 0) + coeff
-            if row:
-                solver.add_row(row)
+    for row in jet_rows(k, [(m, comp) for comp in comps for m in monos]).values():
+        solver.add_row(row)
     return len(monos) - solver.rank
 
 
@@ -68,8 +65,15 @@ def multiplicity(f: PolyMap, k_max: int = 12) -> MultiplicityResult:
         raise PolyError("multiplicity needs an origin-preserving germ")
     if k_max < 0:
         raise PolyError(f"jet cap must be >= 0, got {k_max}")
+    n = f.source_dim
     sequence: list[int] = []
     for k in range(k_max + 1):
+        unknowns = n * comb(n + k + 1, n + 1)
+        if unknowns > MAX_UNKNOWNS:
+            return MultiplicityResult(
+                value=None, jet_order=k - 1, dimension_sequence=tuple(sequence),
+                reason=f"order {k} would bring the unknowns of orders 0..{k} to "
+                       f"{unknowns}, over the cap MAX_UNKNOWNS = {MAX_UNKNOWNS}")
         d = _codimension_at_order(f, k)
         sequence.append(d)
         if k >= 1 and sequence[k] == sequence[k - 1]:

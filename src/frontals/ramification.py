@@ -25,12 +25,12 @@ directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
-from .linalg import SparseSolver
+from .linalg import jet_solve
 from .maps import PolyMap, differential, jacobian_det
 from .poly import Exponents, Poly, PolyError, VariableMismatchError, monomials_up_to
+from .scalars import Scalar
 
 MEMBER = "MEMBER"
 NOT_MEMBER_MOD_JET = "NOT-MEMBER-MOD-JET"
@@ -120,6 +120,32 @@ def _target_vars(source_vars: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(f"X{i + 1}" for i in range(len(source_vars)))
 
 
+def _decide(k: int, unknown_count: int, unknown_cap: int,
+            solve: Callable[[], dict[int, Scalar] | None],
+            certificate: Callable[[dict[int, Scalar]], Certificate]) -> MembershipVerdict:
+    """The steps both tests share: a system over the cap is UNDECIDED, an
+    infeasible one proves NOT-MEMBER-MOD-JET, and a solution is MEMBER once
+    its certificate rechecks."""
+    if unknown_count > unknown_cap:
+        return MembershipVerdict(
+            status=UNDECIDED, jet_order=k,
+            reason=f"{unknown_count} unknowns exceed the cap {unknown_cap}")
+    values = solve()
+    if values is None:
+        return MembershipVerdict(status=NOT_MEMBER_MOD_JET, jet_order=k)
+    cert = certificate(values)
+    if not cert.recheck():
+        raise AssertionError("solver produced a witness that fails its recheck")
+    return MembershipVerdict(status=MEMBER, jet_order=k, certificate=cert)
+
+
+def _block(values: dict[int, Scalar], offset: int,
+           vars: tuple[str, ...], monos: Sequence[Exponents]) -> Poly:
+    """The polynomial whose coefficient at monos[t] is unknown offset + t."""
+    return Poly(vars, {m: values[offset + t] for t, m in enumerate(monos)
+                       if offset + t in values})
+
+
 def gradient_module_membership(
     psi: Poly, f: PolyMap, k: int,
     unknown_cap: int = DEFAULT_UNKNOWN_CAP,
@@ -129,50 +155,18 @@ def gradient_module_membership(
     n = f.source_dim
     vs = f.source_vars
     monos = monomials_up_to(vs, k)
-    unknown_count = n * len(monos)
-    if unknown_count > unknown_cap:
-        return MembershipVerdict(
-            status=UNDECIDED, jet_order=k,
-            reason=f"{unknown_count} unknowns exceed the cap {unknown_cap}")
 
-    col_of = {(i, m): i * len(monos) + t for i in range(n) for t, m in enumerate(monos)}
-    dpsi = [psi.diff(v).jet(k) for v in vs]
-    dcomp = [[comp.diff(v).jet(k) for v in vs] for comp in f.components]
+    def solve():
+        # unknown i*|monos| + t is the coefficient of monos[t] in a_i
+        grads = [tuple(comp.diff(v).jet(k) for v in vs) for comp in f.components]
+        unknowns = [(m, grad) for grad in grads for m in monos]
+        return jet_solve(k, monos, [psi.diff(v).jet(k) for v in vs], unknowns)
 
-    # rows keyed by (component j, monomial): coefficient of each unknown there
-    rows: dict[tuple[int, Exponents], dict[int, Fraction]] = {}
-    for i in range(n):
-        for t, m in enumerate(monos):
-            col = col_of[(i, m)]
-            for j in range(n):
-                for term, coeff in dcomp[i][j].terms.items():
-                    shifted = tuple(a + b for a, b in zip(m, term))
-                    if sum(shifted) <= k:
-                        row = rows.setdefault((j, shifted), {})
-                        row[col] = row.get(col, Fraction(0)) + coeff
+    def certificate(values):
+        witnesses = tuple(_block(values, i * len(monos), vs, monos) for i in range(n))
+        return GradientCertificate(jet_order=k, psi=psi, germ=f, witnesses=witnesses)
 
-    solver = SparseSolver()
-    for j in range(n):
-        for m in monos:
-            rhs = dpsi[j].coefficient(m)
-            row = rows.get((j, m), {})
-            solver.add_row(row, rhs)
-            if solver.inconsistent:
-                return MembershipVerdict(status=NOT_MEMBER_MOD_JET, jet_order=k)
-
-    values = solver.solve()
-    witnesses = []
-    for i in range(n):
-        terms = {}
-        for t, m in enumerate(monos):
-            v = values.get(col_of[(i, m)])
-            if v is not None:
-                terms[m] = v
-        witnesses.append(Poly(vs, terms))
-    cert = GradientCertificate(jet_order=k, psi=psi, germ=f, witnesses=tuple(witnesses))
-    if not cert.recheck():
-        raise AssertionError("solver produced a witness that fails its recheck")
-    return MembershipVerdict(status=MEMBER, jet_order=k, certificate=cert)
+    return _decide(k, n * len(monos), unknown_cap, solve, certificate)
 
 
 def jsq_plus_pullback_membership(
@@ -181,72 +175,31 @@ def jsq_plus_pullback_membership(
 ) -> MembershipVerdict:
     """Decide psi in <det(Jf)^2>_{E_n} + f^*(E_n) at jet order k."""
     _check_arity(psi, f)
-    n = f.source_dim
     vs = f.source_vars
     tvs = _target_vars(vs)
     monos = monomials_up_to(vs, k)
     target_monos = monomials_up_to(tvs, k)
-    unknown_count = len(monos) + len(target_monos)
-    if unknown_count > unknown_cap:
-        return MembershipVerdict(
-            status=UNDECIDED, jet_order=k,
-            reason=f"{unknown_count} unknowns exceed the cap {unknown_cap}")
 
-    jsq = (jacobian_det(f) ** 2).jet(k)
+    def solve():
+        # unknowns: mu's coefficients at monos, then eta's at target_monos;
+        # f^alpha = f^beta * f_i, with beta one degree lower and listed earlier
+        jsq = (jacobian_det(f) ** 2).jet(k)
+        comps = [comp.jet(k) for comp in f.components]
+        origin = (0,) * len(vs)
+        pulled = {origin: Poly.const(vs, 1)}
+        for alpha in target_monos[1:]:
+            i = next(i for i, e in enumerate(alpha) if e)
+            beta = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+            pulled[alpha] = (pulled[beta] * comps[i]).jet(k)
+        unknowns = [(m, (jsq,)) for m in monos]
+        unknowns += [(origin, (p,)) for p in pulled.values()]
+        return jet_solve(k, monos, [psi.jet(k)], unknowns)
 
-    # cached jet-k powers of the components, truncated at every step
-    comp_powers: list[dict[int, Poly]] = [
-        {0: Poly.const(vs, 1), 1: comp.jet(k)} for comp in f.components
-    ]
+    def certificate(values):
+        return PullbackCertificate(jet_order=k, psi=psi, germ=f, mu=_block(values, 0, vs, monos),
+                                   eta=_block(values, len(monos), tvs, target_monos))
 
-    def component_power(i: int, e: int) -> Poly:
-        cache = comp_powers[i]
-        if e not in cache:
-            cache[e] = (component_power(i, e - 1) * cache[1]).jet(k)
-        return cache[e]
-
-    def pullback_monomial(alpha: Exponents) -> Poly:
-        acc = Poly.const(vs, 1)
-        for i, e in enumerate(alpha):
-            if e:
-                acc = (acc * component_power(i, e)).jet(k)
-        return acc
-
-    rows: dict[Exponents, dict[int, Fraction]] = {}
-
-    def add_contribution(col: int, contribution: Poly) -> None:
-        for term, coeff in contribution.terms.items():
-            row = rows.setdefault(term, {})
-            row[col] = row.get(col, Fraction(0)) + coeff
-
-    mono_poly_cache = {m: Poly(vs, {m: Fraction(1)}) for m in monos}
-    for t, m in enumerate(monos):
-        add_contribution(t, (mono_poly_cache[m] * jsq).jet(k))
-    offset = len(monos)
-    for t, alpha in enumerate(target_monos):
-        add_contribution(offset + t, pullback_monomial(alpha))
-
-    psi_k = psi.jet(k)
-    solver = SparseSolver()
-    for m in monos:
-        solver.add_row(rows.get(m, {}), psi_k.coefficient(m))
-        if solver.inconsistent:
-            return MembershipVerdict(status=NOT_MEMBER_MOD_JET, jet_order=k)
-
-    values = solver.solve()
-    mu_terms = {m: values[t] for t, m in enumerate(monos) if t in values}
-    eta_terms = {
-        alpha: values[offset + t]
-        for t, alpha in enumerate(target_monos)
-        if offset + t in values
-    }
-    cert = PullbackCertificate(
-        jet_order=k, psi=psi, germ=f,
-        mu=Poly(vs, mu_terms), eta=Poly(tvs, eta_terms),
-    )
-    if not cert.recheck():
-        raise AssertionError("solver produced a witness that fails its recheck")
-    return MembershipVerdict(status=MEMBER, jet_order=k, certificate=cert)
+    return _decide(k, len(monos) + len(target_monos), unknown_cap, solve, certificate)
 
 
 @dataclass(frozen=True)

@@ -256,3 +256,20 @@ def test_mesh_resolution_above_the_cap_exit_2(capsys):
     message = _assert_input_error(capsys, "mesh", GERMS / "fold.germ", "--range", "1",
                                   "--res", MAX_RESOLUTION + 1)
     assert "grid resolution" in message
+
+
+def test_multiplicity_stops_at_the_unknown_cap(tmp_path, capsys):
+    germ = tmp_path / "zero.germ"
+    germ.write_text("vars: x\nmap:\nf1 = 0\n", encoding="utf-8")
+    code, out = run_cli(capsys, "multiplicity", germ, "--jet-cap", "100000")
+    assert code == 0
+    assert "not stabilized at jet order 445 (sequence 1, 2, 3, " in out
+    assert out.rstrip().endswith("over the cap MAX_UNKNOWNS = 100000")
+    code, out = run_cli(capsys, "multiplicity", germ, "--jet-cap", "100000", "--format", "json")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["status"] == "not-stabilized" and payload["jet_order"] == 445
+    assert payload["reason"].endswith("over the cap MAX_UNKNOWNS = 100000")
+    for argv in ((GERMS / "fold.germ",), (germ, "--jet-cap", "5")):
+        code, out = run_cli(capsys, "multiplicity", *argv, "--format", "json")
+        assert code == 0 and "reason" not in json.loads(out)

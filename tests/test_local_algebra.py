@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from frontals.local_algebra import multiplicity
+from frontals.corpus import a_k_front_checks
+from frontals.local_algebra import MAX_UNKNOWNS, multiplicity
 from frontals.maps import PolyMap, compose, corank_at_zero
 from frontals.poly import Poly, PolyError
 
@@ -120,3 +122,33 @@ def test_negative_jet_cap_rejected():
     f = PolyMap.from_exprs(["x^2", "y"], ("x", "y"))
     with pytest.raises(PolyError):
         multiplicity(f, -1)
+
+
+@pytest.mark.parametrize("f, last", [
+    # not finite: the y-axis lies in the zero set
+    (PolyMap.from_exprs(["x^2", "x*y", "z"], ("x", "y", "z")), 27),
+    (PolyMap((Poly.zero(("x",)),)), 445),
+])
+def test_unknown_cap_stops_the_search(f, last):
+    result = multiplicity(f, 100_000)
+    assert not result.stabilized
+    assert result.jet_order == last
+    assert len(result.dimension_sequence) == last + 1
+    # order last + 1 is the first whose unknowns with those below exceed the cap
+    n = f.source_dim
+    assert n * comb(n + last + 1, n + 1) <= MAX_UNKNOWNS < n * comb(n + last + 2, n + 1)
+    assert "MAX_UNKNOWNS" in result.reason
+    assert str(result).endswith("; " + result.reason)
+
+
+def test_jet_cap_reached_first_has_no_reason():
+    f = PolyMap.from_exprs(["x^2", "x*y", "z"], ("x", "y", "z"))
+    result = multiplicity(f, 10)
+    assert result.jet_order == 10 and result.reason is None
+    seq = ", ".join(map(str, result.dimension_sequence))
+    assert str(result) == f"not stabilized at jet order 10 (sequence {seq})"
+
+
+def test_unknown_cap_admits_a_7_front():
+    # order 8 in 7 variables brings 7 * C(16, 8) = 90,090 unknowns
+    assert a_k_front_checks(7).multiplicity.value == 8

@@ -27,6 +27,7 @@ from .maps import (
     compose,
     corank_at_zero,
     differential,
+    jacobian_adjugate,
     jacobian_det,
     jacobian_matrix,
 )
@@ -60,7 +61,8 @@ __all__ = [
     "Poly", "PolyError", "PolyParseError", "VariableMismatchError",
     "monomials_up_to", "parse_poly", "sum_of_products",
     "Covector", "PolyMap", "PolyMatrix", "adjugate", "compose",
-    "corank_at_zero", "differential", "jacobian_det", "jacobian_matrix",
+    "corank_at_zero", "differential", "jacobian_adjugate", "jacobian_det",
+    "jacobian_matrix",
     "CertifyReport", "Conormal", "FrontalPackage", "build_certified",
     "build_frontal", "certify_frontal", "conormals",
     "MultiplicityResult", "multiplicity",

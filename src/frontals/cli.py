@@ -22,9 +22,9 @@ from . import corpus as corpus_mod
 from .frontal import CertifyReport, build_certified
 from .germfile import GermFile, GermFileError, load_germ_file
 from .local_algebra import multiplicity
-from .maps import adjugate, jacobian_matrix
+from .maps import jacobian_adjugate
 from .mesh import build_obj, frontal_surface
-from .poly import PolyError, PolyParseError, parse_poly, sum_of_products
+from .poly import PolyError, PolyParseError, parse_poly
 from .ramification import (
     MEMBER,
     NOT_MEMBER_MOD_JET,
@@ -111,18 +111,10 @@ def cmd_jacobian(args) -> tuple[_Report, int]:
     gf = load_germ_file(args.file)
     report = _Report("jacobian")
     _germ_summary(report, gf)
-    f = gf.germ
-    if not f.is_equidimensional:
-        raise PolyError(f"Jacobian determinant needs an equidimensional map, got "
-                        f"{f.source_dim} -> {f.target_dim}")
-    jac = jacobian_matrix(f)
+    jac, adj, det = jacobian_adjugate(gf.germ)
     report.line("Jf =")
     for row in _matrix_strs(jac):
         report.line("  [" + ", ".join(row) + "]")
-    adj = adjugate(jac)
-    # det(Jf) is the (0, 0) entry of Jf*adj(Jf) = det(Jf)*I
-    det = sum_of_products(f.source_vars,
-                          ((jac.rows[0][j], adj.rows[j][0]) for j in range(f.source_dim)))
     report.line(f"|Jf| = {det}")
     report.line("adj(Jf) =")
     for row in _matrix_strs(adj):
@@ -204,7 +196,7 @@ def cmd_ramify(args) -> tuple[_Report, int]:
             witnesses["eta"] = str(cert.eta)
         report.line("recheck: zero jet residual")
         report.set("witnesses", witnesses)
-        report.set("rechecked", cert.recheck())
+        report.set("rechecked", verdict.is_member)  # MEMBER only after the recheck passed
         code = EXIT_OK
     elif verdict.status == NOT_MEMBER_MOD_JET:
         code = EXIT_FAIL

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .maps import PolyMap, adjugate, differential, jacobian_det, jacobian_matrix
+from .maps import PolyMap, differential, jacobian_adjugate, jacobian_det, jacobian_matrix
 from .poly import Poly, PolyError, sum_of_products
 from .scalars import Scalar
 
@@ -117,10 +117,7 @@ def conormals(f: PolyMap, mus: Sequence[Poly]) -> tuple[Conormal, ...]:
     _check_build_inputs(f, mus)
     n = f.source_dim
     vs = f.source_vars
-    jac = jacobian_matrix(f)
-    adj = adjugate(jac)
-    # det(Jf) is the (0, 0) entry of Jf*adj(Jf) = det(Jf)*I
-    det = sum_of_products(vs, ((jac.rows[0][j], adj.rows[j][0]) for j in range(n)))
+    _, adj, det = jacobian_adjugate(f)
     ddet = differential(det)
     out = []
     for i, mu in enumerate(mus):

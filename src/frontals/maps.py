@@ -6,9 +6,8 @@ constant term.  All determinants are expanded by exact cofactors (source
 dimensions here never exceed a handful), and the chain rule, adjugate
 identity and composition associativity hold as exact polynomial statements.
 
-Callers that need both det(Jf) and adj(Jf) build Jf and expand adj(Jf) once,
-then read det(Jf) off the (0, 0) entry of Jf*adj(Jf) = det(Jf)*I: n products
-instead of a second expansion.
+Callers that need both det(Jf) and adj(Jf) take them, with Jf, from
+`jacobian_adjugate`, the one place that reads det(Jf) off adj(Jf).
 """
 
 from __future__ import annotations
@@ -148,51 +147,43 @@ class PolyMatrix:
         r, c = self.shape
         if r != c:
             raise PolyError(f"determinant of a non-square {self.shape} matrix")
-        return _det_cofactor(self.rows)
+        return _det(self.rows, self.vars)
 
     def __str__(self) -> str:
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.rows)
 
 
-def _det_cofactor(rows: tuple[tuple[Poly, ...], ...]) -> Poly:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    vars0 = rows[0][0].vars
-    acc = Poly.zero(vars0)
-    for j in range(n):
-        entry = rows[0][j]
-        if entry.is_zero():
-            continue
-        minor = tuple(row[:j] + row[j + 1 :] for row in rows[1:])
-        cofactor = entry * _det_cofactor(minor)
-        acc = acc + cofactor if j % 2 == 0 else acc - cofactor
+def _det(rows: tuple[tuple[Poly, ...], ...], vars: tuple[str, ...]) -> Poly:
+    """Cofactor expansion along the first row; the empty matrix has determinant 1."""
+    if len(rows) <= 1:
+        return rows[0][0] if rows else Poly.const(vars, 1)
+    acc = Poly.zero(vars)
+    for j, entry in enumerate(rows[0]):
+        if not entry.is_zero():
+            acc = acc + entry * _cofactor(rows, 0, j, vars)
     return acc
+
+
+def _cofactor(rows: tuple[tuple[Poly, ...], ...], i: int, j: int,
+              vars: tuple[str, ...]) -> Poly:
+    """(-1)^(i+j) times the determinant of rows without row i and column j."""
+    minor = tuple(row[:j] + row[j + 1:] for r, row in enumerate(rows) if r != i)
+    det = _det(minor, vars)
+    return -det if (i + j) % 2 else det
 
 
 def adjugate(matrix: PolyMatrix) -> PolyMatrix:
     """Adjugate (transposed cofactor matrix): adj(M)*M = M*adj(M) = det(M)*I.
 
-    The 1x1 adjugate is [[1]] (empty-minor convention), which keeps the
-    identity det(M)*I = adj(M)*M valid in every dimension.
+    The 1x1 adjugate is [[1]], the determinant of the empty minor, which
+    keeps the identity det(M)*I = adj(M)*M valid in every dimension.
     """
     r, c = matrix.shape
     if r != c:
         raise PolyError(f"adjugate of a non-square {matrix.shape} matrix")
-    if r == 1:
-        return PolyMatrix(((Poly.const(matrix.vars, 1),),))
-    rows = matrix.rows
-    out = [[None] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(r):
-            minor = tuple(
-                tuple(row[jj] for jj in range(r) if jj != j)
-                for ii, row in enumerate(rows)
-                if ii != i
-            )
-            cof = _det_cofactor(minor)
-            out[j][i] = cof if (i + j) % 2 == 0 else -cof  # transposed position
-    return PolyMatrix(tuple(tuple(row) for row in out))
+    return PolyMatrix(tuple(
+        tuple(_cofactor(matrix.rows, i, j, matrix.vars) for i in range(r))
+        for j in range(r)))
 
 
 def jacobian_matrix(f: PolyMap) -> PolyMatrix:
@@ -203,12 +194,26 @@ def jacobian_matrix(f: PolyMap) -> PolyMatrix:
     ))
 
 
-def jacobian_det(f: PolyMap) -> Poly:
+def _check_square(f: PolyMap) -> None:
     if not f.is_equidimensional:
         raise PolyError(
             f"Jacobian determinant needs an equidimensional map, got "
             f"{f.source_dim} -> {f.target_dim}")
+
+
+def jacobian_det(f: PolyMap) -> Poly:
+    _check_square(f)
     return jacobian_matrix(f).det()
+
+
+def jacobian_adjugate(f: PolyMap) -> tuple[PolyMatrix, PolyMatrix, Poly]:
+    """(Jf, adj(Jf), det(Jf)) of an equidimensional germ.  det(Jf) is read off
+    the (0, 0) entry of Jf*adj(Jf) = det(Jf)*I: n products instead of a
+    second cofactor expansion."""
+    _check_square(f)
+    jac = jacobian_matrix(f)
+    adj = adjugate(jac)
+    return jac, adj, sum_of_products(f.source_vars, zip(jac.rows[0], adj.column(0)))
 
 
 def differential(h: Poly) -> Covector:

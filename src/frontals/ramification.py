@@ -25,11 +25,13 @@ directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Callable, Sequence, Union
 
 from .linalg import jet_solve
-from .maps import PolyMap, differential, jacobian_det
-from .poly import Exponents, Poly, PolyError, VariableMismatchError, monomials_up_to
+from .maps import PolyMap, differential, jacobian_det, jacobian_matrix
+from .poly import (Exponents, Poly, PolyError, VariableMismatchError, monomials_up_to,
+                   sum_of_products)
 from .scalars import Scalar
 
 MEMBER = "MEMBER"
@@ -50,14 +52,11 @@ class GradientCertificate:
     witnesses: tuple[Poly, ...]
 
     def residuals(self) -> tuple[Poly, ...]:
-        dpsi = differential(self.psi)
-        out = []
-        for j, v in enumerate(self.germ.source_vars):
-            acc = dpsi[j]
-            for a, comp in zip(self.witnesses, self.germ.components):
-                acc = acc - a * comp.diff(v)
-            out.append(acc.jet(self.jet_order))
-        return tuple(out)
+        jac = jacobian_matrix(self.germ)
+        vs = self.germ.source_vars
+        return tuple(
+            (dpsi - sum_of_products(vs, zip(self.witnesses, jac.column(j)))).jet(self.jet_order)
+            for j, dpsi in enumerate(differential(self.psi)))
 
     def recheck(self) -> bool:
         return all(r.is_zero() for r in self.residuals())
@@ -105,12 +104,14 @@ class MembershipVerdict:
         return f"UNDECIDED ({self.reason})"
 
 
-def _check_arity(psi: Poly, f: PolyMap) -> None:
+def _check_inputs(psi: Poly, f: PolyMap, k: int) -> None:
     if psi.vars != f.source_vars:
         raise VariableMismatchError(
             f"psi uses variables {psi.vars}, germ uses {f.source_vars}")
     if not f.is_equidimensional:
         raise PolyError("membership tests are defined for equidimensional germs")
+    if k < 0:  # comb(n + k, n) sizes the system before any jet is taken
+        raise PolyError(f"jet order must be >= 0, got {k}")
 
 
 def _target_vars(source_vars: tuple[str, ...]) -> tuple[str, ...]:
@@ -121,19 +122,17 @@ def _target_vars(source_vars: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def _decide(k: int, unknown_count: int, unknown_cap: int,
-            solve: Callable[[], dict[int, Scalar] | None],
-            certificate: Callable[[dict[int, Scalar]], Certificate]) -> MembershipVerdict:
-    """The steps both tests share: a system over the cap is UNDECIDED, an
-    infeasible one proves NOT-MEMBER-MOD-JET, and a solution is MEMBER once
-    its certificate rechecks."""
+            solve: Callable[[], Certificate | None]) -> MembershipVerdict:
+    """The steps both tests share: a system over the cap is UNDECIDED before
+    any of it is built, an infeasible one proves NOT-MEMBER-MOD-JET, and a
+    solution is MEMBER once its certificate rechecks."""
     if unknown_count > unknown_cap:
         return MembershipVerdict(
             status=UNDECIDED, jet_order=k,
             reason=f"{unknown_count} unknowns exceed the cap {unknown_cap}")
-    values = solve()
-    if values is None:
+    cert = solve()
+    if cert is None:
         return MembershipVerdict(status=NOT_MEMBER_MOD_JET, jet_order=k)
-    cert = certificate(values)
     if not cert.recheck():
         raise AssertionError("solver produced a witness that fails its recheck")
     return MembershipVerdict(status=MEMBER, jet_order=k, certificate=cert)
@@ -151,22 +150,22 @@ def gradient_module_membership(
     unknown_cap: int = DEFAULT_UNKNOWN_CAP,
 ) -> MembershipVerdict:
     """Decide d(psi) in <df_1, ..., df_n> at jet order k."""
-    _check_arity(psi, f)
+    _check_inputs(psi, f, k)
     n = f.source_dim
     vs = f.source_vars
-    monos = monomials_up_to(vs, k)
 
     def solve():
         # unknown i*|monos| + t is the coefficient of monos[t] in a_i
-        grads = [tuple(comp.diff(v).jet(k) for v in vs) for comp in f.components]
+        monos = monomials_up_to(vs, k)
+        grads = [tuple(e.jet(k) for e in row) for row in jacobian_matrix(f).rows]
         unknowns = [(m, grad) for grad in grads for m in monos]
-        return jet_solve(k, monos, [psi.diff(v).jet(k) for v in vs], unknowns)
-
-    def certificate(values):
+        values = jet_solve(k, monos, [d.jet(k) for d in differential(psi)], unknowns)
+        if values is None:
+            return None
         witnesses = tuple(_block(values, i * len(monos), vs, monos) for i in range(n))
         return GradientCertificate(jet_order=k, psi=psi, germ=f, witnesses=witnesses)
 
-    return _decide(k, n * len(monos), unknown_cap, solve, certificate)
+    return _decide(k, n * comb(n + k, n), unknown_cap, solve)
 
 
 def jsq_plus_pullback_membership(
@@ -174,15 +173,16 @@ def jsq_plus_pullback_membership(
     unknown_cap: int = DEFAULT_UNKNOWN_CAP,
 ) -> MembershipVerdict:
     """Decide psi in <det(Jf)^2>_{E_n} + f^*(E_n) at jet order k."""
-    _check_arity(psi, f)
+    _check_inputs(psi, f, k)
+    n = f.source_dim
     vs = f.source_vars
     tvs = _target_vars(vs)
-    monos = monomials_up_to(vs, k)
-    target_monos = monomials_up_to(tvs, k)
 
     def solve():
         # unknowns: mu's coefficients at monos, then eta's at target_monos;
         # f^alpha = f^beta * f_i, with beta one degree lower and listed earlier
+        monos = monomials_up_to(vs, k)
+        target_monos = monomials_up_to(tvs, k)
         jsq = (jacobian_det(f) ** 2).jet(k)
         comps = [comp.jet(k) for comp in f.components]
         origin = (0,) * len(vs)
@@ -193,13 +193,13 @@ def jsq_plus_pullback_membership(
             pulled[alpha] = (pulled[beta] * comps[i]).jet(k)
         unknowns = [(m, (jsq,)) for m in monos]
         unknowns += [(origin, (p,)) for p in pulled.values()]
-        return jet_solve(k, monos, [psi.jet(k)], unknowns)
-
-    def certificate(values):
+        values = jet_solve(k, monos, [psi.jet(k)], unknowns)
+        if values is None:
+            return None
         return PullbackCertificate(jet_order=k, psi=psi, germ=f, mu=_block(values, 0, vs, monos),
                                    eta=_block(values, len(monos), tvs, target_monos))
 
-    return _decide(k, len(monos) + len(target_monos), unknown_cap, solve, certificate)
+    return _decide(k, 2 * comb(n + k, n), unknown_cap, solve)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,13 @@ def test_jacobian_four_k3(capsys):
     assert "|Jf| = y^3 + x^2" in out
 
 
+def test_jacobian_of_a_non_square_germ_exit_2(tmp_path, capsys):
+    tall = tmp_path / "tall.germ"
+    tall.write_text("vars: x y\nmap:\nf1 = x\nf2 = y\nf3 = x*y\n", encoding="utf-8")
+    message = _assert_input_error(capsys, "jacobian", tall)
+    assert message == "error: Jacobian determinant needs an equidimensional map, got 2 -> 3"
+
+
 def test_jacobian_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.germ"
     bad.write_text("vars: x\nmap:\nf1 = 2x\n", encoding="utf-8")
@@ -169,6 +176,7 @@ def test_json_ramify_witness_is_exact_string(capsys):
     payload = json.loads(out)
     _assert_no_floats(payload)
     assert payload["witnesses"]["a1"] == "3*x"
+    assert payload["rechecked"] is True
 
 
 def test_jacobian_with_extension_field_file(tmp_path, capsys):
@@ -273,3 +281,13 @@ def test_multiplicity_stops_at_the_unknown_cap(tmp_path, capsys):
     for argv in ((GERMS / "fold.germ",), (germ, "--jet-cap", "5")):
         code, out = run_cli(capsys, "multiplicity", *argv, "--format", "json")
         assert code == 0 and "reason" not in json.loads(out)
+
+
+@pytest.mark.parametrize("mode", ["gradient", "jsq"])
+def test_ramify_checks_the_unknown_cap_before_building_the_system(mode, capsys):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "ramify", GERMS / "fold.germ", "--psi", "x",
+                        "--jet", "3000", "--mode", mode)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "reason: 9009002 unknowns exceed the cap 20000" in out.splitlines()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -11,13 +12,15 @@ from frontals.maps import (
     compose,
     corank_at_zero,
     differential,
+    jacobian_adjugate,
     jacobian_det,
     jacobian_matrix,
     linear_part_invertible_at_zero,
 )
 from frontals.poly import Poly, PolyError, parse_poly
+from frontals.scalars import ExtField
 
-from helpers import VARSETS, random_origin_germ
+from helpers import VARSETS, random_origin_germ, random_poly
 
 XY = ("x", "y")
 
@@ -60,6 +63,8 @@ def test_jacobian_det_requires_square():
     tall = PolyMap.from_exprs(["x", "y", "x*y"], XY)
     with pytest.raises(PolyError):
         jacobian_det(tall)
+    with pytest.raises(PolyError, match="equidimensional map, got 2 -> 3"):
+        jacobian_adjugate(tall)
 
 
 def test_adjugate_2x2_symbolic():
@@ -77,6 +82,46 @@ def test_adjugate_1x1_convention():
 def test_adjugate_swallowtail_jacobian():
     adj = adjugate(jacobian_matrix(SWALLOW))
     assert adj == M([["1", "0 - x"], ["0", "x^2 + y"]])
+
+
+def _leibniz_det(rows, vars):
+    """Sum over permutations s of sign(s) * prod_i rows[i][s(i)]; 1 when empty."""
+    n = len(rows)
+    acc = Poly.zero(vars)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = Poly.const(vars, (-1) ** inversions)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        acc = acc + term
+    return acc
+
+
+def test_det_and_adjugate_match_the_leibniz_formula():
+    rng = random.Random(606)
+    for n in (1, 2, 3, 4):
+        for _ in range(5):
+            rows = tuple(
+                tuple(Poly.zero(XY) if rng.random() < 0.3 else random_poly(rng, XY, 2)
+                      for _ in range(n))
+                for _ in range(n))
+            m = PolyMatrix(rows)
+            assert m.det() == _leibniz_det(rows, XY)
+            adj = adjugate(m)
+            for i, j in itertools.product(range(n), repeat=2):
+                minor = tuple(row[:j] + row[j + 1:] for r, row in enumerate(rows) if r != i)
+                assert adj.entry(j, i) == _leibniz_det(minor, XY).scale((-1) ** (i + j))
+
+
+def test_jacobian_adjugate_matches_its_parts():
+    rng = random.Random(707)
+    germs = [random_origin_germ(rng, n, 3) for n in (1, 2, 3) for _ in range(5)]
+    germs.append(PolyMap.from_exprs(["x + c*y^2", "1/6*c^2*x*y"], XY, ExtField(3)))
+    for f in germs:
+        jac, adj, det = jacobian_adjugate(f)
+        assert jac == jacobian_matrix(f)
+        assert adj == adjugate(jac)
+        assert det == jacobian_det(f)
 
 
 def test_adjugate_requires_square():
@@ -133,8 +178,6 @@ def test_linear_part_invertibility():
 
 
 def test_calculus_over_the_extension_field():
-    from frontals.scalars import ExtField
-
     ext = ExtField(3)
     inv_c = ext.generator ** 2 / 6  # 6^(-1/3)
     h = PolyMap.from_exprs(["x", "1/6*c^2*y"], XY, ext)
@@ -184,8 +227,6 @@ def test_det_of_composition_property():
 
 def test_differential_product_rule_property():
     rng = random.Random(404)
-    from helpers import random_poly
-
     for _ in range(30):
         p = random_poly(rng, XY, 3)
         q = random_poly(rng, XY, 3)

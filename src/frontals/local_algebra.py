@@ -1,27 +1,50 @@
 """Multiplicity of an equidimensional germ via jet-truncated ideal linear algebra.
 
 With I = (f_1, ..., f_n) and m the maximal ideal at the origin, the
-codimension c_k = dim E_n / (I + m^(k+1)) is computed at each jet order k as
-the codimension of span{ jet_k(m * f_i) : deg(m) <= k } inside the space of
-polynomials of degree <= k (the constant monomial included, so the class of 1
-is counted).  The first order k with c_(k-1) = c_k ends the search, and the
-value there is dim Q(f) = dim E_n / I exactly, not an estimate: equal
-codimensions give I + m^k = I + m^(k+1), so m^k is contained in I + m*m^k,
-and Nakayama's lemma (m^k is finitely generated) gives m^k contained in I.
+codimension c_k = dim E_n / (I + m^(k+1)) is computed at each jet order k
+(the class of 1 counted).  The first order k with c_(k-1) = c_k ends the
+search, and the value there is dim Q(f) = dim E_n / I exactly, not an
+estimate: equal codimensions give I + m^k = I + m^(k+1), so m^k is contained
+in I + m*m^k, and Nakayama's lemma (m^k is finitely generated) gives m^k
+contained in I.
+
+Two exact steps keep each order small.
+
+Corank reduction.  Row-reducing the components by Jf(0) keeps the ideal and
+gives r components h_j = x_(p_j) + (linear in the c = n - r free variables)
++ (higher order) and n - r components without linear part.  Modulo
+I + m^(k+1), x_p = phi(x_free): phi is 0 at order 0, and one substitution
+round x_p := x_p - h(x_p, x_free) on the order-(k-1) phi gains one degree.
+Since E_n / (h) is E_c by x_p -> the exact solution, which phi matches mod
+m^(k+1), E_n / (I + m^(k+1)) is isomorphic to E_c / (g + m_c^(k+1)) with g
+the other components at x_p = phi.  So each c_k is unchanged while the
+search runs in the c corank variables.
+
+One solver for all orders.  The equation "coefficient of x^a in
+sum_(m,i) u_(m,i) x^m g_i" involves the unknowns with |m| < |a| (g has no
+constant term) and the degree-(|a| - |m|) parts of g, which are final once
+g is right to order |a|, so it does not depend on the order k >= |a|.
+Order k therefore adds only the rows of the degree-k monomials to one
+SparseSolver whose columns keep their numbers, and c_k is the count of
+monomials of degree <= k in c variables minus its rank.
+
 When no two consecutive orders up to the cap agree, the result is reported
 as not stabilized.  So is a search that stops before an order k at which the
-unknowns of orders 0..k, n * C(n+k+1, n+1) in all, would exceed MAX_UNKNOWNS;
-its `reason` names that cap.
+unknowns of orders 0..k, n * C(n+k+1, n+1) in all (n the source dimension,
+before the reduction), would exceed MAX_UNKNOWNS; its `reason` names that
+cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import comb
+from typing import Iterator
 
 from .linalg import SparseSolver, jet_rows
-from .maps import PolyMap
-from .poly import PolyError, monomials_up_to
+from .maps import PolyMap, _jacobian_at_zero
+from .poly import Poly, PolyError, monomials_up_to
 
 MAX_UNKNOWNS = 100_000
 
@@ -47,14 +70,71 @@ class MultiplicityResult:
         return f"{line}; {self.reason}" if self.reason else line
 
 
-def _codimension_at_order(f: PolyMap, k: int) -> int:
-    """len(P_k) minus the rank of the jet equations of sum_(i,m) u_(i,m) m f_i."""
-    monos = monomials_up_to(f.source_vars, k)
-    comps = [(comp.jet(k),) for comp in f.components]
+def _reduce_linear_part(f: PolyMap) -> tuple[list[int], list[Poly], list[Poly]]:
+    """Gauss-Jordan on the components by Jf(0), which leaves the ideal as it is.
+
+    Returns the pivot variables p_j, the components h_j = x_(p_j) + (linear
+    in the free variables) + (higher order), and the other components, whose
+    linear parts vanish.
+    """
+    rows = list(zip(_jacobian_at_zero(f), f.components))
+    pivots: list[int] = []
+    for col in range(f.source_dim):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][0][col]), None)
+        if i is None:
+            continue
+        lin, comp = rows[i]
+        inv = 1 / lin[col]
+        lin, comp = [v * inv for v in lin], comp.scale(inv)
+        rows[i], rows[r] = rows[r], (lin, comp)
+        for o, (olin, ocomp) in enumerate(rows):
+            a = olin[col]
+            if o != r and a:
+                rows[o] = ([u - a * v for u, v in zip(olin, lin)], ocomp - comp.scale(a))
+        pivots.append(col)
+    comps = [comp for _, comp in rows]
+    return pivots, comps[:len(pivots)], comps[len(pivots):]
+
+
+def _by_degree(p: Poly) -> dict[int, Poly]:
+    """The nonzero homogeneous parts of p, keyed by degree."""
+    parts: dict[int, dict] = {}
+    for mono, coeff in p.terms.items():
+        parts.setdefault(sum(mono), {})[mono] = coeff
+    return {d: Poly._raw(p.vars, terms) for d, terms in parts.items()}
+
+
+def _codimensions(f: PolyMap) -> Iterator[int]:
+    """c_0, c_1, ... of I = (f_1, ..., f_n), one order per step.
+
+    Unknown (m, i) of sum_(m,i) u_(m,i) x^m g_i is column |g| * index(m) + i
+    with m running over monomials_up_to(free, k - 1), a prefix of the next
+    order's list, so rows entered at lower orders keep their meaning.
+    """
+    vs = f.source_vars
+    pivots, heads, others = _reduce_linear_part(f)
+    free = tuple(v for j, v in enumerate(vs) if j not in pivots)
+    zero = Poly.zero(free)
+    # x_(p_j) = psi_j on the zero set of h_j
+    psis = [Poly.variable(vs, vs[p]) - h for p, h in zip(pivots, heads)]
+    # x_p -> phi (0 at order 0), x_free -> x_free
+    images = [zero if j in pivots else Poly.variable(free, v) for j, v in enumerate(vs)]
+    gs = others
     solver = SparseSolver()
-    for row in jet_rows(k, [(m, comp) for comp in comps for m in monos]).values():
-        solver.add_row(row)
-    return len(monos) - solver.rank
+    for k in count():
+        if k and pivots and others:
+            phi = [psi.substitute(images, jet=k) for psi in psis]
+            for p, image in zip(pivots, phi):
+                images[p] = image
+            gs = [g.substitute(images, jet=k) for g in others]
+        parts = [_by_degree(g) for g in gs]
+        unknowns = [(m, (part.get(k - sum(m), zero),))
+                    for m in (monomials_up_to(free, k - 1) if k else ())
+                    for part in parts]
+        for row in jet_rows(k, unknowns).values():
+            solver.add_row(row)
+        yield comb(len(free) + k, k) - solver.rank
 
 
 def multiplicity(f: PolyMap, k_max: int = 12) -> MultiplicityResult:
@@ -67,6 +147,7 @@ def multiplicity(f: PolyMap, k_max: int = 12) -> MultiplicityResult:
         raise PolyError(f"jet cap must be >= 0, got {k_max}")
     n = f.source_dim
     sequence: list[int] = []
+    codimensions = _codimensions(f)
     for k in range(k_max + 1):
         unknowns = n * comb(n + k + 1, n + 1)
         if unknowns > MAX_UNKNOWNS:
@@ -74,7 +155,7 @@ def multiplicity(f: PolyMap, k_max: int = 12) -> MultiplicityResult:
                 value=None, jet_order=k - 1, dimension_sequence=tuple(sequence),
                 reason=f"order {k} would bring the unknowns of orders 0..{k} to "
                        f"{unknowns}, over the cap MAX_UNKNOWNS = {MAX_UNKNOWNS}")
-        d = _codimension_at_order(f, k)
+        d = next(codimensions)
         sequence.append(d)
         if k >= 1 and sequence[k] == sequence[k - 1]:
             return MultiplicityResult(value=d, jet_order=k,

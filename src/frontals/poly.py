@@ -232,8 +232,12 @@ class Poly:
                 out[mono[:idx] + (e - 1,) + mono[idx + 1 :]] = coeff * e
         return Poly._raw(self.vars, out)
 
-    def substitute(self, images: Sequence["Poly"]) -> "Poly":
-        """Exact composition p(images); a ring homomorphism into the images' ring."""
+    def substitute(self, images: Sequence["Poly"], jet: int | None = None) -> "Poly":
+        """Exact composition p(images); a ring homomorphism into the images' ring.
+
+        With ``jet`` = k the result is the k-jet of the composition, and every
+        product is truncated at degree k as it is formed.
+        """
         images = list(images)
         if len(images) != len(self.vars):
             raise VariableMismatchError(
@@ -245,17 +249,20 @@ class Poly:
         for g in images[1:]:
             if g.vars != target_vars:
                 raise VariableMismatchError("images must share one variable list")
+
+        def cut(p: Poly) -> Poly:
+            return p if jet is None else p.jet(jet)
+
         result = Poly.zero(target_vars)
-        pow_cache: list[dict[int, Poly]] = [
-            {0: Poly.const(target_vars, 1), 1: g} for g in images
-        ]
+        # powers e >= 1 only: a zero exponent never reaches image_power
+        pow_cache: list[dict[int, Poly]] = [{1: g} for g in images]
 
         def image_power(i: int, e: int) -> Poly:
             cache = pow_cache[i]
             if e not in cache:
                 half = image_power(i, e // 2)
-                sq = half * half
-                cache[e] = sq if e % 2 == 0 else sq * images[i]
+                sq = cut(half * half)
+                cache[e] = sq if e % 2 == 0 else cut(sq * images[i])
             return cache[e]
 
         zero_mono = (0,) * len(target_vars)
@@ -263,7 +270,7 @@ class Poly:
             term = Poly._raw(target_vars, {zero_mono: coeff})
             for i, e in enumerate(mono):
                 if e:
-                    term = term * image_power(i, e)
+                    term = cut(term * image_power(i, e))
             result = result + term
         return result
 
@@ -402,6 +409,9 @@ MAX_EXPONENT = 100
 # largest term count a parsed '^' or '*' may reach by the bound of
 # _Parser.check_terms, so nested powers cannot grow without limit
 MAX_TERMS = 1000
+# largest coefficient bit height (see _height) a parsed '^' or '*' may reach
+# by the same a-priori bound: ((3/7 + 2/3*x)^100)^9 would reach about 4000
+MAX_COEFF_BITS = 2000
 
 
 class _Token:
@@ -444,6 +454,16 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _height(p: Poly) -> int:
+    """Bit height of p over one common denominator D: the bits of D or of the
+    largest integer numerator, extension residues included, if that is more."""
+    pairs = [(c.nums, c.den) if isinstance(c, ExtScalar) else ((c.numerator,), c.denominator)
+             for c in p.terms.values()]
+    den = math.lcm(*[d for _, d in pairs])
+    top = max((abs(n) * (den // d) for nums, d in pairs for n in nums), default=0)
+    return max(den.bit_length(), top.bit_length())
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], vars: tuple[str, ...], field: ExtField | None):
         self.tokens = tokens
@@ -451,6 +471,9 @@ class _Parser:
         self.vars = vars
         self.field = field
         self.depth = 0
+        # a product of two residues of Q(c), c^k = 6, sums k products, each
+        # at most 6 times a numerator product
+        self.fold = 6 * field.k if field is not None else 1
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -477,14 +500,19 @@ class _Parser:
             else:
                 return result
 
-    def check_terms(self, what: str, tok: _Token, terms: int, degree: int) -> None:
+    def check_terms(self, what: str, tok: _Token, terms: int, degree: int, bits: int) -> None:
         """Refuse, before computing it, a result with at most ``terms`` terms
-        and at most the monomials of degree <= ``degree`` if that exceeds MAX_TERMS."""
+        and at most the monomials of degree <= ``degree`` if that exceeds
+        MAX_TERMS, or one whose height may reach ``bits`` above MAX_COEFF_BITS."""
         n = len(self.vars)
         bound = min(terms, math.comb(n + max(degree, 0), n))
         if bound > MAX_TERMS:
             raise PolyParseError(
                 f"{what} may have up to {bound} terms, more than {MAX_TERMS}", tok.pos)
+        if bits > MAX_COEFF_BITS:
+            raise PolyParseError(
+                f"{what} may have coefficients of up to {bits} bits, more than"
+                f" {MAX_COEFF_BITS}", tok.pos)
 
     def parse_term(self) -> Poly:
         result = self.parse_factor()
@@ -493,8 +521,13 @@ class _Parser:
             if tok.kind == "op" and tok.text == "*":
                 self.advance()
                 rhs = self.parse_factor()
+                # each coefficient sums at most min(t_a, t_b) products of the
+                # numerators over the product of the two denominators
+                pairs = min(len(result.terms), len(rhs.terms))
                 self.check_terms("product", tok, len(result.terms) * len(rhs.terms),
-                                 result.degree() + rhs.degree())
+                                 result.degree() + rhs.degree(),
+                                 _height(result) + _height(rhs)
+                                 + (pairs * self.fold).bit_length())
                 result = result * rhs
             elif tok.kind == "op" and tok.text == "/":
                 raise PolyParseError(
@@ -519,10 +552,12 @@ class _Parser:
             if exponent > MAX_EXPONENT:
                 raise PolyParseError(f"exponent above {MAX_EXPONENT}", exp_tok.pos)
             if base.terms:
-                # one term per multiset of e of the t terms of the base
+                # one term per multiset of e of the t terms of the base; the
+                # numerators of p^e are at most (t * fold * 2^H(p))^e
                 t = len(base.terms)
                 self.check_terms("power", tok, math.comb(t + exponent - 1, exponent),
-                                 exponent * base.degree())
+                                 exponent * base.degree(),
+                                 exponent * (_height(base) + (t * self.fold).bit_length()))
             self.advance()
             return base ** exponent
         return base

@@ -246,6 +246,20 @@ def test_power_above_the_term_cap_exit_2(expr, tmp_path, capsys):
         assert "terms, more than" in message
 
 
+def test_coefficients_above_the_bit_cap_exit_2(tmp_path, capsys):
+    # 901 terms, under the term cap, but coefficients of about 4000 bits
+    expr = "((3/7+2/3*x)^100)^9"
+    plain = tmp_path / "plain.germ"
+    plain.write_text("vars: x\nmap:\nf1 = x^2\n", encoding="utf-8")
+    big = tmp_path / "big.germ"
+    big.write_text(f"vars: x\nmap:\nf1 = x*{expr}\n", encoding="utf-8")
+    for argv in (("ramify", plain, "--psi", expr), ("multiplicity", big)):
+        start = time.perf_counter()
+        message = _assert_input_error(capsys, *argv)
+        assert time.perf_counter() - start < 0.05
+        assert "bits, more than 2000" in message
+
+
 def test_ext_order_above_the_cap_exit_2(tmp_path, capsys):
     germ = tmp_path / "ext.germ"
     germ.write_text(f"vars: x y\next: {MAX_EXT_ORDER + 1}\nmap:\nf1 = x\nf2 = y\n",

@@ -16,8 +16,9 @@ from math import prod
 
 import pytest
 
+from frontals.corpus import a_k_front
 from frontals.linalg import SparseSolver
-from frontals.local_algebra import _codimension_at_order, multiplicity
+from frontals.local_algebra import _codimensions, multiplicity
 from frontals.maps import PolyMap
 from frontals.poly import Poly, monomials_up_to
 from frontals.ramification import (
@@ -25,6 +26,7 @@ from frontals.ramification import (
     gradient_module_membership,
     jsq_plus_pullback_membership,
 )
+from frontals.scalars import ExtField
 
 from helpers import VARSETS, random_origin_germ, random_poly
 
@@ -176,8 +178,21 @@ def test_codimensions_match_the_generator_rows():
     germs = [PolyMap.from_exprs(["x^2", "0"], ("x", "y")),
              PolyMap.from_exprs(["x^2", "x*y", "z"], ("x", "y", "z"))]
     germs += [random_origin_germ(rng, rng.choice([1, 2, 3]), 3) for _ in range(12)]
-    for f in germs:
-        seq = multiplicity(f, 6).dimension_sequence
+    cases = [(f, 6) for f in germs]
+    # the corank reduction: Jf(0) invertible, a pivot with a free linear part, a
+    # non-finite corank-1 germ, corank 1 in five variables, three variables,
+    # and a germ over Q(6^(1/3))
+    cases += [(f, 8) for f in (
+        PolyMap.from_exprs(["x + y^2", "y + x^3"], ("x", "y")),
+        PolyMap.from_exprs(["x^2 + x + 2*y", "y^3 + 3*x + 6*y"], ("x", "y")),
+        PolyMap.from_exprs(["y^2 + x", "y^3 + x*y"], ("x", "y")),
+        a_k_front(5),
+        PolyMap.from_exprs(["x^2 + y", "x*y + z", "x^3 + y^2 + z^2"], ("x", "y", "z")),
+        PolyMap.from_exprs(["c*x + y^2", "x*y + c^2*y^3"], ("x", "y"), ExtField(3)),
+    )]
+    for f, order in cases:
+        seq = multiplicity(f, order).dimension_sequence
         assert seq == tuple(_generator_row_codimension(f, k) for k in range(len(seq))), f
-        assert all(_codimension_at_order(f, k) == _generator_row_codimension(f, k)
-                   for k in range(len(seq), 7))
+        codims = list(itertools.islice(_codimensions(f), order + 1))
+        assert all(codims[k] == _generator_row_codimension(f, k)
+                   for k in range(len(seq), order + 1)), f

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frontals.poly import (
+    MAX_COEFF_BITS,
     MAX_EXPONENT,
     MAX_NESTING,
     MAX_TERMS,
@@ -17,6 +18,7 @@ from frontals.poly import (
     VariableMismatchError,
     monomials_up_to,
     parse_poly,
+    _height,
     sum_of_products,
 )
 from frontals.scalars import ExtField, ExtScalar
@@ -92,6 +94,54 @@ def test_parse_term_cap():
         P("((1 + x + y)^100)^100")
     with pytest.raises(PolyParseError, match="terms, more than"):
         P("(1 + x + y + z + w)^100", ("x", "y", "z", "w"))
+
+
+def test_parse_coefficient_size_cap():
+    # read off an upper bound before any product is formed, like the term cap
+    assert MAX_COEFF_BITS == 2000
+    X = ("x",)
+    # power: the bound of ((3/7 + 2/3*x)^100)^e is e * (449 + bits(101))
+    assert _height(P("((3/7 + 2/3*x)^100)^4", X)) == 1805
+    with pytest.raises(PolyParseError,
+                       match="power may have coefficients of up to 2280 bits") as err:
+        P("((3/7 + 2/3*x)^100)^5", X)
+    assert err.value.position == len("((3/7 + 2/3*x)^100)")
+    with pytest.raises(PolyParseError, match="up to 4104 bits, more than 2000"):
+        P("((3/7 + 2/3*x)^100)^9", X)
+    # product: H(a) + H(b) + bits(min(t_a, t_b)); (2/3)^600 has height 951
+    assert _height(P("((2/3)^100)^6*((2/3)^100)^6")) == 1902
+    with pytest.raises(PolyParseError,
+                       match="product may have coefficients of up to 2854 bits") as err:
+        P("((2/3)^100)^6*((2/3)^100)^6*((2/3)^100)^6")
+    assert err.value.position == len("((2/3)^100)^6*((2/3)^100)^6")
+    # over Q(6^(1/3)) each residue product adds up to bits(6 * 3) = 5 bits
+    F = ExtField(3)
+    unit = "(1 + c + c^2)^100"
+    assert _height(parse_poly(unit, X, F)) == 260
+    with pytest.raises(PolyParseError, match="power may have coefficients of up to 2120 bits"):
+        parse_poly(f"({unit})^8", X, F)
+    with pytest.raises(PolyParseError, match="product may have coefficients of up to 2094 bits"):
+        parse_poly(f"({unit})^3*({unit})^3*({unit})^2", X, F)
+    # a constant tower no longer grows without bound
+    with pytest.raises(PolyParseError, match="bits, more than"):
+        P("(((2^100)^100)^100)^100")
+
+
+def test_height_bounds_hold():
+    # the a-priori bounds of the parser, checked against the computed heights
+    rng = random.Random(2024)
+    for field in (None, ExtField(2), ExtField(3)):
+        fold = 6 * field.k if field else 1
+        # 1 + c + c^2 squares to 13 + 8*c + 3*c^2 in Q(6^(1/3)): folding grows heights
+        atoms = ["x", "y", "1/3", "-5/2", "7"] + (["c", "1/5*c^2", "(1 + c + c^2)"]
+                                                  if field else [])
+        for _ in range(40):
+            a, b = (parse_poly(" + ".join(rng.sample(atoms, rng.randint(1, 4))) + " + x*y",
+                               XY, field) for _ in range(2))
+            e = rng.randint(1, 8)
+            assert _height(a ** e) <= e * (_height(a) + (len(a.terms) * fold).bit_length())
+            pairs = min(len(a.terms), len(b.terms))
+            assert _height(a * b) <= _height(a) + _height(b) + (pairs * fold).bit_length()
 
 
 def test_parse_unknown_variable():
@@ -173,6 +223,16 @@ def test_substitute_identity():
 
 def test_substitute_source_change_flattens_the_square():
     assert P("(x+y)^2").substitute([P("x - y"), P("y")]) == P("x^2")
+
+
+def test_substitute_to_a_jet_order():
+    # the k-jet of the full composition, images with constant terms included
+    rng = random.Random(77)
+    for _ in range(30):
+        p = random_poly(rng, ("X", "Y", "Z"), 4, max_terms=5)
+        images = [random_poly(rng, XY, 3, min_degree=rng.choice([0, 1])) for _ in range(3)]
+        for k in range(6):
+            assert p.substitute(images, jet=k) == p.substitute(images).jet(k), (p, images, k)
 
 
 def test_diff_fold_jacobian():

@@ -464,6 +464,10 @@ def _height(p: Poly) -> int:
     return max(den.bit_length(), top.bit_length())
 
 
+def _known_height(p: Poly, height: int | None) -> int:
+    return _height(p) if height is None else height
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], vars: tuple[str, ...], field: ExtField | None):
         self.tokens = tokens
@@ -515,20 +519,20 @@ class _Parser:
                 f" {MAX_COEFF_BITS}", tok.pos)
 
     def parse_term(self) -> Poly:
-        result = self.parse_factor()
+        result, height = self.parse_factor()
         while True:
             tok = self.peek()
             if tok.kind == "op" and tok.text == "*":
                 self.advance()
-                rhs = self.parse_factor()
+                rhs, rhs_height = self.parse_factor()
                 # each coefficient sums at most min(t_a, t_b) products of the
                 # numerators over the product of the two denominators
                 pairs = min(len(result.terms), len(rhs.terms))
                 self.check_terms("product", tok, len(result.terms) * len(rhs.terms),
                                  result.degree() + rhs.degree(),
-                                 _height(result) + _height(rhs)
+                                 _known_height(result, height) + _known_height(rhs, rhs_height)
                                  + (pairs * self.fold).bit_length())
-                result = result * rhs
+                result, height = result * rhs, None
             elif tok.kind == "op" and tok.text == "/":
                 raise PolyParseError(
                     "division by a non-constant: '/' is only allowed inside a"
@@ -540,8 +544,9 @@ class _Parser:
             else:
                 return result
 
-    def parse_factor(self) -> Poly:
-        base = self.parse_base()
+    def parse_factor(self) -> tuple[Poly, int | None]:
+        """A factor and its _height, or None while that is not computed."""
+        base, height = self.parse_base()
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             self.advance()
@@ -557,12 +562,15 @@ class _Parser:
                 t = len(base.terms)
                 self.check_terms("power", tok, math.comb(t + exponent - 1, exponent),
                                  exponent * base.degree(),
-                                 exponent * (_height(base) + (t * self.fold).bit_length()))
+                                 exponent * (_known_height(base, height)
+                                             + (t * self.fold).bit_length()))
             self.advance()
-            return base ** exponent
-        return base
+            return base ** exponent, None
+        return base, height
 
-    def parse_base(self) -> Poly:
+    def parse_base(self) -> tuple[Poly, int | None]:
+        """A base and its _height: known for a number or a variable, None
+        for a parenthesised expression or the extension generator."""
         tok = self.peek()
         if tok.kind == "op" and tok.text == "(":
             if self.depth == MAX_NESTING:
@@ -573,7 +581,7 @@ class _Parser:
             inner = self.parse_expr()
             self.expect_op(")")
             self.depth -= 1
-            return inner
+            return inner, None
         if tok.kind == "op" and tok.text == "-":
             self.advance()
             num_tok = self.peek()
@@ -586,15 +594,15 @@ class _Parser:
             self.advance()
             name = tok.text
             if self.field is not None and name == self.field.symbol:
-                return Poly.const(self.vars, self.field.generator)
+                return Poly.const(self.vars, self.field.generator), None
             if name not in self.vars:
                 raise PolyParseError(f"unknown variable {name!r}", tok.pos)
-            return Poly.variable(self.vars, name)
+            return Poly.variable(self.vars, name), 1
         raise PolyParseError(
             f"expected a number, variable or '(', found {tok.text or 'end of input'!r}",
             tok.pos)
 
-    def parse_rational(self, negative: bool) -> Poly:
+    def parse_rational(self, negative: bool) -> tuple[Poly, int]:
         num_tok = self.advance()
         numerator = -int(num_tok.text) if negative else int(num_tok.text)
         tok = self.peek()
@@ -609,8 +617,11 @@ class _Parser:
             denominator = int(den_tok.text)
             if denominator == 0:
                 raise PolyParseError("zero denominator in rational literal", den_tok.pos)
-            return Poly.const(self.vars, Fraction(numerator, denominator))
-        return Poly.const(self.vars, Fraction(numerator))
+            value = Fraction(numerator, denominator)
+        else:
+            value = Fraction(numerator)
+        return (Poly.const(self.vars, value),
+                max(abs(value.numerator).bit_length(), value.denominator.bit_length()))
 
 
 def parse_poly(text: str, vars: Sequence[str], field: ExtField | None = None) -> Poly:

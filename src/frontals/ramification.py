@@ -74,9 +74,12 @@ class PullbackCertificate:
     eta: Poly  # in the target variables
 
     def residual(self) -> Poly:
-        jsq = jacobian_det(self.germ) ** 2
-        pulled = self.eta.substitute(list(self.germ.components))
-        return (self.psi - self.mu * jsq - pulled).jet(self.jet_order)
+        # only the k-jet is compared, so every factor is cut at degree k first
+        k = self.jet_order
+        det = jacobian_det(self.germ).jet(k)
+        jsq = (det * det).jet(k)
+        pulled = self.eta.substitute(list(self.germ.components), jet=k)
+        return (self.psi - self.mu * jsq - pulled).jet(k)
 
     def recheck(self) -> bool:
         return self.residual().is_zero()

@@ -216,9 +216,8 @@ class ExtScalar:
         solver = SparseSolver()
         for r in range(k):
             # entry (r, j) is the coefficient of c^r in nums(c) * c^j
-            solver.add_row({j: Fraction(a[r - j] if j <= r else 6 * a[r - j + k])
-                            for j in range(k)},
-                           Fraction(self.den if r == 0 else 0))
+            solver.add_row({j: a[r - j] if j <= r else 6 * a[r - j + k] for j in range(k)},
+                           self.den if r == 0 else 0)
         x = solver.solve()
         return ExtScalar(self.field, [x.get(j, 0) for j in range(k)])
 

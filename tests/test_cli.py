@@ -103,6 +103,20 @@ def test_ramify_jsq_mode(capsys):
     assert "witness mu" in out
 
 
+def test_ramify_jsq_member_over_extension(tmp_path, capsys):
+    # over Q(6^(1/2)) this jsq system mixes rational rows with extension rows,
+    # and some rational rows are reduced by extension pivots
+    germ = tmp_path / "ext2.germ"
+    germ.write_text("vars: x y\next: 2\nmap:\nf1 = x^2 + y^3\nf2 = y + x^2\n", encoding="utf-8")
+    code, out = run_cli(capsys, "ramify", germ, "--psi",
+                        "(1 + x)*(2*x - 6*x*y^2)^2 + c*(x^2 + y^3) + (y + x^2)^2",
+                        "--jet", "4", "--mode", "jsq")
+    assert code == 0
+    assert "verdict: MEMBER (modulo m^5)" in out
+    assert "witness mu = x + 1\nwitness eta = Y^2 + c*X  [in variables X Y]\n" in out
+    assert "recheck: zero jet residual" in out
+
+
 def test_corpus_all_exit_0(capsys):
     code, out = run_cli(capsys, "corpus")
     assert code == 0

@@ -19,6 +19,8 @@ from frontals.poly import (
     monomials_up_to,
     parse_poly,
     _height,
+    _Parser,
+    _tokenize,
     sum_of_products,
 )
 from frontals.scalars import ExtField, ExtScalar
@@ -125,6 +127,17 @@ def test_parse_coefficient_size_cap():
     # a constant tower no longer grows without bound
     with pytest.raises(PolyParseError, match="bits, more than"):
         P("(((2^100)^100)^100)^100")
+
+
+def test_parser_carries_exact_heights():
+    # a height the parser carries with a factor is the one _height computes
+    F = ExtField(2)
+    for text in ("x", "7", "-5/2", "0", "-0/3", "12/8", "c", "(x + 1/3)", "x^3", "(2/3*y)^4",
+                 "-9/4", "c^3", "(1 + c)^2"):
+        parser = _Parser(_tokenize(text), XY, F)
+        poly, height = parser.parse_factor()
+        assert parser.peek().kind == "end"
+        assert height is None or height == _height(poly), text
 
 
 def test_height_bounds_hold():

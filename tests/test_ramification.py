@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -99,6 +100,27 @@ def test_unfolding_identity_witness():
         mu=parse_poly("1/3*x", XL),
         eta=parse_poly("-1/3*LAM*X", ("X", "LAM")))
     assert stated.recheck()
+
+
+def test_tampered_mu_fails_recheck():
+    vs = ("x", "y")
+    f = PolyMap.from_exprs(["1/2*x^2 + x*y", "y"], vs)  # det(Jf) = x + y
+    psi = parse_poly("(1 + y)*(x + y)^2 + 2*y - 1/4*(1/2*x^2 + x*y)^2", vs)
+    cert = jsq_plus_pullback_membership(psi, f, 4).certificate
+    assert cert.recheck()
+
+    def full_residual(c):  # no truncation until the end
+        return (c.psi - c.mu * jacobian_det(f) ** 2
+                - c.eta.substitute(list(f.components))).jet(c.jet_order)
+
+    # mu + t adds t*(x + y)^2 to psi's side, which the 4-jet sees for deg t <= 2
+    for t in ("1", "y", "x^2 - 3*x*y"):
+        tampered = dataclasses.replace(cert, mu=cert.mu + parse_poly(t, vs))
+        assert not tampered.recheck()
+        assert tampered.residual() == full_residual(tampered)
+    # and misses beyond it
+    beyond = dataclasses.replace(cert, mu=cert.mu + parse_poly("x^3", vs))
+    assert beyond.recheck() and full_residual(beyond).is_zero()
 
 
 # -- the four generator identities, alpha free -------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, itemgetter
 from typing import Mapping, Sequence
 
 from .poly import Exponents, Poly
@@ -163,13 +164,21 @@ def jet_rows(k: int, unknowns: Sequence[Unknown]
     it; terms of degree above k are dropped.
     """
     rows: dict[tuple[int, Exponents], dict[int, Scalar]] = {}
+    # each polynomial's terms once, by ascending degree (stable), keyed by id:
+    # the unknowns keep every polynomial alive for the whole call
+    by_degree: dict[int, list[tuple[int, Exponents, Scalar]]] = {}
     for c, (shift, polys) in enumerate(unknowns):
         room = k - sum(shift)
         for b, p in enumerate(polys):
-            for term, coeff in p.terms.items():
-                if sum(term) <= room:
-                    mono = tuple(a + e for a, e in zip(shift, term))
-                    rows.setdefault((b, mono), {})[c] = coeff
+            terms = by_degree.get(id(p))
+            if terms is None:
+                terms = by_degree[id(p)] = sorted(
+                    ((sum(term), term, coeff) for term, coeff in p.terms.items()),
+                    key=itemgetter(0))
+            for degree, term, coeff in terms:
+                if degree > room:
+                    break
+                rows.setdefault((b, tuple(map(add, shift, term))), {})[c] = coeff
     return rows
 
 

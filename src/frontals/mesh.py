@@ -19,6 +19,11 @@ from .scalars import ExtScalar, Scalar
 
 # largest grid resolution m accepted: the OBJ text grows as m^2
 MAX_RESOLUTION = 256
+# largest total degree d of F accepted: the power tables hold (m+1)(d+1)
+# integers of up to about d*log2(2*m*|r|) bits each.  The tests, the germs/
+# files and the benchmark's mesh tasks reach degree 12; a dense degree-63 F
+# at the largest resolution takes a few seconds
+MAX_DEGREE = 64
 # shared: a fresh local context per coordinate cost as much as the rendering
 CTX = Context(prec=12, rounding=ROUND_HALF_EVEN)
 
@@ -55,8 +60,11 @@ def build_obj(F: PolyMap, r: Fraction, m: int) -> str:
         raise PolyError(f"grid resolution must be at least 2, got {m}")
     if m > MAX_RESOLUTION:
         raise PolyError(f"grid resolution must be at most {MAX_RESOLUTION}, got {m}")
+    degree = max(c.degree() for c in F.components)
+    if degree > MAX_DEGREE:
+        raise PolyError(f"mesh export needs a map of degree at most {MAX_DEGREE}, got {degree}")
     tables = [_over_common_denominator(c.demote_rational()) for c in F.components]
-    if None in tables:
+    if not all(tables):
         raise PolyError("mesh export needs rational coefficients")
     # grid coordinate i is -r + i*2r/m = grid[i] / q, and a component of
     # degree d with integer numerators over D is S / (D * q^d) at a grid
@@ -65,11 +73,10 @@ def build_obj(F: PolyMap, r: Fraction, m: int) -> str:
     q = r.denominator * m
     components = []
     for terms, den in tables:
-        deg = max((ex + ey for (ex, ey), _ in terms), default=0)
-        components.append(([(ex, ey, n * q ** (deg - ex - ey)) for (ex, ey), n in terms],
-                           den * q**deg))
-    top = max((ex + ey for terms, _ in tables for (ex, ey), _ in terms), default=0)
-    powers = [[a**e for e in range(top + 1)] for a in grid]
+        deg = max((ex + ey for ex, ey in terms), default=0)
+        components.append(([(ex, ey, n * q ** (deg - ex - ey))
+                            for (ex, ey), n in terms.items()], den * q**deg))
+    powers = [[a**e for e in range(max(degree, 0) + 1)] for a in grid]
     lines: list[str] = []
     for py in powers:
         # each component restricted to this row, as integer coefficients of x^e

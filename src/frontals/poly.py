@@ -7,6 +7,17 @@ kept canonical (no zero coefficients) and printed in descending
 graded-lexicographic order, so canonical printing is deterministic and
 ``parse(print(p)) == p``.
 
+A polynomial over Q has a second, internal form: ``_ints = (nums, den)``,
+a table of nonzero integer numerators over one denominator ``den > 0``
+whose gcd with all the numerators is 1, so the form is unique.  Products,
+derivatives, jets, sums and negations of polynomials in that form are
+computed and returned in it, and the public ``terms`` table of Fractions
+is built from it only when something reads ``terms``, then kept; once
+built it equals ``nums[m] / den`` exactly, term by term.  A Poly built
+from Fractions gets its integer form on first use by a kernel
+(`_over_common_denominator`), also kept.  ``ExtScalar`` polynomials have
+``terms`` only.
+
 The accepted expression grammar (ASCII, whitespace insignificant):
 
     expr     := term (('+'|'-') term)*
@@ -61,7 +72,10 @@ def _coerce_coeff(value: Union[int, Fraction, ExtScalar]) -> Scalar:
 class Poly:
     """Immutable sparse polynomial with exact coefficients."""
 
-    __slots__ = ("vars", "terms")
+    # _terms is None on a Poly made in integer form until terms is read;
+    # _ints is None until a kernel asks for it, False when a coefficient is
+    # not a Fraction
+    __slots__ = ("vars", "_terms", "_ints")
 
     def __init__(self, vars: Sequence[str], terms: dict[Exponents, Scalar]):
         vs = tuple(vars)
@@ -74,18 +88,40 @@ class Poly:
             c = _coerce_coeff(coeff)
             if c:
                 table[mono] = c
-        object.__setattr__(self, "vars", vs)
-        object.__setattr__(self, "terms", table)
+        _set_vars(self, vs)
+        _set_terms(self, table)
+        _set_ints(self, None)
 
     @classmethod
-    def _raw(cls, vars: tuple[str, ...], table: dict[Exponents, Scalar]) -> "Poly":
+    def _raw(cls, vars: tuple[str, ...],
+             table: dict[Exponents, Scalar] | tuple[dict[Exponents, int], int]) -> "Poly":
         """Trusted constructor for results that are already canonical: a
-        variable tuple, and a table the new Poly owns whose exponent tuples
-        match it and whose coefficients are nonzero Fractions or ExtScalars."""
+        variable tuple, and either a term table whose coefficients are nonzero
+        Fractions or ExtScalars, or the integer form (nums, den) of the module
+        docstring.  The new Poly owns the table; its exponent tuples match
+        the variables."""
         p = object.__new__(cls)
-        object.__setattr__(p, "vars", vars)
-        object.__setattr__(p, "terms", table)
+        _set_vars(p, vars)
+        if type(table) is tuple:
+            _set_terms(p, None)
+            _set_ints(p, table)
+        else:
+            _set_terms(p, table)
+            _set_ints(p, None)
         return p
+
+    @property
+    def terms(self) -> dict[Exponents, Scalar]:
+        """The term table: exponent tuples to nonzero coefficients."""
+        table = self._terms
+        if table is None:
+            nums, den = self._ints
+            if den == 1:
+                table = {m: Fraction(n) for m, n in nums.items()}
+            else:
+                table = {m: Fraction(n, den) for m, n in nums.items()}
+            _set_terms(self, table)
+        return table
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -111,10 +147,15 @@ class Poly:
     # -- inspection ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        ints = self._ints
+        return not (ints[0] if ints else self._terms)
 
     def constant_term(self) -> Scalar:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+        zero = (0,) * len(self.vars)
+        ints = self._ints
+        if ints:
+            return Fraction(ints[0].get(zero, 0), ints[1])
+        return self._terms.get(zero, Fraction(0))
 
     def coefficient(self, mono: Exponents) -> Scalar:
         return self.terms.get(tuple(mono), Fraction(0))
@@ -132,8 +173,9 @@ class Poly:
         return min(sum(m) for m in self.terms)
 
     def sorted_terms(self) -> Iterator[tuple[Exponents, Scalar]]:
-        for mono in _grlex_descending(self.terms):
-            yield mono, self.terms[mono]
+        terms = self.terms
+        for mono in _grlex_descending(terms):
+            yield mono, terms[mono]
 
     def is_rational(self) -> bool:
         """True when every coefficient lies in Q (extension residues of degree 0 count)."""
@@ -170,6 +212,24 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same_vars(other)
+        if self._ints or other._ints:
+            a, b = _over_common_denominator(self), _over_common_denominator(other)
+            if a and b:
+                (na, da), (nb, db) = a, b
+                den = math.lcm(da, db)
+                sa, sb = den // da, den // db
+                nums = dict(na) if sa == 1 else {m: n * sa for m, n in na.items()}
+                for mono, n in nb.items():
+                    prev = nums.get(mono)
+                    if prev is None:
+                        nums[mono] = n * sb
+                    else:
+                        s = prev + n * sb
+                        if s:
+                            nums[mono] = s
+                        else:
+                            del nums[mono]
+                return _lowest(self.vars, nums, den)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
             prev = out.get(mono)
@@ -184,7 +244,10 @@ class Poly:
         return Poly._raw(self.vars, out)
 
     def __neg__(self) -> "Poly":
-        return Poly._raw(self.vars, {m: -c for m, c in self.terms.items()})
+        ints = self._ints
+        if ints:
+            return Poly._raw(self.vars, ({m: -n for m, n in ints[0].items()}, ints[1]))
+        return Poly._raw(self.vars, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -225,8 +288,16 @@ class Poly:
         idx = self.vars.index(var)
         # distinct monomials have distinct derivatives and e >= 1: no term
         # collects or vanishes
+        ints = _over_common_denominator(self)
+        if ints:
+            nums: dict[Exponents, int] = {}
+            for mono, n in ints[0].items():
+                e = mono[idx]
+                if e:
+                    nums[mono[:idx] + (e - 1,) + mono[idx + 1 :]] = n * e
+            return _lowest(self.vars, nums, ints[1])
         out: dict[Exponents, Scalar] = {}
-        for mono, coeff in self.terms.items():
+        for mono, coeff in self._terms.items():
             e = mono[idx]
             if e:
                 out[mono[:idx] + (e - 1,) + mono[idx + 1 :]] = coeff * e
@@ -294,7 +365,11 @@ class Poly:
         """Truncate to total degree <= k (the k-jet at the origin)."""
         if k < 0:
             raise PolyError(f"jet order must be >= 0, got {k}")
-        return Poly._raw(self.vars, {m: c for m, c in self.terms.items() if sum(m) <= k})
+        ints = self._ints
+        if ints:
+            return _lowest(self.vars, {m: n for m, n in ints[0].items() if sum(m) <= k},
+                           ints[1])
+        return Poly._raw(self.vars, {m: c for m, c in self._terms.items() if sum(m) <= k})
 
     # -- printing --------------------------------------------------------------
 
@@ -343,24 +418,47 @@ class Poly:
         return f"Poly({self})"
 
 
-def _over_common_denominator(p: Poly) -> tuple[list[tuple[Exponents, int]], int] | None:
-    """p's terms as integer numerators over their common denominator, or None
-    when a coefficient is not a Fraction."""
-    coeffs = p.terms.values()
-    if not all(type(c) is Fraction for c in coeffs):
-        return None
-    ratios = [c.as_integer_ratio() for c in coeffs]
-    den = math.lcm(*[d for _, d in ratios])
-    return [(m, n * (den // d)) for m, (n, d) in zip(p.terms, ratios)], den
+# the slots' own setters: Poly refuses attribute assignment, and these cost
+# less than object.__setattr__
+_set_vars, _set_terms, _set_ints = (Poly.__dict__[name].__set__ for name in Poly.__slots__)
+
+
+def _over_common_denominator(p: Poly) -> tuple[dict[Exponents, int], int] | bool:
+    """The integer form (nums, den) of p, or False when a coefficient is not
+    a Fraction.  Worked out from the terms at most once per Poly, then kept."""
+    ints = p._ints
+    if ints is None:
+        coeffs = p._terms.values()
+        if all(type(c) is Fraction for c in coeffs):
+            ratios = [c.as_integer_ratio() for c in coeffs]
+            # each coefficient is in lowest terms, so no prime of den divides
+            # every numerator: the form is already reduced
+            den = math.lcm(*[d for _, d in ratios])
+            ints = {m: n * (den // d) for m, (n, d) in zip(p._terms, ratios)}, den
+        else:
+            ints = False
+        _set_ints(p, ints)
+    return ints
+
+
+def _lowest(vars: tuple[str, ...], nums: dict[Exponents, int], den: int) -> Poly:
+    """The Poly of nonzero numerators nums over den > 0, with their common
+    factor with den divided out."""
+    if den != 1:
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            nums = {m: n // g for m, n in nums.items()}
+            den //= g
+    return Poly._raw(vars, (nums, den))
 
 
 def sum_of_products(vars: Sequence[str], pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
     """Sum of a_i * b_i over the (a_i, b_i) pairs, collected in one term table.
 
-    Over Q every operand is taken as integer numerators over its common
-    denominator, and each pair's numerators are brought to the common
-    denominator D of all pair products; the loop then adds plain int products
-    and each output term becomes one Fraction(v, D).  With an ExtScalar
+    Over Q every operand is taken in integer form, and each pair's numerators
+    are brought to the common denominator D of all pair products; the loop
+    then adds plain int products, and the result is returned in integer form
+    over D with the common factor divided out.  With an ExtScalar
     coefficient anywhere, the same loop runs on the coefficients as they are.
     """
     vs = tuple(vars)
@@ -369,15 +467,17 @@ def sum_of_products(vars: Sequence[str], pairs: Iterable[tuple[Poly, Poly]]) -> 
         if a.vars != vs or b.vars != vs:
             raise VariableMismatchError(
                 f"mismatched variable lists {a.vars} * {b.vars}, expected {vs}")
-    pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
     integral = [(_over_common_denominator(a), _over_common_denominator(b)) for a, b in pairs]
     if all(ia and ib for ia, ib in integral):
+        integral = [(ia, ib) for ia, ib in integral if ia[0] and ib[0]]
         den = math.lcm(*(da * db for (_, da), (_, db) in integral))
-        tables = [(ta if den == da * db else [(m, v * (den // (da * db))) for m, v in ta], tb)
+        tables = [(ta.items() if den == da * db
+                   else [(m, v * (den // (da * db))) for m, v in ta.items()], tb.items())
                   for (ta, da), (tb, db) in integral]
     else:
         den = None
-        tables = [(a.terms.items(), b.terms.items()) for a, b in pairs]
+        tables = [(ta.items(), tb.items()) for ta, tb in ((a.terms, b.terms) for a, b in pairs)
+                  if ta and tb]
     out: dict = {}
     get = out.get
     for ta, tb in tables:
@@ -386,13 +486,8 @@ def sum_of_products(vars: Sequence[str], pairs: Iterable[tuple[Poly, Poly]]) -> 
                 mono = tuple(map(add, ma, mb))
                 prev = get(mono)
                 out[mono] = ca * cb if prev is None else prev + ca * cb
-    if den is None:
-        table = {m: v for m, v in out.items() if v}
-    elif den == 1:
-        table = {m: Fraction(v) for m, v in out.items() if v}
-    else:
-        table = {m: Fraction(v, den) for m, v in out.items() if v}
-    return Poly._raw(vs, table)
+    table = {m: v for m, v in out.items() if v}
+    return Poly._raw(vs, table) if den is None else _lowest(vs, table, den)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from frontals.cli import main
-from frontals.mesh import MAX_RESOLUTION
+from frontals.mesh import MAX_DEGREE, MAX_RESOLUTION
 from frontals.scalars import MAX_EXT_ORDER
 
 GERMS = Path(__file__).resolve().parent.parent / "germs"
@@ -292,6 +292,17 @@ def test_mesh_resolution_above_the_cap_exit_2(capsys):
     message = _assert_input_error(capsys, "mesh", GERMS / "fold.germ", "--range", "1",
                                   "--res", MAX_RESOLUTION + 1)
     assert "grid resolution" in message
+
+
+def test_mesh_degree_above_the_cap_exit_2(tmp_path, capsys):
+    germ = tmp_path / "tower.germ"
+    germ.write_text("vars: x y\nmap:\nf1 = (x^100)^100 + x*y\nf2 = y\nmu:\nm1 = 1\n",
+                    encoding="utf-8")
+    start = time.perf_counter()
+    message = _assert_input_error(capsys, "mesh", germ, "--range", "1", "--res", 20)
+    assert time.perf_counter() - start < 1.0
+    assert message == (f"error: mesh export needs a map of degree at most {MAX_DEGREE},"
+                       " got 19998")
 
 
 def test_multiplicity_stops_at_the_unknown_cap(tmp_path, capsys):

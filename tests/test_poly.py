@@ -450,10 +450,36 @@ def kernel_operands(draw):
     return abs(k or 1), pairs
 
 
+def from_reference(ref: dict, k: int) -> dict:
+    """The coefficient table of a reference, for the public constructor."""
+    parts: dict = {}
+    for (mono, j), q in ref.items():
+        parts.setdefault(mono, [Fraction(0)] * k)[j] = q
+    return {mono: ExtField(k).element(qs) if any(qs[1:]) else qs[0]
+            for mono, qs in parts.items()}
+
+
+def reference_diff(a: dict, idx: int) -> dict:
+    return {(m[:idx] + (m[idx] - 1,) + m[idx + 1:], j): q * m[idx]
+            for (m, j), q in a.items() if m[idx]}
+
+
+def reference_jet(a: dict, order: int) -> dict:
+    return {(m, j): q for (m, j), q in a.items() if sum(m) <= order}
+
+
 def assert_canonical(p: Poly, rational: bool) -> None:
+    ints = p._ints
+    if ints:
+        # the integer form: nonzero numerators over den > 0, nothing common
+        nums, den = ints
+        assert den > 0 and all(nums.values())
+        assert math.gcd(den, *nums.values()) == 1
+        assert p.terms == {m: Fraction(n, den) for m, n in nums.items()}
     assert all(p.terms.values())
     if rational:
-        assert all(type(c) is Fraction for c in p.terms.values())
+        assert all(type(c) is Fraction and math.gcd(c.numerator, c.denominator) == 1
+                   for c in p.terms.values())
     assert Poly(p.vars, p.terms) == p
 
 
@@ -477,7 +503,34 @@ def test_kernel_matches_reference(operands):
     # a cancelling pair removes exactly a*b from the sum
     cases.append((sum_of_products(KERNEL_VARS, pairs + [(-a, b)]),
                   reference_add(expected, reference_mul(ra, rb, k), -1)))
-    for result, reference in cases:
+    # kernel results fed back into the kernels, before their terms are read
+    ab, total = cases[0][0], cases[3][0]
+    rab = cases[0][1]
+    fed = [
+        (ab * total, reference_mul(rab, expected, k)),
+        (sum_of_products(KERNEL_VARS, [(ab, total), (total.diff("x"), ab.jet(2))]),
+         reference_add(reference_mul(rab, expected, k),
+                       reference_mul(reference_diff(expected, 0), reference_jet(rab, 2), k))),
+        (ab.diff("x"), reference_diff(rab, 0)),
+        (total.diff("y"), reference_diff(expected, 1)),
+        (ab.jet(3), reference_jet(rab, 3)),
+        (total.jet(1), reference_jet(expected, 1)),
+        (-ab, reference_add({}, rab, -1)),
+        (ab + total, reference_add(rab, expected)),
+        (ab - total, reference_add(rab, expected, -1)),
+    ]
+    if rational:
+        # every result is in integer form, and no Fraction table was built
+        assert all(p._ints and p._terms is None for p in [ab, total] + [p for p, _ in fed])
+    zero = (0,) * len(KERNEL_VARS)
+    assert ab.constant_term() == from_reference(rab, k).get(zero, 0)
+    for mono in monomials_up_to(KERNEL_VARS, 2):
+        assert total.coefficient(mono) == from_reference(expected, k).get(mono, 0)
+    assert (ab - ab).is_zero() and ab.is_zero() == (not rab)
+    for result, reference in cases + fed:
+        assert result.is_zero() == (not reference)
+        expect = Poly(KERNEL_VARS, from_reference(reference, k))
+        assert result == expect and hash(result) == hash(expect)
         assert to_reference(result) == reference
         assert_canonical(result, rational)
 

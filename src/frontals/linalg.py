@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, itemgetter
+from operator import itemgetter, mul
 from typing import Mapping, Sequence
 
-from .poly import Exponents, Poly
+from .poly import FIELD_BITS, Exponents, Poly, _packed_terms, _unpacker, _weights
 from .scalars import ExtScalar, Scalar
 
 # one unknown: a monomial shift and the tuple of polynomials it multiplies
 Unknown = tuple[Exponents, tuple[Poly, ...]]
 
 _ONE = Fraction(1)
+_ZERO = Fraction(0)
 
 
 class SparseSolver:
@@ -161,24 +162,45 @@ def jet_rows(k: int, unknowns: Sequence[Unknown]
     Unknown c is the pair (m_c, v_c) of a shift and a tuple of polynomials;
     entry b of the sum is sum_c u_c * x^(m_c) * v_c[b].  The row of (b, mono)
     holds the coefficient of u_c at mono in entry b, for each c that reaches
-    it; terms of degree above k are dropped.
+    it; terms of degree above k are dropped.  The order k must be below
+    2**FIELD_BITS.
     """
-    rows: dict[tuple[int, Exponents], dict[int, Scalar]] = {}
+    rows = _packed_rows(k, unknowns)
+    unpack = _unpacker(len(unknowns[0][0])) if unknowns else None
+    return {(b, unpack(key)): row for (b, key), row in rows.items()}
+
+
+def _packed_rows(k: int, unknowns: Sequence[Unknown]
+                 ) -> dict[tuple[int, int], dict[int, Scalar]]:
+    """The rows of `jet_rows`, in the same order, keyed by the entry and the
+    packed monomial (see `frontals.poly`).  Every monomial of degree <= k
+    has an exact key."""
+    if k >= 1 << FIELD_BITS:
+        raise ValueError(f"jet order {k} is not below 2**{FIELD_BITS}")
+    rows: dict[tuple[int, int], dict[int, Scalar]] = {}
+    if not unknowns:
+        return rows
+    n = len(unknowns[0][0])
+    weights, dshift = _weights(n), n * FIELD_BITS
     # each polynomial's terms once, by ascending degree (stable), keyed by id:
     # the unknowns keep every polynomial alive for the whole call
-    by_degree: dict[int, list[tuple[int, Exponents, Scalar]]] = {}
+    by_degree: dict[int, list[tuple[int, int, Scalar]]] = {}
     for c, (shift, polys) in enumerate(unknowns):
-        room = k - sum(shift)
+        # the degree field of a shift's key is at least its degree
+        at = sum(map(mul, shift, weights))
+        room = k - (at >> dshift)
+        if room < 0:
+            continue
         for b, p in enumerate(polys):
             terms = by_degree.get(id(p))
             if terms is None:
                 terms = by_degree[id(p)] = sorted(
-                    ((sum(term), term, coeff) for term, coeff in p.terms.items()),
+                    ((key >> dshift, key, coeff) for key, coeff in _packed_terms(p).items()),
                     key=itemgetter(0))
-            for degree, term, coeff in terms:
+            for degree, key, coeff in terms:
                 if degree > room:
                     break
-                rows.setdefault((b, tuple(map(add, shift, term))), {})[c] = coeff
+                rows.setdefault((b, at + key), {})[c] = coeff
     return rows
 
 
@@ -188,12 +210,19 @@ def jet_solve(k: int, monos: Sequence[Exponents], rhs: Sequence[Poly],
 
     The equations enter in (entry, monomial) order, monomials in the order of
     `monos`; returns None at the first inconsistent one, else `solve()`.
+    Like k, every monomial must have a degree below 2**FIELD_BITS.
     """
-    rows = jet_rows(k, unknowns)
+    rows = _packed_rows(k, unknowns)
+    n = len(monos[0]) if monos else 0
+    weights = _weights(n)
+    keys = [sum(map(mul, mono, weights)) for mono in monos]
+    if keys and max(keys) >> (n + 1) * FIELD_BITS:
+        raise ValueError(f"a monomial is not of degree below 2**{FIELD_BITS}")
     solver = SparseSolver()
     for b, target in enumerate(rhs):
-        for mono in monos:
-            solver.add_row(rows.get((b, mono), {}), target.coefficient(mono))
+        coeffs = _packed_terms(target)
+        for key in keys:
+            solver.add_row(rows.get((b, key), {}), coeffs.get(key, _ZERO))
             if solver.inconsistent:
                 return None
     return solver.solve()

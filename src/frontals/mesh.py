@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .frontal import build_frontal
 from .maps import PolyMap
-from .poly import Poly, PolyError, _over_common_denominator
+from .poly import Poly, PolyError, _over_common_denominator, _unpacker
 from .scalars import ExtScalar, Scalar
 
 # largest grid resolution m accepted: the OBJ text grows as m^2
@@ -63,19 +63,22 @@ def build_obj(F: PolyMap, r: Fraction, m: int) -> str:
     degree = max(c.degree() for c in F.components)
     if degree > MAX_DEGREE:
         raise PolyError(f"mesh export needs a map of degree at most {MAX_DEGREE}, got {degree}")
+    # below MAX_DEGREE every rational component has its integer form
     tables = [_over_common_denominator(c.demote_rational()) for c in F.components]
     if not all(tables):
         raise PolyError("mesh export needs rational coefficients")
+    unpack = _unpacker(2)
     # grid coordinate i is -r + i*2r/m = grid[i] / q, and a component of
     # degree d with integer numerators over D is S / (D * q^d) at a grid
     # point, S an integer sum of numerators times powers of grid values
     grid = [(2 * i - m) * r.numerator for i in range(m + 1)]
     q = r.denominator * m
     components = []
-    for terms, den in tables:
-        deg = max((ex + ey for ex, ey in terms), default=0)
-        components.append(([(ex, ey, n * q ** (deg - ex - ey))
-                            for (ex, ey), n in terms.items()], den * q**deg))
+    for nums, den in tables:
+        terms = [(*unpack(key), n) for key, n in nums.items()]
+        deg = max((ex + ey for ex, ey, _ in terms), default=0)
+        components.append(([(ex, ey, n * q ** (deg - ex - ey)) for ex, ey, n in terms],
+                           den * q**deg))
     powers = [[a**e for e in range(max(degree, 0) + 1)] for a in grid]
     lines: list[str] = []
     for py in powers:

@@ -9,12 +9,27 @@ graded-lexicographic order, so canonical printing is deterministic and
 
 A polynomial over Q has a second, internal form: ``_ints = (nums, den)``,
 a table of nonzero integer numerators over one denominator ``den > 0``
-whose gcd with all the numerators is 1, so the form is unique.  Products,
-derivatives, jets, sums and negations of polynomials in that form are
-computed and returned in it, and the public ``terms`` table of Fractions
-is built from it only when something reads ``terms``, then kept; once
-built it equals ``nums[m] / den`` exactly, term by term.  A Poly built
-from Fractions gets its integer form on first use by a kernel
+whose gcd with all the numerators is 1, so the form is unique.  Its keys are
+packed monomials, one int each (after Monagan & Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007).  The layout is graded: exponent e_i of variable i sits in a field of
+FIELD_BITS bits, e_1 highest, and the total degree sits above all of them,
+
+    key = deg << (n * FIELD_BITS) | e_1 << ((n - 1) * FIELD_BITS) | ... | e_n,
+
+so the integer order of keys is graded-lexicographic order, the key of a
+product of monomials is the sum of their keys, and a key's degree is
+``key >> (n * FIELD_BITS)``.  No e_i exceeds the total degree, so a
+polynomial has an integer form only while its degree is below
+2**FIELD_BITS; then no field can overflow, in it or in a product whose
+degree stays below that bound.  A polynomial of higher degree, or a
+product that would reach it, keeps the Fraction table with exponent tuples
+(``_ints`` is False).  Products, derivatives, jets, sums, negations,
+scalings and substitutions of polynomials in integer form are computed and
+returned in it, and the public ``terms`` table of Fractions, keyed by
+exponent tuples, is built from it only when something reads ``terms``, then
+kept; once built it equals ``nums[key] / den`` exactly, term by term.  A
+Poly built from Fractions gets its integer form on first use by a kernel
 (`_over_common_denominator`), also kept.  ``ExtScalar`` polynomials have
 ``terms`` only.
 
@@ -33,14 +48,42 @@ as "-1*x", which re-parses under this grammar.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from fractions import Fraction
-from operator import add
-from typing import Iterable, Iterator, Sequence, Union
+from operator import add, mul
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .scalars import ExtField, ExtScalar, Scalar
 
 Exponents = tuple[int, ...]
+
+# bits of one exponent field of a packed monomial key (module docstring);
+# `_unpacker` reads the fields back as big-endian unsigned 16-bit integers
+FIELD_BITS = 16
+
+
+@functools.cache
+def _weights(n: int) -> tuple[int, ...]:
+    """The weights w_i of packed keys in n variables: the key of an exponent
+    tuple is the sum of e_i * w_i, and w_i is the key of the variable x_i."""
+    dshift = n * FIELD_BITS
+    return tuple((1 << dshift) + (1 << (dshift - (i + 1) * FIELD_BITS)) for i in range(n))
+
+
+@functools.cache
+def _unpacker(n: int) -> Callable[[int], Exponents]:
+    """The function from a packed key in n variables, of degree below
+    2**FIELD_BITS, back to its exponent tuple."""
+    # the degree field is skipped as padding
+    fields = struct.Struct(">" + "x" * (FIELD_BITS // 8) + "H" * n).unpack
+    size = (n + 1) * FIELD_BITS // 8
+
+    def unpack(key: int) -> Exponents:
+        return fields(key.to_bytes(size, "big"))
+
+    return unpack
 
 
 class PolyError(ValueError):
@@ -74,7 +117,7 @@ class Poly:
 
     # _terms is None on a Poly made in integer form until terms is read;
     # _ints is None until a kernel asks for it, False when a coefficient is
-    # not a Fraction
+    # not a Fraction or the degree is 2**FIELD_BITS or more
     __slots__ = ("vars", "_terms", "_ints")
 
     def __init__(self, vars: Sequence[str], terms: dict[Exponents, Scalar]):
@@ -94,12 +137,12 @@ class Poly:
 
     @classmethod
     def _raw(cls, vars: tuple[str, ...],
-             table: dict[Exponents, Scalar] | tuple[dict[Exponents, int], int]) -> "Poly":
+             table: dict[Exponents, Scalar] | tuple[dict[int, int], int]) -> "Poly":
         """Trusted constructor for results that are already canonical: a
         variable tuple, and either a term table whose coefficients are nonzero
-        Fractions or ExtScalars, or the integer form (nums, den) of the module
-        docstring.  The new Poly owns the table; its exponent tuples match
-        the variables."""
+        Fractions or ExtScalars, keyed by exponent tuples that match the
+        variables, or the integer form (nums, den) of the module docstring,
+        keyed by packed monomials.  The new Poly owns the table."""
         p = object.__new__(cls)
         _set_vars(p, vars)
         if type(table) is tuple:
@@ -116,10 +159,11 @@ class Poly:
         table = self._terms
         if table is None:
             nums, den = self._ints
+            unpack = _unpacker(len(self.vars))
             if den == 1:
-                table = {m: Fraction(n) for m, n in nums.items()}
+                table = {unpack(m): Fraction(n) for m, n in nums.items()}
             else:
-                table = {m: Fraction(n, den) for m, n in nums.items()}
+                table = {unpack(m): Fraction(n, den) for m, n in nums.items()}
             _set_terms(self, table)
         return table
 
@@ -130,11 +174,12 @@ class Poly:
 
     @classmethod
     def zero(cls, vars: Sequence[str]) -> "Poly":
-        return cls(vars, {})
+        return _monomial(cls(vars, {}), 0)
 
     @classmethod
     def const(cls, vars: Sequence[str], value: Union[int, Fraction, ExtScalar]) -> "Poly":
-        return cls(vars, {(0,) * len(tuple(vars)): value})
+        vs = tuple(vars)
+        return _monomial(cls(vs, {(0,) * len(vs): value}), 0)
 
     @classmethod
     def variable(cls, vars: Sequence[str], name: str) -> "Poly":
@@ -142,7 +187,7 @@ class Poly:
         if name not in vs:
             raise VariableMismatchError(f"unknown variable {name!r} (have {vs})")
         mono = tuple(1 if v == name else 0 for v in vs)
-        return cls(vs, {mono: Fraction(1)})
+        return _monomial(cls(vs, {mono: Fraction(1)}), _weights(len(vs))[vs.index(name)])
 
     # -- inspection ----------------------------------------------------------
 
@@ -151,35 +196,54 @@ class Poly:
         return not (ints[0] if ints else self._terms)
 
     def constant_term(self) -> Scalar:
-        zero = (0,) * len(self.vars)
         ints = self._ints
         if ints:
-            return Fraction(ints[0].get(zero, 0), ints[1])
-        return self._terms.get(zero, Fraction(0))
+            return Fraction(ints[0].get(0, 0), ints[1])
+        return self._terms.get((0,) * len(self.vars), Fraction(0))
 
     def coefficient(self, mono: Exponents) -> Scalar:
-        return self.terms.get(tuple(mono), Fraction(0))
+        mono = tuple(mono)
+        ints = self._ints
+        # only an exponent tuple of this arity has a packed key
+        if ints and len(mono) == len(self.vars) and min(mono, default=0) >= 0:
+            n = ints[0].get(sum(map(mul, mono, _weights(len(mono)))))
+            return Fraction(0) if n is None else Fraction(n, ints[1])
+        return self.terms.get(mono, Fraction(0))
 
     def degree(self) -> int:
         """Maximal total degree; -1 for the zero polynomial."""
+        ints = self._ints
+        if ints and ints[0]:
+            return max(ints[0]) >> len(self.vars) * FIELD_BITS
         if not self.terms:
             return -1
         return max(sum(m) for m in self.terms)
 
     def order(self) -> Union[int, float]:
         """Minimal total degree of a term; math.inf for the zero polynomial."""
+        ints = self._ints
+        if ints and ints[0]:
+            return min(ints[0]) >> len(self.vars) * FIELD_BITS
         if not self.terms:
             return math.inf
         return min(sum(m) for m in self.terms)
 
     def sorted_terms(self) -> Iterator[tuple[Exponents, Scalar]]:
-        terms = self.terms
+        ints = self._ints
+        if ints:
+            nums, den = ints
+            unpack = _unpacker(len(self.vars))
+            for key in sorted(nums, reverse=True):
+                yield unpack(key), Fraction(nums[key], den)
+            return
+        terms = self._terms
         for mono in _grlex_descending(terms):
             yield mono, terms[mono]
 
     def is_rational(self) -> bool:
         """True when every coefficient lies in Q (extension residues of degree 0 count)."""
-        return all(not isinstance(c, ExtScalar) or c.is_rational() for c in self.terms.values())
+        return bool(self._ints) or all(
+            not isinstance(c, ExtScalar) or c.is_rational() for c in self._terms.values())
 
     def demote_rational(self) -> "Poly":
         """Convert degree-0 extension coefficients back to plain Fractions."""
@@ -264,6 +328,10 @@ class Poly:
         if not c:
             return Poly.zero(self.vars)
         # both coefficient rings are fields: a nonzero times a nonzero is nonzero
+        ints = type(c) is Fraction and _over_common_denominator(self)
+        if ints:
+            n, d = c.as_integer_ratio()
+            return _lowest(self.vars, {m: v * n for m, v in ints[0].items()}, ints[1] * d)
         return Poly._raw(self.vars, {m: c * v for m, v in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "Poly":
@@ -290,11 +358,15 @@ class Poly:
         # collects or vanishes
         ints = _over_common_denominator(self)
         if ints:
-            nums: dict[Exponents, int] = {}
-            for mono, n in ints[0].items():
-                e = mono[idx]
+            # e_idx sits in field idx; dividing by the variable subtracts its key
+            shift = (len(self.vars) - 1 - idx) * FIELD_BITS
+            mask = (1 << FIELD_BITS) - 1
+            step = _weights(len(self.vars))[idx]
+            nums: dict[int, int] = {}
+            for key, n in ints[0].items():
+                e = key >> shift & mask
                 if e:
-                    nums[mono[:idx] + (e - 1,) + mono[idx + 1 :]] = n * e
+                    nums[key - step] = n * e
             return _lowest(self.vars, nums, ints[1])
         out: dict[Exponents, Scalar] = {}
         for mono, coeff in self._terms.items():
@@ -336,9 +408,16 @@ class Poly:
                 cache[e] = sq if e % 2 == 0 else cut(sq * images[i])
             return cache[e]
 
-        zero_mono = (0,) * len(target_vars)
-        for mono, coeff in self.terms.items():
-            term = Poly._raw(target_vars, {zero_mono: coeff})
+        ints = _over_common_denominator(self)
+        if ints:
+            unpack = _unpacker(len(self.vars))
+            consts = ((unpack(key), _lowest(target_vars, {0: n}, ints[1]))
+                      for key, n in ints[0].items())
+        else:
+            zero_mono = (0,) * len(target_vars)
+            consts = ((mono, Poly._raw(target_vars, {zero_mono: coeff}))
+                      for mono, coeff in self._terms.items())
+        for mono, term in consts:
             for i, e in enumerate(mono):
                 if e:
                     term = cut(term * image_power(i, e))
@@ -367,8 +446,9 @@ class Poly:
             raise PolyError(f"jet order must be >= 0, got {k}")
         ints = self._ints
         if ints:
-            return _lowest(self.vars, {m: n for m, n in ints[0].items() if sum(m) <= k},
-                           ints[1])
+            limit = (k + 1) << len(self.vars) * FIELD_BITS
+            nums = {m: n for m, n in ints[0].items() if m < limit}
+            return self if len(nums) == len(ints[0]) else _lowest(self.vars, nums, ints[1])
         return Poly._raw(self.vars, {m: c for m, c in self._terms.items() if sum(m) <= k})
 
     # -- printing --------------------------------------------------------------
@@ -398,7 +478,7 @@ class Poly:
         return q < 0, "*".join([str(abs(q))] + factors)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if self.is_zero():
             return "0"
         pieces: list[str] = []
         for mono, coeff in self.sorted_terms():
@@ -423,25 +503,60 @@ class Poly:
 _set_vars, _set_terms, _set_ints = (Poly.__dict__[name].__set__ for name in Poly.__slots__)
 
 
-def _over_common_denominator(p: Poly) -> tuple[dict[Exponents, int], int] | bool:
+def _monomial(p: Poly, key: int) -> Poly:
+    """p, a Poly of at most one term, whose monomial packs to key, with its
+    integer form set when it is zero or its coefficient is a Fraction."""
+    coeffs = list(p._terms.values())
+    if not coeffs:
+        _set_ints(p, ({}, 1))
+    elif type(coeffs[0]) is Fraction:
+        n, d = coeffs[0].as_integer_ratio()
+        _set_ints(p, ({key: n}, d))
+    return p
+
+
+def _over_common_denominator(p: Poly) -> tuple[dict[int, int], int] | bool:
     """The integer form (nums, den) of p, or False when a coefficient is not
-    a Fraction.  Worked out from the terms at most once per Poly, then kept."""
+    a Fraction or the degree is 2**FIELD_BITS or more.  Worked out from the
+    terms at most once per Poly, then kept."""
     ints = p._ints
     if ints is None:
         coeffs = p._terms.values()
+        ints = False
         if all(type(c) is Fraction for c in coeffs):
+            n = len(p.vars)
+            weights = _weights(n)
             ratios = [c.as_integer_ratio() for c in coeffs]
             # each coefficient is in lowest terms, so no prime of den divides
             # every numerator: the form is already reduced
             den = math.lcm(*[d for _, d in ratios])
-            ints = {m: n * (den // d) for m, (n, d) in zip(p._terms, ratios)}, den
-        else:
-            ints = False
+            nums = {sum(map(mul, m, weights)): num * (den // d)
+                    for m, (num, d) in zip(p._terms, ratios)}
+            # an exponent of 2**FIELD_BITS or more carries into the degree
+            # field, so the largest key is below the limit exactly when
+            # every field holds its exponent
+            if not nums or max(nums) < 1 << (n + 1) * FIELD_BITS:
+                ints = nums, den
         _set_ints(p, ints)
     return ints
 
 
-def _lowest(vars: tuple[str, ...], nums: dict[Exponents, int], den: int) -> Poly:
+def _packed_terms(p: Poly) -> dict[int, Scalar]:
+    """The coefficients of p keyed by packed monomials, in the order of its
+    term table.  Below degree 2**FIELD_BITS a key is exact.  The key of a
+    monomial of higher degree has a degree field, key >> (n * FIELD_BITS),
+    of at least that degree, and may stand for other such monomials."""
+    ints = p._ints
+    if ints:
+        nums, den = ints
+        if den == 1:
+            return {m: Fraction(n) for m, n in nums.items()}
+        return {m: Fraction(n, den) for m, n in nums.items()}
+    weights = _weights(len(p.vars))
+    return {sum(map(mul, m, weights)): c for m, c in p.terms.items()}
+
+
+def _lowest(vars: tuple[str, ...], nums: dict[int, int], den: int) -> Poly:
     """The Poly of nonzero numerators nums over den > 0, with their common
     factor with den divided out."""
     if den != 1:
@@ -457,9 +572,11 @@ def sum_of_products(vars: Sequence[str], pairs: Iterable[tuple[Poly, Poly]]) -> 
 
     Over Q every operand is taken in integer form, and each pair's numerators
     are brought to the common denominator D of all pair products; the loop
-    then adds plain int products, and the result is returned in integer form
-    over D with the common factor divided out.  With an ExtScalar
-    coefficient anywhere, the same loop runs on the coefficients as they are.
+    then adds plain int products under the sum of two packed keys, and the
+    result is returned in integer form over D with the common factor divided
+    out.  With an ExtScalar coefficient anywhere, or a pair product of degree
+    2**FIELD_BITS or more, the same loop runs on the Fraction or ExtScalar
+    coefficients under exponent tuples.
     """
     vs = tuple(vars)
     pairs = list(pairs)
@@ -467,27 +584,33 @@ def sum_of_products(vars: Sequence[str], pairs: Iterable[tuple[Poly, Poly]]) -> 
         if a.vars != vs or b.vars != vs:
             raise VariableMismatchError(
                 f"mismatched variable lists {a.vars} * {b.vars}, expected {vs}")
+    out: dict = {}
+    get = out.get
     integral = [(_over_common_denominator(a), _over_common_denominator(b)) for a, b in pairs]
     if all(ia and ib for ia, ib in integral):
         integral = [(ia, ib) for ia, ib in integral if ia[0] and ib[0]]
-        den = math.lcm(*(da * db for (_, da), (_, db) in integral))
-        tables = [(ta.items() if den == da * db
-                   else [(m, v * (den // (da * db))) for m, v in ta.items()], tb.items())
-                  for (ta, da), (tb, db) in integral]
-    else:
-        den = None
-        tables = [(ta.items(), tb.items()) for ta, tb in ((a.terms, b.terms) for a, b in pairs)
-                  if ta and tb]
-    out: dict = {}
-    get = out.get
-    for ta, tb in tables:
-        for ma, ca in ta:
-            for mb, cb in tb:
+        # the product of the largest keys has the largest degree, below
+        # 2**FIELD_BITS exactly when it is below the limit
+        limit = 1 << (len(vs) + 1) * FIELD_BITS
+        if all(max(ta) + max(tb) < limit for (ta, _), (tb, _) in integral):
+            den = math.lcm(*(da * db for (_, da), (_, db) in integral))
+            for (ta, da), (tb, db) in integral:
+                scale = den // (da * db)
+                for ka, ca in ta.items():
+                    if scale != 1:
+                        ca *= scale
+                    for kb, cb in tb.items():
+                        key = ka + kb
+                        prev = get(key)
+                        out[key] = ca * cb if prev is None else prev + ca * cb
+            return _lowest(vs, {m: v for m, v in out.items() if v}, den)
+    for ta, tb in ((a.terms, b.terms) for a, b in pairs):
+        for ma, ca in ta.items():
+            for mb, cb in tb.items():
                 mono = tuple(map(add, ma, mb))
                 prev = get(mono)
                 out[mono] = ca * cb if prev is None else prev + ca * cb
-    table = {m: v for m, v in out.items() if v}
-    return Poly._raw(vs, table) if den is None else _lowest(vs, table, den)
+    return Poly._raw(vs, {m: v for m, v in out.items() if v})
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +672,18 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _term_count(p: Poly) -> int:
+    ints = p._ints
+    return len(ints[0]) if ints else len(p.terms)
+
+
 def _height(p: Poly) -> int:
     """Bit height of p over one common denominator D: the bits of D or of the
     largest integer numerator, extension residues included, if that is more."""
+    ints = p._ints
+    if ints:
+        nums, den = ints
+        return max(den.bit_length(), max(map(abs, nums.values()), default=0).bit_length())
     pairs = [(c.nums, c.den) if isinstance(c, ExtScalar) else ((c.numerator,), c.denominator)
              for c in p.terms.values()]
     den = math.lcm(*[d for _, d in pairs])
@@ -622,8 +754,9 @@ class _Parser:
                 rhs, rhs_height = self.parse_factor()
                 # each coefficient sums at most min(t_a, t_b) products of the
                 # numerators over the product of the two denominators
-                pairs = min(len(result.terms), len(rhs.terms))
-                self.check_terms("product", tok, len(result.terms) * len(rhs.terms),
+                ta, tb = _term_count(result), _term_count(rhs)
+                pairs = min(ta, tb)
+                self.check_terms("product", tok, ta * tb,
                                  result.degree() + rhs.degree(),
                                  _known_height(result, height) + _known_height(rhs, rhs_height)
                                  + (pairs * self.fold).bit_length())
@@ -651,10 +784,10 @@ class _Parser:
             exponent = int(exp_tok.text)
             if exponent > MAX_EXPONENT:
                 raise PolyParseError(f"exponent above {MAX_EXPONENT}", exp_tok.pos)
-            if base.terms:
+            t = _term_count(base)
+            if t:
                 # one term per multiset of e of the t terms of the base; the
                 # numerators of p^e are at most (t * fold * 2^H(p))^e
-                t = len(base.terms)
                 self.check_terms("power", tok, math.comb(t + exponent - 1, exponent),
                                  exponent * base.degree(),
                                  exponent * (_known_height(base, height)
@@ -740,18 +873,10 @@ def parse_poly(text: str, vars: Sequence[str], field: ExtField | None = None) ->
 
 def monomials_up_to(vars: Sequence[str], k: int) -> list[Exponents]:
     """All exponent tuples of total degree <= k, ascending graded-lex order."""
-    vs = tuple(vars)
-    n = len(vs)
-    out: list[Exponents] = []
-
-    def rec(prefix: list[int], remaining: int, pos: int) -> None:
-        if pos == n:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            prefix.append(e)
-            rec(prefix, remaining - e, pos + 1)
-            prefix.pop()
-
-    rec([], k, 0)
-    return sorted(out, key=lambda m: (sum(m), m))
+    # by_degree[d] lists the tuples of degree d over the variables added so
+    # far, in lex order; each round puts one more variable in front
+    by_degree: list[list[Exponents]] = [[()]] + [[] for _ in range(k)]
+    for _ in vars:
+        by_degree = [[(e,) + rest for e in range(d + 1) for rest in by_degree[d - e]]
+                     for d in range(k + 1)]
+    return [mono for level in by_degree for mono in level]

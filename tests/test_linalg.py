@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frontals.linalg import SparseSolver, jet_rows, jet_solve
-from frontals.poly import monomials_up_to, parse_poly
+from frontals.poly import FIELD_BITS, monomials_up_to, parse_poly
 from frontals.scalars import ExtField
 
 XY = ("x", "y")
@@ -46,6 +46,17 @@ def test_jet_solve_solution_inconsistency_and_truncated_rhs():
     assert jet_solve(2, monos, [parse_poly("x^2", vs)], unknowns) is None
     # the x^3 of the right-hand side lies beyond the 2-jet: zero solves it
     assert jet_solve(2, monos, [parse_poly("x^3", vs)], unknowns) == {}
+
+
+def test_jet_systems_refuse_degrees_past_the_packed_keys():
+    # the rows are keyed by packed monomials, exact below degree 2**FIELD_BITS
+    vs = ("x",)
+    x = parse_poly("x", vs)
+    with pytest.raises(ValueError):
+        jet_rows(2**FIELD_BITS, [((0,), (x,))])
+    with pytest.raises(ValueError):
+        jet_solve(2, [(0,), (2**FIELD_BITS,)], [x], [((0,), (x,))])
+    assert jet_rows(2**FIELD_BITS - 1, [((0,), (x,))]) == {(0, (1,)): {0: Fraction(1)}}
 
 
 # -- SparseSolver ----------------------------------------------------------

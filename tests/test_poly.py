@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frontals.poly import (
+    FIELD_BITS,
     MAX_COEFF_BITS,
     MAX_EXPONENT,
     MAX_NESTING,
@@ -19,6 +21,7 @@ from frontals.poly import (
     monomials_up_to,
     parse_poly,
     _height,
+    _over_common_denominator,
     _Parser,
     _tokenize,
     sum_of_products,
@@ -468,6 +471,15 @@ def reference_jet(a: dict, order: int) -> dict:
     return {(m, j): q for (m, j), q in a.items() if sum(m) <= order}
 
 
+def unpacked(key: int, n: int) -> tuple[int, ...]:
+    """The exponent tuple of a packed key: fields of FIELD_BITS bits, e_1
+    highest, under a top field that holds the total degree."""
+    mask = (1 << FIELD_BITS) - 1
+    exponents = tuple(key >> (n - 1 - i) * FIELD_BITS & mask for i in range(n))
+    assert key >> n * FIELD_BITS == sum(exponents)
+    return exponents
+
+
 def assert_canonical(p: Poly, rational: bool) -> None:
     ints = p._ints
     if ints:
@@ -475,7 +487,7 @@ def assert_canonical(p: Poly, rational: bool) -> None:
         nums, den = ints
         assert den > 0 and all(nums.values())
         assert math.gcd(den, *nums.values()) == 1
-        assert p.terms == {m: Fraction(n, den) for m, n in nums.items()}
+        assert p.terms == {unpacked(m, len(p.vars)): Fraction(n, den) for m, n in nums.items()}
     assert all(p.terms.values())
     if rational:
         assert all(type(c) is Fraction and math.gcd(c.numerator, c.denominator) == 1
@@ -535,6 +547,20 @@ def test_kernel_matches_reference(operands):
         assert_canonical(result, rational)
 
 
+def test_scale_substitute_and_degree_in_integer_form():
+    p = P("2/3*x^2*y - 5/7*y + 1")
+    q = p.scale(Fraction(-7, 4))
+    s = p.substitute([P("x + y"), P("2/3*y")], jet=2)
+    # each result is in integer form, with no Fraction table built
+    assert all(r._ints and r._terms is None for r in (p, q, s))
+    assert q == P("-7/6*x^2*y + 5/4*y - 7/4") and q.scale(Fraction(-4, 7)) == p
+    assert s == P("-10/21*y + 1")
+    assert p.scale(0).is_zero() and p.scale(1) == p
+    zero = p - p
+    assert zero._ints and zero.degree() == -1 and zero.order() == math.inf
+    assert p.degree() == 3 and p.order() == 0 and (p - P("1")).order() == 1
+
+
 def test_kernel_rejects_mismatched_variables():
     p = parse_poly("x + y", XY)
     q = parse_poly("x + z", ("x", "z"))
@@ -553,3 +579,104 @@ def test_sum_of_products_of_nothing_is_zero():
 def test_sum_of_products_over_mixed_denominators():
     pairs = [(P("1/2*x"), P("y")), (P("1/3*x"), P("1/5*y + 1")), (P("x"), P("y"))]
     assert sum_of_products(XY, pairs) == P("47/30*x*y + 1/3*x")
+
+
+# -- packed keys at the field width ----------------------------------------
+#
+# A polynomial has an integer form only below degree 2**FIELD_BITS; products
+# that reach that degree take the Fraction loop on exponent tuples.
+
+XYZ = ("x", "y", "z")
+TOP = 2**FIELD_BITS
+
+
+def boundary_products() -> list[tuple[Poly, Poly]]:
+    """Pairs of factors whose products have degrees on both sides of TOP."""
+    x, z = Poly.variable(XYZ, "x"), Poly.variable(XYZ, "z")
+    half = 2 ** (FIELD_BITS - 1)
+    mixed = Poly(XYZ, {(TOP - 3, 1, 0): Fraction(2, 3), (0, 0, TOP - 2): Fraction(-5),
+                       (1, 1, 1): Fraction(1, 7)})
+    quadratic = Poly(XYZ, {(1, 1, 0): Fraction(1), (0, 0, 2): Fraction(-3, 2),
+                           (0, 1, 0): Fraction(1), (0, 0, 0): Fraction(1)})
+    linear = Poly(XYZ, {(0, 1, 0): Fraction(1, 2), (0, 0, 0): Fraction(3)})
+    return [
+        (x ** (TOP - 1), x),                   # degree TOP, one term
+        (x ** (TOP - 2), x),                   # degree TOP - 1
+        (x ** half, x ** half),                # degree TOP
+        (x ** (half - 1), x ** half),          # degree TOP - 1
+        (mixed, quadratic),                    # degree TOP, in all three fields
+        (mixed, linear),                       # degree TOP - 1
+        (mixed, z.scale(Fraction(-2, 5))),     # degree TOP - 1
+        (mixed.diff("x"), quadratic),          # degree TOP - 1
+    ]
+
+
+def test_products_at_the_field_width():
+    other = parse_poly("1/2*x - y*z + 3", XYZ)
+    assert other._ints
+    ro = to_reference(other)
+    for a, b in boundary_products():
+        product = a * b
+        ref = reference_mul(to_reference(a), to_reference(b), 1)
+        degree = max(sum(m) for m, _ in ref)
+        assert degree in (TOP - 1, TOP) and product.degree() == degree
+        derived = [(product, ref)]
+        derived += [(product.diff(v), reference_diff(ref, i)) for i, v in enumerate(XYZ)]
+        derived += [(product.jet(k), reference_jet(ref, k)) for k in (2, TOP - 2, TOP - 1, TOP)]
+        derived += [(product + other, reference_add(ref, ro)),
+                    (other + product, reference_add(ro, ref)),
+                    (product - other, reference_add(ref, ro, -1)),
+                    (product * other, reference_mul(ref, ro, 1)),
+                    (other * product, reference_mul(ro, ref, 1))]
+        for result, reference in derived:
+            expect = Poly(XYZ, from_reference(reference, 1))
+            assert result == expect and hash(result) == hash(expect)
+            assert expect == result
+            assert to_reference(result) == reference
+            # the integer form exists exactly below degree TOP
+            assert (_over_common_denominator(result) is False) == (result.degree() >= TOP)
+            assert (_over_common_denominator(expect) is False) == (expect.degree() >= TOP)
+            assert_canonical(result, True)
+
+
+def test_nested_powers_past_the_field_width():
+    p = parse_poly("((x^100)^100)^100", XYZ)
+    assert p == Poly(XYZ, {(10**6, 0, 0): 1}) and str(p) == "x^1000000"
+    assert p.degree() == p.order() == 10**6
+    assert _over_common_denominator(p) is False
+    assert p.diff("x") == Poly(XYZ, {(10**6 - 1, 0, 0): 10**6})
+    assert p.jet(10**6 - 1).is_zero() and p.jet(10**6) == p
+    assert p * parse_poly("1/2*y - 1", XYZ) == Poly(XYZ, {(10**6, 1, 0): Fraction(1, 2),
+                                                          (10**6, 0, 0): -1})
+    assert str(parse_poly("2*((x^100)^100)^100 - (((x^10)^10)^100)^100 + z", XYZ)) == "x^1000000 + z"
+
+
+# -- fuzzing the expression grammar ------------------------------------------
+
+GRAMMAR_TOKENS = st.one_of(st.sampled_from([*"+-*^()/", "x", "y", "c", " "]),
+                           st.integers(0, 200).map(str))
+GRAMMAR_ATOMS = st.one_of(st.sampled_from(["x", "y", "c"]), st.integers(0, 200).map(str))
+
+
+def joined(inner):
+    return st.one_of(st.tuples(inner, st.sampled_from([*"+-*/^"]), inner).map("".join),
+                     inner.map("({})".format))
+
+
+# token strings drawn at random, and nested expressions over the same
+# tokens, which parse more often
+GRAMMAR_STRINGS = st.one_of(st.lists(GRAMMAR_TOKENS, max_size=30).map("".join),
+                            st.recursive(GRAMMAR_ATOMS, joined, max_leaves=16))
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=2))
+@given(GRAMMAR_STRINGS, st.sampled_from([None, 2, 3]))
+def test_parse_random_token_strings(text, k):
+    """Any token string parses to a Poly that prints and re-parses to
+    itself, or is refused with a PolyParseError."""
+    field = ExtField(k) if k else None
+    try:
+        p = parse_poly(text, XY, field)
+    except PolyParseError:
+        return
+    assert parse_poly(str(p), XY, field) == p

@@ -2,11 +2,22 @@
 
 Used for ranks of scalar matrices (corank, conormal independence, inverses in
 Q(6^(1/k))), and for the sparse jet-level systems of the local-algebra and
-ramification modules, built by `jet_rows`.  Rows are dicts keyed by integer
-column indices; column order is the integer order, which callers fix
-deterministically, so elimination and the extracted solutions are
-reproducible.  Rational rows are eliminated over the integers, and Fractions
-appear only in the values of `SparseSolver.solve()`.
+ramification modules, built by `jet_rows` and `jet_solve`.  Rows are dicts
+keyed by integer column indices; column order is the integer order, which
+callers fix deterministically, so elimination and the extracted solutions
+are reproducible.  Rational rows are eliminated over the integers, and
+Fractions appear only in the values of `SparseSolver.solve()`.
+
+The jet systems are integer rows: a polynomial over Q enters as the integer
+numerators of its packed form (`frontals.poly`), and its column is scaled by
+a multiple of its denominator, which moves no pivot and changes no rank.
+`jet_solve` builds its system one degree at a time.  Its unknowns arrive in
+nondecreasing order of a lower bound on the degree of their terms, and each
+is placed when the equations reach its bound: the equations of degree d
+involve only unknowns of bound <= d.  The equations enter in the order of
+the whole order-k system, so a solve that stops at an inconsistent equation
+of degree d makes the same solver calls and proves the same: the equations
+entered are rows of the whole system, which has no solution then.
 """
 
 from __future__ import annotations
@@ -14,16 +25,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import itemgetter, mul
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .poly import FIELD_BITS, Exponents, Poly, _packed_terms, _unpacker, _weights
+from .poly import FIELD_BITS, Exponents, Poly, _over_common_denominator, _unpacker, _weights
 from .scalars import ExtScalar, Scalar
 
 # one unknown: a monomial shift and the tuple of polynomials it multiplies
 Unknown = tuple[Exponents, tuple[Poly, ...]]
+# one unknown of `jet_solve`: a bound on its degree, its column, then as above
+Streamed = tuple[int, int, Exponents, tuple[Poly, ...]]
+# the terms of one polynomial as (degree, packed key, numerator), by degree
+Terms = list[tuple[int, int, Scalar]]
 
 _ONE = Fraction(1)
-_ZERO = Fraction(0)
 
 
 class SparseSolver:
@@ -60,7 +74,7 @@ class SparseSolver:
         kinds = set(map(type, work.values()))
         kinds.add(type(rhs))
         exact = kinds <= _RATIONAL
-        if exact:
+        if exact and kinds != _INT:
             work, rhs = _scaled_to_integers(work, rhs)
         elif not kinds <= _SCALARS:
             bad = ", ".join(sorted(k.__name__ for k in kinds - _SCALARS))
@@ -109,6 +123,7 @@ class SparseSolver:
         return values
 
 
+_INT = frozenset((int,))
 _RATIONAL = frozenset((int, Fraction))
 _SCALARS = frozenset((int, Fraction, ExtScalar))
 
@@ -157,72 +172,150 @@ def scalar_rank(rows: Sequence[Sequence[Scalar]]) -> int:
 
 def jet_rows(k: int, unknowns: Sequence[Unknown]
              ) -> dict[tuple[int, Exponents], dict[int, Scalar]]:
-    """The k-jet equations of sum_c u_c * x^(m_c) * v_c over unknown scalars u_c.
+    """The k-jet equations of sum_c u_c * x^(m_c) * v_c over unknown scalars u_c,
+    scaled to integers.
 
     Unknown c is the pair (m_c, v_c) of a shift and a tuple of polynomials;
     entry b of the sum is sum_c u_c * x^(m_c) * v_c[b].  The row of (b, mono)
-    holds the coefficient of u_c at mono in entry b, for each c that reaches
-    it; terms of degree above k are dropped.  The order k must be below
+    holds, for each c that reaches it, the coefficient of u_c at mono in
+    entry b times L, the lcm of the denominators of all the polynomials: an
+    int over Q, an ExtScalar times L over Q(6^(1/k)).  Terms of degree above
+    k are dropped.  Every column is scaled by the same L, which is every row
+    times L, so rows of several calls can share one solver, with the rank
+    and pivots of the rational rows (`jet_solve`, one call per system,
+    scales each column by its own lcm).  The order k must be below
     2**FIELD_BITS.
     """
-    rows = _packed_rows(k, unknowns)
-    unpack = _unpacker(len(unknowns[0][0])) if unknowns else None
-    return {(b, unpack(key)): row for (b, key), row in rows.items()}
+    n = len(unknowns[0][0]) if unknowns else 0
+    builder = _RowBuilder(k, n)
+    distinct = {id(polys): polys for _, polys in unknowns}
+    scale = math.lcm(*(builder.column(polys)[2] for polys in distinct.values()))
+    builder.place(((c, shift, polys) for c, (shift, polys) in enumerate(unknowns)), scale)
+    unpack = _unpacker(n)
+    return {(b, unpack(key)): row for (b, key), row in builder.rows.items()}
 
 
-def _packed_rows(k: int, unknowns: Sequence[Unknown]
-                 ) -> dict[tuple[int, int], dict[int, Scalar]]:
-    """The rows of `jet_rows`, in the same order, keyed by the entry and the
-    packed monomial (see `frontals.poly`).  Every monomial of degree <= k
-    has an exact key."""
-    if k >= 1 << FIELD_BITS:
-        raise ValueError(f"jet order {k} is not below 2**{FIELD_BITS}")
-    rows: dict[tuple[int, int], dict[int, Scalar]] = {}
-    if not unknowns:
-        return rows
-    n = len(unknowns[0][0])
-    weights, dshift = _weights(n), n * FIELD_BITS
-    # each polynomial's terms once, by ascending degree (stable), keyed by id:
-    # the unknowns keep every polynomial alive for the whole call
-    by_degree: dict[int, list[tuple[int, int, Scalar]]] = {}
-    for c, (shift, polys) in enumerate(unknowns):
-        # the degree field of a shift's key is at least its degree
-        at = sum(map(mul, shift, weights))
-        room = k - (at >> dshift)
-        if room < 0:
-            continue
-        for b, p in enumerate(polys):
-            terms = by_degree.get(id(p))
-            if terms is None:
-                terms = by_degree[id(p)] = sorted(
-                    ((key >> dshift, key, coeff) for key, coeff in _packed_terms(p).items()),
-                    key=itemgetter(0))
-            for degree, key, coeff in terms:
-                if degree > room:
-                    break
-                rows.setdefault((b, at + key), {})[c] = coeff
-    return rows
+class _RowBuilder:
+    """The rows of one jet system, keyed by the entry and the packed monomial
+    (see `frontals.poly`), entered one unknown at a time.  Every monomial of
+    degree <= k has an exact key.  The terms of a tuple of polynomials are
+    worked out once and kept by the tuple's id, with the tuple, so that no id
+    is reused while the builder exists: unknowns that share a tuple share
+    the work."""
+
+    def __init__(self, k: int, n: int) -> None:
+        if k >= 1 << FIELD_BITS:
+            raise ValueError(f"jet order {k} is not below 2**{FIELD_BITS}")
+        self.k = k
+        self.weights, self.dshift = _weights(n), n * FIELD_BITS
+        self.rows: dict[tuple[int, int], dict[int, Scalar]] = {}
+        # column -> its scale, where the lcm of its denominators is not 1
+        self.scales: dict[int, int] = {}
+        self._columns: dict[int, tuple[tuple[Poly, ...], list[tuple[int, Terms, int]], int]] = {}
+
+    def column(self, polys: tuple[Poly, ...]
+               ) -> tuple[tuple[Poly, ...], list[tuple[int, Terms, int]], int]:
+        """polys; for each nonzero polynomial, its entry b, its terms by
+        ascending degree (stable) and its denominator, from its integer form
+        over Q, else from its coefficients over 1; and the lcm of the
+        denominators."""
+        entry = self._columns.get(id(polys))
+        if entry is None:
+            dshift, tables = self.dshift, []
+            for b, p in enumerate(polys):
+                nums, den = _integer_form(p, self.weights)
+                if nums:
+                    terms = sorted(((key >> dshift, key, num) for key, num in nums.items()),
+                                   key=itemgetter(0))
+                    tables.append((b, terms, den))
+            entry = self._columns[id(polys)] = (polys, tables, math.lcm(*(d for *_, d in tables)))
+        return entry
+
+    def place(self, unknowns: Iterable[tuple[int, Exponents, tuple[Poly, ...]]],
+              scale: int = 0) -> None:
+        """Enter the entries of each unknown (c, m_c, v_c), up to degree k, in
+        column c: x^(m_c) times each polynomial of v_c, scaled to integers
+        over Q by scale, a multiple of every denominator, or when 0 by the
+        lcm of the denominators of v_c, which is kept in `scales`."""
+        columns, weights, dshift, k, rows = (
+            self._columns, self.weights, self.dshift, self.k, self.rows)
+        for column, shift, polys in unknowns:
+            _, tables, lcm = columns.get(id(polys)) or self.column(polys)
+            if not tables:
+                continue
+            if not scale and lcm != 1:
+                self.scales[column] = lcm
+            at = sum(map(mul, shift, weights))
+            # the degree field of a shift's key is at least its degree
+            room = k - (at >> dshift)
+            for b, terms, den in tables:
+                factor = (scale or lcm) // den
+                for degree, key, num in terms:
+                    if degree > room:
+                        break
+                    rows.setdefault((b, at + key), {})[column] = num if factor == 1 else num * factor
+
+
+def _integer_form(p: Poly, weights: tuple[int, ...]) -> tuple[dict[int, Scalar], int]:
+    """p's coefficients under packed keys, as integer numerators over its
+    denominator when p is over Q, else as they are over 1.  Below degree
+    2**FIELD_BITS a key is exact; above, its degree field, key >> (n *
+    FIELD_BITS), is at least the degree, so a jet still drops the term."""
+    ints = _over_common_denominator(p)
+    if ints:
+        return ints
+    return {sum(map(mul, m, weights)): c for m, c in p.terms.items()}, 1
 
 
 def jet_solve(k: int, monos: Sequence[Exponents], rhs: Sequence[Poly],
-              unknowns: Sequence[Unknown]) -> dict[int, Scalar] | None:
+              unknowns: Iterable[Streamed]) -> dict[int, Scalar] | None:
     """Solve jet_k(sum_c u_c * x^(m_c) * v_c) = rhs entrywise for the u_c.
 
-    The equations enter in (entry, monomial) order, monomials in the order of
-    `monos`; returns None at the first inconsistent one, else `solve()`.
-    Like k, every monomial must have a degree below 2**FIELD_BITS.
+    Each unknown is streamed as (bound, c, m_c, v_c): its column c, and a
+    lower bound on the degree of every term of x^(m_c) * v_c, in
+    nondecreasing order of bound (an unknown of bound above k adds nothing
+    and may be left out).  The equations enter in (entry, monomial) order,
+    monomials in the order of `monos`.  An unknown is pulled from the stream,
+    and its entries placed, when the first equation of degree >= its bound
+    is reached, which is enough: the equations of degree d involve only
+    unknowns of bound <= d.  Returns None at the first inconsistent
+    equation, so that the unknowns of higher bound are never pulled, else
+    the values of `solve()`.  Like k, every monomial must have a degree
+    below 2**FIELD_BITS.
+
+    The equations are integer rows: column c is scaled by D_c, the lcm of
+    the denominators of v_c, and the right-hand sides by L, the lcm of
+    theirs, so u_c = v_c * D_c / L for the solution v of the integer system.
     """
-    rows = _packed_rows(k, unknowns)
     n = len(monos[0]) if monos else 0
-    weights = _weights(n)
+    builder = _RowBuilder(k, n)
+    weights, dshift = builder.weights, builder.dshift
     keys = [sum(map(mul, mono, weights)) for mono in monos]
-    if keys and max(keys) >> (n + 1) * FIELD_BITS:
+    if keys and max(keys) >> dshift + FIELD_BITS:
         raise ValueError(f"a monomial is not of degree below 2**{FIELD_BITS}")
-    solver = SparseSolver()
-    for b, target in enumerate(rhs):
-        coeffs = _packed_terms(target)
-        for key in keys:
-            solver.add_row(rows.get((b, key), {}), coeffs.get(key, _ZERO))
+    targets = [_integer_form(p, weights) for p in rhs]
+    lcm = math.lcm(*(den for _, den in targets))
+    stream = iter(unknowns)
+    pending = next(stream, None)
+    levels = [(key, min(key >> dshift, k)) for key in keys]
+    rows, solver = builder.rows, SparseSolver()
+    for b, (coeffs, den) in enumerate(targets):
+        factor = lcm // den
+        for key, degree in levels:
+            if pending is not None and pending[0] <= degree:
+                batch = []
+                while pending is not None and pending[0] <= degree:
+                    batch.append(pending[1:])
+                    pending = next(stream, None)
+                builder.place(batch)
+            value = coeffs.get(key, 0)
+            solver.add_row(rows.pop((b, key), {}), value if factor == 1 else value * factor)
             if solver.inconsistent:
                 return None
-    return solver.solve()
+    values = solver.solve()
+    scales = builder.scales
+    for c, v in values.items():
+        scale = scales.get(c, 1)
+        if scale != lcm:
+            values[c] = v * Fraction(scale, lcm)
+    return values

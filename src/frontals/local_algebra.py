@@ -44,7 +44,7 @@ from typing import Iterator
 
 from .linalg import SparseSolver, jet_rows
 from .maps import PolyMap, _jacobian_at_zero
-from .poly import Poly, PolyError, monomials_up_to
+from .poly import FIELD_BITS, Poly, PolyError, _lowest, _over_common_denominator, monomials_up_to
 
 MAX_UNKNOWNS = 100_000
 
@@ -98,8 +98,15 @@ def _reduce_linear_part(f: PolyMap) -> tuple[list[int], list[Poly], list[Poly]]:
 
 
 def _by_degree(p: Poly) -> dict[int, Poly]:
-    """The nonzero homogeneous parts of p, keyed by degree."""
+    """The nonzero homogeneous parts of p, keyed by degree; over Q split in
+    the integer form by the degree field of its packed keys."""
+    ints = _over_common_denominator(p)
     parts: dict[int, dict] = {}
+    if ints:
+        dshift = len(p.vars) * FIELD_BITS
+        for key, num in ints[0].items():
+            parts.setdefault(key >> dshift, {})[key] = num
+        return {d: _lowest(p.vars, nums, ints[1]) for d, nums in parts.items()}
     for mono, coeff in p.terms.items():
         parts.setdefault(sum(mono), {})[mono] = coeff
     return {d: Poly._raw(p.vars, terms) for d, terms in parts.items()}
@@ -116,6 +123,7 @@ def _codimensions(f: PolyMap) -> Iterator[int]:
     pivots, heads, others = _reduce_linear_part(f)
     free = tuple(v for j, v in enumerate(vs) if j not in pivots)
     zero = Poly.zero(free)
+    nothing = (zero,)
     # x_(p_j) = psi_j on the zero set of h_j
     psis = [Poly.variable(vs, vs[p]) - h for p, h in zip(pivots, heads)]
     # x_p -> phi (0 at order 0), x_free -> x_free
@@ -128,8 +136,9 @@ def _codimensions(f: PolyMap) -> Iterator[int]:
             for p, image in zip(pivots, phi):
                 images[p] = image
             gs = [g.substitute(images, jet=k) for g in others]
-        parts = [_by_degree(g) for g in gs]
-        unknowns = [(m, (part.get(k - sum(m), zero),))
+        # one tuple per part, so that `jet_rows` reads each part once
+        parts = [{d: (part,) for d, part in _by_degree(g).items()} for g in gs]
+        unknowns = [(m, part.get(k - sum(m), nothing))
                     for m in (monomials_up_to(free, k - 1) if k else ())
                     for part in parts]
         for row in jet_rows(k, unknowns).values():

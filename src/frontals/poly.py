@@ -541,21 +541,6 @@ def _over_common_denominator(p: Poly) -> tuple[dict[int, int], int] | bool:
     return ints
 
 
-def _packed_terms(p: Poly) -> dict[int, Scalar]:
-    """The coefficients of p keyed by packed monomials, in the order of its
-    term table.  Below degree 2**FIELD_BITS a key is exact.  The key of a
-    monomial of higher degree has a degree field, key >> (n * FIELD_BITS),
-    of at least that degree, and may stand for other such monomials."""
-    ints = p._ints
-    if ints:
-        nums, den = ints
-        if den == 1:
-            return {m: Fraction(n) for m, n in nums.items()}
-        return {m: Fraction(n, den) for m, n in nums.items()}
-    weights = _weights(len(p.vars))
-    return {sum(map(mul, m, weights)): c for m, c in p.terms.items()}
-
-
 def _lowest(vars: tuple[str, ...], nums: dict[int, int], den: int) -> Poly:
     """The Poly of nonzero numerators nums over den > 0, with their common
     factor with den divided out."""

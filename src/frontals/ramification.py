@@ -20,12 +20,24 @@ bound on the unknowns equals the jet order, which makes jet feasibility
 exactly equivalent to solvability of the finite system.  MEMBER verdicts are
 always "modulo m^(k+1)": a finite-jet tool proves nothing about flat
 directions.
+
+Both systems are built one degree at a time (`linalg.jet_solve`).  Each
+unknown is streamed with a lower bound on the degree of its terms, in
+nondecreasing order: |m| + ord(row i of Jf) for the coefficient of x^m in
+a_i, |m| + ord(det(Jf)^2) for that of x^m in mu, and sum alpha_i * ord(f_i)
+for that of y^alpha in eta, which is exact because the coefficients form a
+field, so f^alpha is formed only when the stream reaches it and never when
+its k-jet is zero.  The solve stops at the first inconsistent equation, of
+some degree d <= k; the equations entered up to it are rows of the whole
+order-k system, so NOT-MEMBER-MOD-JET(k) is proved all the same, at the
+cost of the unknowns of bound <= d.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 from typing import Callable, Sequence, Union
 
 from .linalg import jet_solve
@@ -141,6 +153,14 @@ def _decide(k: int, unknown_count: int, unknown_cap: int,
     return MembershipVerdict(status=MEMBER, jet_order=k, certificate=cert)
 
 
+def _level(n: int, d: int) -> range:
+    """The indices of the monomials of degree d in `monomials_up_to` of n
+    variables (empty for d < 0)."""
+    if d < 0:
+        return range(0)
+    return range(comb(n + d - 1, n), comb(n + d, n))
+
+
 def _block(values: dict[int, Scalar], offset: int,
            vars: tuple[str, ...], monos: Sequence[Exponents]) -> Poly:
     """The polynomial whose coefficient at monos[t] is unknown offset + t."""
@@ -158,11 +178,19 @@ def gradient_module_membership(
     vs = f.source_vars
 
     def solve():
-        # unknown i*|monos| + t is the coefficient of monos[t] in a_i
+        # unknown i*|monos| + t is the coefficient of monos[t] in a_i; its
+        # terms x^m * (row i of Jf) have degree >= |m| + ord(row i)
         monos = monomials_up_to(vs, k)
         grads = [tuple(e.jet(k) for e in row) for row in jacobian_matrix(f).rows]
-        unknowns = [(m, grad) for grad in grads for m in monos]
-        values = jet_solve(k, monos, [d.jet(k) for d in differential(psi)], unknowns)
+        orders = [min(k + 1, *(e.order() for e in grad)) for grad in grads]
+
+        def unknowns():
+            for bound in range(k + 1):
+                for i, (grad, order) in enumerate(zip(grads, orders)):
+                    for t in _level(n, bound - order):
+                        yield bound, i * len(monos) + t, monos[t], grad
+
+        values = jet_solve(k, monos, [d.jet(k) for d in differential(psi)], unknowns())
         if values is None:
             return None
         witnesses = tuple(_block(values, i * len(monos), vs, monos) for i in range(n))
@@ -182,21 +210,39 @@ def jsq_plus_pullback_membership(
     tvs = _target_vars(vs)
 
     def solve():
-        # unknowns: mu's coefficients at monos, then eta's at target_monos;
-        # f^alpha = f^beta * f_i, with beta one degree lower and listed earlier
+        # unknowns: mu's coefficients at monos, then eta's at target_monos.
+        # x^m * jsq has degree >= |m| + ord(jsq), and f^alpha has order
+        # sum alpha_i * ord(f_i) exactly, as the coefficients form a field;
+        # f^alpha = f^beta * f_i, with beta one lower in the first nonzero
+        # alpha_i, so bound(beta) <= bound(alpha) and beta is listed earlier
         monos = monomials_up_to(vs, k)
         target_monos = monomials_up_to(tvs, k)
         jsq = (jacobian_det(f) ** 2).jet(k)
         comps = [comp.jet(k) for comp in f.components]
-        origin = (0,) * len(vs)
-        pulled = {origin: Poly.const(vs, 1)}
-        for alpha in target_monos[1:]:
-            i = next(i for i, e in enumerate(alpha) if e)
-            beta = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-            pulled[alpha] = (pulled[beta] * comps[i]).jet(k)
-        unknowns = [(m, (jsq,)) for m in monos]
-        unknowns += [(origin, (p,)) for p in pulled.values()]
-        values = jet_solve(k, monos, [psi.jet(k)], unknowns)
+        jsq_order = min(jsq.order(), k + 1)
+        origin = (0,) * n
+        orders = [min(comp.order(), k + 1) for comp in comps]
+        by_bound: list[list[int]] = [[] for _ in range(k + 1)]
+        for j, alpha in enumerate(target_monos):
+            bound = sum(map(mul, alpha, orders))
+            if bound <= k:
+                by_bound[bound].append(j)
+
+        def unknowns():
+            pulled = {origin: Poly.const(vs, 1)}
+            mu = (jsq,)
+            for bound, etas in enumerate(by_bound):
+                for t in _level(n, bound - jsq_order):
+                    yield bound, t, monos[t], mu
+                for j in etas:
+                    alpha = target_monos[j]
+                    if j:
+                        i = next(i for i, e in enumerate(alpha) if e)
+                        beta = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+                        pulled[alpha] = (pulled[beta] * comps[i]).jet(k)
+                    yield bound, len(monos) + j, origin, (pulled[alpha],)
+
+        values = jet_solve(k, monos, [psi.jet(k)], unknowns())
         if values is None:
             return None
         return PullbackCertificate(jet_order=k, psi=psi, germ=f, mu=_block(values, 0, vs, monos),

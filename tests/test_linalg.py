@@ -37,11 +37,57 @@ def test_jet_rows_drops_a_shift_beyond_the_order():
     assert jet_rows(1, [((2, 0), (x,)), ((0, 0), (x,))]) == {(0, (1, 0)): {1: Fraction(1)}}
 
 
+def test_jet_rows_scale_every_column_by_the_lcm_of_the_denominators():
+    p, q = parse_poly("1/2*x + 1/3*y", XY), parse_poly("2/5*x", XY)
+    unknowns = [((0, 0), (p,)), ((1, 0), (p,)), ((0, 0), (q,)), ((0, 1), (p, q))]
+    rows = jet_rows(2, unknowns)
+    # every row is the rational row times lcm(6, 5) = 30, in integers
+    assert rows == {
+        (0, (1, 0)): {0: 15, 2: 12},
+        (0, (0, 1)): {0: 10},
+        (0, (2, 0)): {1: 15},
+        (0, (1, 1)): {1: 10, 3: 15},
+        (0, (0, 2)): {3: 10},
+        (1, (1, 1)): {3: 12},
+    }
+    assert all(type(v) is int for row in rows.values() for v in row.values())
+    # the rows of the coefficients as Fractions have the same rank
+    rational: dict = {}
+    for c, (shift, polys) in enumerate(unknowns):
+        for b, poly in enumerate(polys):
+            for mono, coeff in poly.terms.items():
+                target = (shift[0] + mono[0], shift[1] + mono[1])
+                if sum(target) <= 2:
+                    rational.setdefault((b, target), {})[c] = coeff
+    assert rational.keys() == rows.keys()
+    ranks = []
+    for system in (rows, rational):
+        solver = SparseSolver()
+        for row in system.values():
+            solver.add_row(row)
+        ranks.append(solver.rank)
+    assert ranks[0] == ranks[1] == _dense_reference([(r, 0) for r in rational.values()], 4)[0]
+
+
+def test_jet_solve_unscales_columns_and_right_hand_sides():
+    # column c is solved over D_c, the lcm of its denominators, and the
+    # right-hand sides over theirs: u_c = v_c * D_c / L
+    vs = ("x",)
+    unknowns = [(1, 0, (0,), (parse_poly("1/2*x + 1/3*x^2", vs),)),
+                (2, 1, (1,), (parse_poly("2/5*x", vs),))]
+    rhs = [parse_poly("3/7*x + 1/4*x^2", vs)]
+    x = jet_solve(2, monomials_up_to(vs, 2), rhs, unknowns)
+    # x/2 * u0 = 3x/7 and x^2 * (u0/3 + 2*u1/5) = x^2/4
+    assert x == {0: Fraction(6, 7), 1: Fraction(-5, 56)}
+    assert all(type(v) is Fraction for v in x.values())
+
+
 def test_jet_solve_solution_inconsistency_and_truncated_rhs():
     vs = ("x",)
     x = parse_poly("x", vs)
     monos = monomials_up_to(vs, 2)
-    unknowns = [((0,), (x,))]
+    # (bound, column, shift, polynomials): x has degree >= 1
+    unknowns = [(1, 0, (0,), (x,))]
     assert jet_solve(2, monos, [parse_poly("3*x", vs)], unknowns) == {0: Fraction(3)}
     assert jet_solve(2, monos, [parse_poly("x^2", vs)], unknowns) is None
     # the x^3 of the right-hand side lies beyond the 2-jet: zero solves it
@@ -55,7 +101,7 @@ def test_jet_systems_refuse_degrees_past_the_packed_keys():
     with pytest.raises(ValueError):
         jet_rows(2**FIELD_BITS, [((0,), (x,))])
     with pytest.raises(ValueError):
-        jet_solve(2, [(0,), (2**FIELD_BITS,)], [x], [((0,), (x,))])
+        jet_solve(2, [(0,), (2**FIELD_BITS,)], [x], [(1, 0, (0,), (x,))])
     assert jet_rows(2**FIELD_BITS - 1, [((0,), (x,))]) == {(0, (1,)): {0: Fraction(1)}}
 
 

@@ -20,7 +20,7 @@ from frontals.corpus import a_k_front
 from frontals.linalg import SparseSolver
 from frontals.local_algebra import _codimensions, multiplicity
 from frontals.maps import PolyMap
-from frontals.poly import Poly, monomials_up_to
+from frontals.poly import Poly, monomials_up_to, parse_poly
 from frontals.ramification import (
     NOT_MEMBER_MOD_JET,
     gradient_module_membership,
@@ -128,7 +128,9 @@ def _jsq_feasible(sympy, psi: Poly, f: PolyMap, k: int) -> bool:
 
 def _membership_cases(seed: int):
     """Seeded 1- and 2-variable (psi, f, k), k <= 4; the first component of
-    every other germ starts at degree 2, so both verdicts occur."""
+    every other germ starts at degree 2, so both verdicts occur.  Last, a
+    germ with a constant term, whose component of order 0 gives bounds of
+    degree 0 in the degree-ordered systems."""
     rng = random.Random(seed)
     for t in range(14):
         n = rng.choice([1, 2])
@@ -138,6 +140,9 @@ def _membership_cases(seed: int):
             first = random_poly(rng, vs, 3, min_degree=2)
             f = PolyMap((first,) + f.components[1:])
         yield random_poly(rng, vs, 4, max_terms=3), f, rng.randint(1, 4)
+    unit = PolyMap.from_exprs(["1 + x^2 + x*y", "y"], VARSETS[2])
+    for text in ("x^2 + x*y + y^3", "x + y^2"):
+        yield parse_poly(text, VARSETS[2]), unit, 3
 
 
 @pytest.mark.parametrize("decide, oracle", [

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from frontals.maps import PolyMap, jacobian_det
-from frontals.poly import Poly, VariableMismatchError, parse_poly
+from frontals import linalg
+from frontals.linalg import SparseSolver
+from frontals.maps import PolyMap, differential, jacobian_det, jacobian_matrix
+from frontals.poly import Poly, VariableMismatchError, monomials_up_to, parse_poly
 from frontals.ramification import (
     NOT_MEMBER_MOD_JET,
     UNDECIDED,
@@ -17,6 +19,7 @@ from frontals.ramification import (
     gradient_module_membership,
     jsq_plus_pullback_membership,
 )
+from frontals.scalars import ExtField
 
 from helpers import VARSETS, random_origin_germ, random_poly
 
@@ -242,3 +245,161 @@ def test_member_verdicts_always_recheck():
         ):
             if verdict.is_member:
                 assert verdict.certificate.recheck()
+
+
+# -- systems built one degree at a time, against an eager reference -----------------
+
+
+def _eager_solve(k, monos, rhs, unknowns):
+    """The whole order-k system assembled at once, every row as Fractions (or
+    ExtScalars) read off the term tables, fed in (entry, monomial) order to a
+    fresh SparseSolver.  Returns the values of `solve()`, or None and the
+    degree of the first inconsistent equation."""
+    rows: dict = {}
+    for c, (shift, polys) in enumerate(unknowns):
+        for b, p in enumerate(polys):
+            for mono, coeff in p.terms.items():
+                target = tuple(s + e for s, e in zip(shift, mono))
+                if sum(target) <= k:
+                    rows.setdefault((b, target), {})[c] = coeff
+    solver = SparseSolver()
+    for b, target in enumerate(rhs):
+        for mono in monos:
+            solver.add_row(rows.get((b, mono), {}), target.coefficient(mono))
+            if solver.inconsistent:
+                return None, sum(mono)
+    return solver.solve(), None
+
+
+def _gradient_reference(psi, f, k):
+    monos = monomials_up_to(f.source_vars, k)
+    grads = [tuple(e.jet(k) for e in row) for row in jacobian_matrix(f).rows]
+    unknowns = [(m, grad) for grad in grads for m in monos]
+    return monos, [d.jet(k) for d in differential(psi)], unknowns
+
+
+def _jsq_reference(psi, f, k):
+    vs = f.source_vars
+    monos = monomials_up_to(vs, k)
+    jsq = (jacobian_det(f) ** 2).jet(k)
+    comps = [comp.jet(k) for comp in f.components]
+    unknowns = [(m, (jsq,)) for m in monos]
+    for alpha in monos:  # target monomials have the same exponents
+        power = Poly.const(vs, 1)
+        for comp, e in zip(comps, alpha):
+            power = (power * comp ** e).jet(k)
+        unknowns.append(((0,) * len(vs), (power,)))
+    return monos, [psi.jet(k)], unknowns
+
+
+def _lowest_degree(shift, polys):
+    return sum(shift) + min(p.order() for p in polys)
+
+
+def _compare_with_reference(monkeypatch, decide, reference, psi, f, k):
+    """Run one test with its stream checked, and compare its solve with the
+    eager reference; returns the obstruction degree, None for a member."""
+    seen: dict[int, int] = {}
+    solved: list = []
+
+    def checked(stream):
+        last = 0
+        for bound, column, shift, polys in stream:
+            # nondecreasing proven lower bounds, each column once, and no
+            # unknown without an entry in the k-jet, such as a zero power
+            assert last <= bound <= k and column not in seen
+            assert bound <= _lowest_degree(shift, polys) <= k
+            seen[column] = bound
+            last = bound
+            yield bound, column, shift, polys
+
+    def spy(k_, monos, rhs, unknowns):
+        solved.append(linalg.jet_solve(k_, monos, rhs, checked(unknowns)))
+        return solved[-1]
+
+    monkeypatch.setattr("frontals.ramification.jet_solve", spy)
+    verdict = decide(psi, f, k)
+    monkeypatch.undo()
+    monos, rhs, unknowns = reference(psi, f, k)
+    expected, obstruction = _eager_solve(k, monos, rhs, unknowns)
+    assert solved == [expected], (psi, f, k)
+    assert (verdict.status == NOT_MEMBER_MOD_JET) == (expected is None)
+    # an unknown left out of the stream has no entry in the equations that
+    # entered: all of them for a member, those up to the obstruction else
+    reach = k if obstruction is None else obstruction
+    for column, (shift, polys) in enumerate(unknowns):
+        if column not in seen:
+            assert _lowest_degree(shift, polys) > reach, (psi, f, k, column)
+    return obstruction
+
+
+def _streamed_cases(k):
+    """(psi, f) pairs of each kind the bounds must handle."""
+    rng = random.Random(4242)
+    for n in (1, 2, 3):
+        vs = VARSETS[n]
+        rest = list(vs[1:])
+        # df_1 = x^(k+1) dx up to a constant: the gradient test fails first
+        # at degree j for psi = x^(j+1)/5 plus a member part, j = 0..k
+        flat = PolyMap.from_exprs([f"2/3*x^{k + 2}"] + rest, vs)
+        for j in range(k + 1):
+            member_part = f" + 1/2*{vs[-1]}^2" if n > 1 else ""
+            yield parse_poly(f"1/5*x^{j + 1}{member_part}", vs), flat
+        # jet_k(det(Jf)^2) = 0 and f^*E_n holds no x^j below x^(k+1): the
+        # jsq test fails first at degree j, j = 1..k (the constant is eta's)
+        pure = PolyMap.from_exprs([f"x^{k + 1}"] + rest, vs)
+        for j in range(1, k + 1):
+            yield parse_poly(f"x^{j} - 3/7", vs), pure
+        for _ in range(4):
+            f = random_origin_germ(rng, n, 3)
+            eta, mu = random_poly(rng, vs, 2), random_poly(rng, vs, 2)
+            # members of both tests, then random psi
+            yield eta.substitute(list(f.components)) + mu * jacobian_det(f) ** 2, f
+            yield random_poly(rng, vs, 3), f
+    xy = ("x", "y")
+    # a constant term: ord(f_1) = 0, so eta's bounds in X are 0
+    unit = PolyMap.from_exprs(["1 + x^2 + x*y", "y"], xy)
+    for text in ("x^2 + x*y + y^3", "x + y^2", "x*y^2 - 2"):
+        yield parse_poly(text, xy), unit
+    line = PolyMap.from_exprs(["1 + x"], ("x",))  # every eta and mu_0 of bound 0
+    yield parse_poly("x^2 - 1/3", ("x",)), line
+    # a zero component: its bound is k + 1, and so is that of mu (det(Jf) = 0)
+    flat_y = PolyMap.from_exprs(["x^2", "0"], xy)
+    for text in ("x^3", "x + y", "y^2"):
+        yield parse_poly(text, xy), flat_y
+    # Q(6^(1/3))
+    ext = ExtField(3)
+    f = PolyMap.from_exprs(["1/2*x^2 + c*x*y", "y"], xy, ext)
+    for text in ("c^2*x^3 + y", "x + c*y^2", "(x + c*y)^2"):
+        yield parse_poly(text, xy, ext), f
+
+
+@pytest.mark.parametrize("decide, reference, first", [
+    (gradient_module_membership, _gradient_reference, 0),
+    (jsq_plus_pullback_membership, _jsq_reference, 1),
+])
+def test_streamed_systems_match_an_eager_reference(monkeypatch, decide, reference, first):
+    k = 4
+    obstructions = set()
+    for psi, f in _streamed_cases(k):
+        obstructions.add(_compare_with_reference(monkeypatch, decide, reference, psi, f, k))
+    assert obstructions >= set(range(first, k + 1)) | {None}, obstructions
+
+
+def test_a_low_obstruction_stops_the_system_early(monkeypatch):
+    # over the fold, x is in neither module at degree 1, so the jsq test
+    # forms no power of f beyond the first ones, whatever the jet order
+    f = PolyMap.from_exprs(["1/2*x^2 + x*y", "y"], ("x", "y"))
+    psi = parse_poly("x + y^2", ("x", "y"))
+    assert gradient_module_membership(psi, f, 60).status == NOT_MEMBER_MOD_JET
+    calls = []
+    product = Poly.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    verdict = jsq_plus_pullback_membership(psi, f, 60)
+    assert str(verdict) == "NOT-MEMBER-MOD-JET(60)"
+    assert len(calls) <= 8, len(calls)

@@ -8,16 +8,17 @@ callers fix deterministically, so elimination and the extracted solutions
 are reproducible.  Rational rows are eliminated over the integers, and
 Fractions appear only in the values of `SparseSolver.solve()`.
 
-The jet systems are integer rows: a polynomial over Q enters as the integer
-numerators of its packed form (`frontals.poly`), and its column is scaled by
-a multiple of its denominator, which moves no pivot and changes no rank.
-`jet_solve` builds its system one degree at a time.  Its unknowns arrive in
-nondecreasing order of a lower bound on the degree of their terms, and each
-is placed when the equations reach its bound: the equations of degree d
-involve only unknowns of bound <= d.  The equations enter in the order of
-the whole order-k system, so a solve that stops at an inconsistent equation
-of degree d makes the same solver calls and proves the same: the equations
-entered are rows of the whole system, which has no solution then.
+The jet systems are integer rows: a polynomial enters as the numerators of
+its packed form (`frontals.poly`), an ExtScalar where a power of c is left,
+and its column is scaled by a multiple of its denominator, which moves no
+pivot and changes no rank.  `jet_solve` builds its system one degree at a
+time.  Its unknowns arrive in nondecreasing order of a lower bound on the
+degree of their terms, and each is placed when the equations reach its
+bound: the equations of degree d involve only unknowns of bound <= d.  The
+equations enter in the order of the whole order-k system, so a solve that
+stops at an inconsistent equation of degree d makes the same solver calls
+and proves the same: the equations entered are rows of the whole system,
+which has no solution then.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Iterable, Mapping, Sequence
 
-from .poly import FIELD_BITS, Exponents, Poly, _over_common_denominator, _unpacker, _weights
+from .poly import FIELD_BITS, Exponents, Poly, _by_monomial, _unpacker, _weights
 from .scalars import ExtScalar, Scalar
 
 # one unknown: a monomial shift and the tuple of polynomials it multiplies
@@ -179,12 +180,13 @@ def jet_rows(k: int, unknowns: Sequence[Unknown]
     entry b of the sum is sum_c u_c * x^(m_c) * v_c[b].  The row of (b, mono)
     holds, for each c that reaches it, the coefficient of u_c at mono in
     entry b times L, the lcm of the denominators of all the polynomials: an
-    int over Q, an ExtScalar times L over Q(6^(1/k)).  Terms of degree above
-    k are dropped.  Every column is scaled by the same L, which is every row
-    times L, so rows of several calls can share one solver, with the rank
-    and pivots of the rational rows (`jet_solve`, one call per system,
-    scales each column by its own lcm).  The order k must be below
-    2**FIELD_BITS.
+    int, or an ExtScalar with integer numerators where a power of c is left
+    in it.  Terms
+    of degree above k are dropped.  Every column is scaled by the same L,
+    which is every row times L, so rows of several calls can share one
+    solver, with the rank and pivots of the rational rows (`jet_solve`, one
+    call per system, scales each column by its own lcm).  The order k must
+    be below 2**FIELD_BITS.
     """
     n = len(unknowns[0][0]) if unknowns else 0
     builder = _RowBuilder(k, n)
@@ -216,14 +218,13 @@ class _RowBuilder:
     def column(self, polys: tuple[Poly, ...]
                ) -> tuple[tuple[Poly, ...], list[tuple[int, Terms, int]], int]:
         """polys; for each nonzero polynomial, its entry b, its terms by
-        ascending degree (stable) and its denominator, from its integer form
-        over Q, else from its coefficients over 1; and the lcm of the
-        denominators."""
+        ascending degree (stable) and its denominator, from `_integer_form`;
+        and the lcm of the denominators."""
         entry = self._columns.get(id(polys))
         if entry is None:
             dshift, tables = self.dshift, []
             for b, p in enumerate(polys):
-                nums, den = _integer_form(p, self.weights)
+                nums, den = _integer_form(p)
                 if nums:
                     terms = sorted(((key >> dshift, key, num) for key, num in nums.items()),
                                    key=itemgetter(0))
@@ -256,15 +257,16 @@ class _RowBuilder:
                     rows.setdefault((b, at + key), {})[column] = num if factor == 1 else num * factor
 
 
-def _integer_form(p: Poly, weights: tuple[int, ...]) -> tuple[dict[int, Scalar], int]:
-    """p's coefficients under packed keys, as integer numerators over its
-    denominator when p is over Q, else as they are over 1.  Below degree
-    2**FIELD_BITS a key is exact; above, its degree field, key >> (n *
-    FIELD_BITS), is at least the degree, so a jet still drops the term."""
-    ints = _over_common_denominator(p)
-    if ints:
-        return ints
-    return {sum(map(mul, m, weights)): c for m, c in p.terms.items()}, 1
+def _integer_form(p: Poly) -> tuple[dict[int, Scalar], int]:
+    """p's numerators over its denominator, by packed monomial key: the
+    ints of its form over Q; over Q(c), for each monomial the numerators
+    that its c field splits off, as an ExtScalar over 1 when a power of c
+    is left, else as the int."""
+    nums, den = p._ints
+    if p.field is None:
+        return nums, den
+    return {key: ExtScalar._make(p.field, tuple(cs), 1) if any(cs[1:]) else cs[0]
+            for key, cs in _by_monomial(p).items()}, den
 
 
 def jet_solve(k: int, monos: Sequence[Exponents], rhs: Sequence[Poly],
@@ -293,7 +295,7 @@ def jet_solve(k: int, monos: Sequence[Exponents], rhs: Sequence[Poly],
     keys = [sum(map(mul, mono, weights)) for mono in monos]
     if keys and max(keys) >> dshift + FIELD_BITS:
         raise ValueError(f"a monomial is not of degree below 2**{FIELD_BITS}")
-    targets = [_integer_form(p, weights) for p in rhs]
+    targets = [_integer_form(p) for p in rhs]
     lcm = math.lcm(*(den for _, den in targets))
     stream = iter(unknowns)
     pending = next(stream, None)

@@ -44,7 +44,7 @@ from typing import Iterator
 
 from .linalg import SparseSolver, jet_rows
 from .maps import PolyMap, _jacobian_at_zero
-from .poly import FIELD_BITS, Poly, PolyError, _lowest, _over_common_denominator, monomials_up_to
+from .poly import FIELD_BITS, Poly, PolyError, _lowest, monomials_up_to
 
 MAX_UNKNOWNS = 100_000
 
@@ -98,18 +98,14 @@ def _reduce_linear_part(f: PolyMap) -> tuple[list[int], list[Poly], list[Poly]]:
 
 
 def _by_degree(p: Poly) -> dict[int, Poly]:
-    """The nonzero homogeneous parts of p, keyed by degree; over Q split in
-    the integer form by the degree field of its packed keys."""
-    ints = _over_common_denominator(p)
-    parts: dict[int, dict] = {}
-    if ints:
-        dshift = len(p.vars) * FIELD_BITS
-        for key, num in ints[0].items():
-            parts.setdefault(key >> dshift, {})[key] = num
-        return {d: _lowest(p.vars, nums, ints[1]) for d, nums in parts.items()}
-    for mono, coeff in p.terms.items():
-        parts.setdefault(sum(mono), {})[mono] = coeff
-    return {d: Poly._raw(p.vars, terms) for d, terms in parts.items()}
+    """The nonzero homogeneous parts of p, keyed by degree, split in its
+    packed form by the degree field of the keys."""
+    nums, den = p._ints
+    dshift, mask = len(p.vars) * FIELD_BITS, (1 << FIELD_BITS) - 1
+    parts: dict[int, dict[int, int]] = {}
+    for key, num in nums.items():
+        parts.setdefault(key >> dshift & mask, {})[key] = num
+    return {d: _lowest(p.vars, part, den, p.field) for d, part in parts.items()}
 
 
 def _codimensions(f: PolyMap) -> Iterator[int]:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .frontal import build_frontal
 from .maps import PolyMap
-from .poly import Poly, PolyError, _over_common_denominator, _unpacker
+from .poly import Poly, PolyError, _unpacker
 from .scalars import ExtScalar, Scalar
 
 # largest grid resolution m accepted: the OBJ text grows as m^2
@@ -63,10 +63,10 @@ def build_obj(F: PolyMap, r: Fraction, m: int) -> str:
     degree = max(c.degree() for c in F.components)
     if degree > MAX_DEGREE:
         raise PolyError(f"mesh export needs a map of degree at most {MAX_DEGREE}, got {degree}")
-    # below MAX_DEGREE every rational component has its integer form
-    tables = [_over_common_denominator(c.demote_rational()) for c in F.components]
-    if not all(tables):
+    if not F.is_rational():
         raise PolyError("mesh export needs rational coefficients")
+    # over Q the packed keys have no c field
+    tables = [c._ints for c in F.components]
     unpack = _unpacker(2)
     # grid coordinate i is -r + i*2r/m = grid[i] / q, and a component of
     # degree d with integer numerators over D is S / (D * q^d) at a grid

@@ -1,37 +1,38 @@
-"""Sparse multivariate polynomials over an exact coefficient field.
+"""Sparse multivariate polynomials over Q or Q(6^(1/k)), exact.
 
-A ``Poly`` is a fixed, ordered variable list plus a term table mapping
-exponent tuples to nonzero coefficients (``Fraction`` or ``ExtScalar``).
-Every operation is exact; there is no floating point anywhere.  Terms are
-kept canonical (no zero coefficients) and printed in descending
-graded-lexicographic order, so canonical printing is deterministic and
+A ``Poly`` is a fixed, ordered variable list, a coefficient field ``field``
+(None for Q, else the ``ExtField`` Q(c) = Q[c]/(c^k - 6)) and one internal
+form, built when the Poly is: ``_ints = (nums, den)``, nonzero integer
+numerators over one denominator ``den > 0`` with no factor common to all,
+so the form is unique.  There is no floating point anywhere.
+
+The keys of ``nums`` are packed monomials, one int each (after Monagan &
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007); over Q(c) c is one more variable, with every
+power below k.  The layout is graded: exponent e_i of variable i sits in a
+field of FIELD_BITS bits, e_1 highest, the total degree d above all of
+them, and the exponent j of c above the degree,
+
+    key = j << ((n + 1) * FIELD_BITS) | d << (n * FIELD_BITS)
+          | e_1 << ((n - 1) * FIELD_BITS) | ... | e_n,
+
+so the coefficient of x^e is the sum over j of nums[key(e) + j * C] * c^j
+/ den, C the key of c.  Over Q every j is 0, and a Q operand mixes with a
+Q(c) operand as it is.  With the c field masked, the integer order of keys
+is graded-lexicographic order.  The key of a product of monomials is the
+sum of their keys; a product then folds each c^j with j >= k (j <= 2k - 2)
+to 6 * c^(j - k).  No Poly has a degree above MAX_DEGREE = 2**FIELD_BITS -
+1: construction, products and powers raise PolyError before they build
+one, so no exponent or degree field overflows, in a Poly or in a product
+of two.  The c field is the highest and has no width limit.
+
+Products, derivatives, jets, sums, negations, scalings and substitutions
+are computed on this form and return it.  The public ``terms`` table, keyed
+by exponent tuples, is built from it only when something reads ``terms``,
+then kept: the c field is grouped back into one coefficient per monomial,
+an ExtScalar when a power of c is left in it, else a Fraction.  Printing
+is in descending graded-lexicographic order, so it is deterministic and
 ``parse(print(p)) == p``.
-
-A polynomial over Q has a second, internal form: ``_ints = (nums, den)``,
-a table of nonzero integer numerators over one denominator ``den > 0``
-whose gcd with all the numerators is 1, so the form is unique.  Its keys are
-packed monomials, one int each (after Monagan & Pearce, "Polynomial
-division using dynamic arrays, heaps, and packed exponent vectors", CASC
-2007).  The layout is graded: exponent e_i of variable i sits in a field of
-FIELD_BITS bits, e_1 highest, and the total degree sits above all of them,
-
-    key = deg << (n * FIELD_BITS) | e_1 << ((n - 1) * FIELD_BITS) | ... | e_n,
-
-so the integer order of keys is graded-lexicographic order, the key of a
-product of monomials is the sum of their keys, and a key's degree is
-``key >> (n * FIELD_BITS)``.  No e_i exceeds the total degree, so a
-polynomial has an integer form only while its degree is below
-2**FIELD_BITS; then no field can overflow, in it or in a product whose
-degree stays below that bound.  A polynomial of higher degree, or a
-product that would reach it, keeps the Fraction table with exponent tuples
-(``_ints`` is False).  Products, derivatives, jets, sums, negations,
-scalings and substitutions of polynomials in integer form are computed and
-returned in it, and the public ``terms`` table of Fractions, keyed by
-exponent tuples, is built from it only when something reads ``terms``, then
-kept; once built it equals ``nums[key] / den`` exactly, term by term.  A
-Poly built from Fractions gets its integer form on first use by a kernel
-(`_over_common_denominator`), also kept.  ``ExtScalar`` polynomials have
-``terms`` only.
 
 The accepted expression grammar (ASCII, whitespace insignificant):
 
@@ -52,16 +53,17 @@ import functools
 import math
 import struct
 from fractions import Fraction
-from operator import add, mul
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .scalars import ExtField, ExtScalar, Scalar
+from .scalars import ExtField, ExtScalar, Scalar, ScalarError
 
 Exponents = tuple[int, ...]
 
 # bits of one exponent field of a packed monomial key (module docstring);
-# `_unpacker` reads the fields back as big-endian unsigned 16-bit integers
+# `_fields` reads and writes them as big-endian unsigned 16-bit integers
 FIELD_BITS = 16
+# largest total degree of a Poly: the degree field holds it
+MAX_DEGREE = 2**FIELD_BITS - 1
 
 
 @functools.cache
@@ -73,17 +75,23 @@ def _weights(n: int) -> tuple[int, ...]:
 
 
 @functools.cache
+def _fields(n: int) -> struct.Struct:
+    """The fields of a packed key in n variables without its c field, as
+    big-endian unsigned 16-bit integers: the degree, then e_1, ..., e_n."""
+    return struct.Struct(">" + "H" * (n + 1))
+
+
+@functools.cache
 def _unpacker(n: int) -> Callable[[int], Exponents]:
-    """The function from a packed key in n variables, of degree below
-    2**FIELD_BITS, back to its exponent tuple."""
-    # the degree field is skipped as padding
-    fields = struct.Struct(">" + "x" * (FIELD_BITS // 8) + "H" * n).unpack
-    size = (n + 1) * FIELD_BITS // 8
+    """The function from a packed key in n variables, without its c field,
+    back to its exponent tuple."""
+    unpack, size = _fields(n).unpack, (n + 1) * FIELD_BITS // 8
+    return lambda key: unpack(key.to_bytes(size, "big"))[1:]
 
-    def unpack(key: int) -> Exponents:
-        return fields(key.to_bytes(size, "big"))
 
-    return unpack
+def _c_shift(n: int) -> int:
+    """The shift of the c field of packed keys in n variables."""
+    return (n + 1) * FIELD_BITS
 
 
 class PolyError(ValueError):
@@ -102,68 +110,83 @@ class PolyParseError(PolyError):
         self.position = position
 
 
-def _grlex_descending(monomials: Iterable[Exponents]) -> list[Exponents]:
-    return sorted(monomials, key=lambda m: (sum(m), m), reverse=True)
-
-
 def _coerce_coeff(value: Union[int, Fraction, ExtScalar]) -> Scalar:
     if isinstance(value, (Fraction, ExtScalar)):
         return value
     return Fraction(value)
 
 
+def _common_field(fields: set[ExtField | None]) -> ExtField | None:
+    """The field of a result computed over the given fields, None standing
+    for Q: the one ExtField among them, or None."""
+    fields.discard(None)
+    if len(fields) > 1:
+        raise ScalarError("cannot mix polynomials over different extension fields")
+    return fields.pop() if fields else None
+
+
 class Poly:
     """Immutable sparse polynomial with exact coefficients."""
 
-    # _terms is None on a Poly made in integer form until terms is read;
-    # _ints is None until a kernel asks for it, False when a coefficient is
-    # not a Fraction or the degree is 2**FIELD_BITS or more
-    __slots__ = ("vars", "_terms", "_ints")
+    # _terms is None until terms is read
+    __slots__ = ("vars", "field", "_ints", "_terms")
 
     def __init__(self, vars: Sequence[str], terms: dict[Exponents, Scalar]):
         vs = tuple(vars)
-        table: dict[Exponents, Scalar] = {}
-        for mono, coeff in terms.items():
-            if len(mono) != len(vs):
-                raise VariableMismatchError(
-                    f"exponent tuple {mono} does not match {len(vs)} variables"
-                )
-            c = _coerce_coeff(coeff)
-            if c:
-                table[mono] = c
+        n = len(vs)
+        pack, cshift = _fields(n).pack, _c_shift(n)
+        field = None
+        # (key, numerator, denominator) of each nonzero rational part
+        parts: list[tuple[int, int, int]] = []
+        for mono, value in terms.items():
+            if len(mono) != n:
+                raise VariableMismatchError(f"exponent tuple {mono} does not match {n} variables")
+            try:
+                key = int.from_bytes(pack(sum(mono), *mono), "big")
+            except struct.error:
+                raise PolyError(f"exponent tuple {mono} has a negative exponent or a degree"
+                                f" above MAX_DEGREE = {MAX_DEGREE}") from None
+            c = value if type(value) is Fraction else _coerce_coeff(value)
+            if isinstance(c, ExtScalar):
+                if c.field is not field:
+                    field = _common_field({field, c.field})
+                parts += [(key + (j << cshift), num, c.den) for j, num in enumerate(c.nums) if num]
+            else:
+                num, d = c.as_integer_ratio()
+                if num:
+                    parts.append((key, num, d))
+        # each coefficient is in lowest terms, so no prime of den divides
+        # every numerator: the form is already reduced
+        den = math.lcm(*[d for _, _, d in parts])
         _set_vars(self, vs)
-        _set_terms(self, table)
-        _set_ints(self, None)
+        _set_field(self, field)
+        _set_ints(self, ({key: num * (den // d) for key, num, d in parts}, den))
+        _set_terms(self, None)
 
     @classmethod
-    def _raw(cls, vars: tuple[str, ...],
-             table: dict[Exponents, Scalar] | tuple[dict[int, int], int]) -> "Poly":
+    def _raw(cls, vars: tuple[str, ...], nums: dict[int, int], den: int,
+             field: ExtField | None = None) -> "Poly":
         """Trusted constructor for results that are already canonical: a
-        variable tuple, and either a term table whose coefficients are nonzero
-        Fractions or ExtScalars, keyed by exponent tuples that match the
-        variables, or the integer form (nums, den) of the module docstring,
-        keyed by packed monomials.  The new Poly owns the table."""
+        variable tuple and the form of the module docstring, nonzero integer
+        numerators keyed by packed monomials, every power of c below the
+        field's k, over den > 0 with nothing common to all.  The new Poly
+        owns nums."""
         p = object.__new__(cls)
         _set_vars(p, vars)
-        if type(table) is tuple:
-            _set_terms(p, None)
-            _set_ints(p, table)
-        else:
-            _set_terms(p, table)
-            _set_ints(p, None)
+        _set_field(p, field)
+        _set_ints(p, (nums, den))
+        _set_terms(p, None)
         return p
 
     @property
     def terms(self) -> dict[Exponents, Scalar]:
-        """The term table: exponent tuples to nonzero coefficients."""
+        """The term table: exponent tuples to nonzero coefficients, built from
+        the packed form when first read.  A coefficient is a Fraction, or an
+        ExtScalar when a power of c is left in it."""
         table = self._terms
         if table is None:
-            nums, den = self._ints
             unpack = _unpacker(len(self.vars))
-            if den == 1:
-                table = {unpack(m): Fraction(n) for m, n in nums.items()}
-            else:
-                table = {unpack(m): Fraction(n, den) for m, n in nums.items()}
+            table = {unpack(key): c for key, c in self._coefficients().items()}
             _set_terms(self, table)
         return table
 
@@ -174,95 +197,103 @@ class Poly:
 
     @classmethod
     def zero(cls, vars: Sequence[str]) -> "Poly":
-        return _monomial(cls(vars, {}), 0)
+        return cls._raw(tuple(vars), {}, 1)
 
     @classmethod
     def const(cls, vars: Sequence[str], value: Union[int, Fraction, ExtScalar]) -> "Poly":
         vs = tuple(vars)
-        return _monomial(cls(vs, {(0,) * len(vs): value}), 0)
+        return cls(vs, {(0,) * len(vs): value})
 
     @classmethod
     def variable(cls, vars: Sequence[str], name: str) -> "Poly":
         vs = tuple(vars)
         if name not in vs:
             raise VariableMismatchError(f"unknown variable {name!r} (have {vs})")
-        mono = tuple(1 if v == name else 0 for v in vs)
-        return _monomial(cls(vs, {mono: Fraction(1)}), _weights(len(vs))[vs.index(name)])
+        return cls._raw(vs, {_weights(len(vs))[vs.index(name)]: 1}, 1)
 
     # -- inspection ----------------------------------------------------------
 
+    def _monomials(self) -> Iterable[int]:
+        """The packed keys of the monomials, c field masked."""
+        nums = self._ints[0]
+        if self.field is None:
+            return nums
+        low = (1 << _c_shift(len(self.vars))) - 1
+        return {key & low for key in nums}
+
+    def _coefficients(self) -> dict[int, Scalar]:
+        """The nonzero coefficient of each monomial, by its packed key with
+        the c field masked."""
+        nums, den = self._ints
+        field = self.field
+        if field is not None:
+            return {key: _scalar(field, cs, den) for key, cs in _by_monomial(self).items()}
+        if den == 1:
+            return {key: Fraction(n) for key, n in nums.items()}
+        return {key: Fraction(n, den) for key, n in nums.items()}
+
+    def _coefficient(self, key: int) -> Scalar:
+        """The coefficient of the monomial with packed key."""
+        nums, den = self._ints
+        field = self.field
+        if field is None:
+            return Fraction(nums.get(key, 0), den)
+        step = 1 << _c_shift(len(self.vars))
+        return _scalar(field, [nums.get(key + j * step, 0) for j in range(field.k)], den)
+
     def is_zero(self) -> bool:
-        ints = self._ints
-        return not (ints[0] if ints else self._terms)
+        return not self._ints[0]
 
     def constant_term(self) -> Scalar:
-        ints = self._ints
-        if ints:
-            return Fraction(ints[0].get(0, 0), ints[1])
-        return self._terms.get((0,) * len(self.vars), Fraction(0))
+        return self._coefficient(0)
 
     def coefficient(self, mono: Exponents) -> Scalar:
         mono = tuple(mono)
-        ints = self._ints
-        # only an exponent tuple of this arity has a packed key
-        if ints and len(mono) == len(self.vars) and min(mono, default=0) >= 0:
-            n = ints[0].get(sum(map(mul, mono, _weights(len(mono)))))
-            return Fraction(0) if n is None else Fraction(n, ints[1])
-        return self.terms.get(mono, Fraction(0))
+        try:
+            key = int.from_bytes(_fields(len(self.vars)).pack(sum(mono), *mono), "big")
+        except struct.error:
+            # only an exponent tuple of this arity and degree has a packed key
+            return Fraction(0)
+        return self._coefficient(key)
 
     def degree(self) -> int:
         """Maximal total degree; -1 for the zero polynomial."""
-        ints = self._ints
-        if ints and ints[0]:
-            return max(ints[0]) >> len(self.vars) * FIELD_BITS
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
+        keys = self._monomials()
+        return max(keys) >> len(self.vars) * FIELD_BITS if keys else -1
 
     def order(self) -> Union[int, float]:
         """Minimal total degree of a term; math.inf for the zero polynomial."""
-        ints = self._ints
-        if ints and ints[0]:
-            return min(ints[0]) >> len(self.vars) * FIELD_BITS
-        if not self.terms:
-            return math.inf
-        return min(sum(m) for m in self.terms)
+        keys = self._monomials()
+        return min(keys) >> len(self.vars) * FIELD_BITS if keys else math.inf
 
     def sorted_terms(self) -> Iterator[tuple[Exponents, Scalar]]:
-        ints = self._ints
-        if ints:
-            nums, den = ints
-            unpack = _unpacker(len(self.vars))
-            for key in sorted(nums, reverse=True):
-                yield unpack(key), Fraction(nums[key], den)
-            return
-        terms = self._terms
-        for mono in _grlex_descending(terms):
-            yield mono, terms[mono]
+        coeffs = self._coefficients()
+        unpack = _unpacker(len(self.vars))
+        for key in sorted(coeffs, reverse=True):
+            yield unpack(key), coeffs[key]
 
     def is_rational(self) -> bool:
-        """True when every coefficient lies in Q (extension residues of degree 0 count)."""
-        return bool(self._ints) or all(
-            not isinstance(c, ExtScalar) or c.is_rational() for c in self._terms.values())
+        """True when every coefficient lies in Q: no power of c is left."""
+        return self.field is None or max(self._ints[0], default=0) < 1 << _c_shift(len(self.vars))
 
     def demote_rational(self) -> "Poly":
-        """Convert degree-0 extension coefficients back to plain Fractions."""
-        out: dict[Exponents, Scalar] = {}
-        for mono, coeff in self.terms.items():
-            if isinstance(coeff, ExtScalar) and coeff.is_rational():
-                out[mono] = coeff.to_fraction()
-            else:
-                out[mono] = coeff
-        return Poly(self.vars, out)
+        """The same polynomial over Q when every coefficient lies in Q."""
+        if self.field is None or not self.is_rational():
+            return self
+        return Poly._raw(self.vars, *self._ints)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        # a rational ExtScalar equals its Fraction, so the fields of two
+        # equal forms matter only when a power of c is left
+        return (self.vars == other.vars and self._ints == other._ints
+                and (self.field == other.field or self.is_rational()))
 
     def __hash__(self) -> int:
-        # a rational ExtScalar hashes like its Fraction, so this agrees with ==
-        return hash((self.vars, frozenset(self.terms.items())))
+        nums, den = self._ints
+        field = None if self.is_rational() else self.field
+        return hash((self.vars, frozenset(nums.items()), den, field))
 
     # -- ring operations -----------------------------------------------------
 
@@ -276,42 +307,28 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same_vars(other)
-        if self._ints or other._ints:
-            a, b = _over_common_denominator(self), _over_common_denominator(other)
-            if a and b:
-                (na, da), (nb, db) = a, b
-                den = math.lcm(da, db)
-                sa, sb = den // da, den // db
-                nums = dict(na) if sa == 1 else {m: n * sa for m, n in na.items()}
-                for mono, n in nb.items():
-                    prev = nums.get(mono)
-                    if prev is None:
-                        nums[mono] = n * sb
-                    else:
-                        s = prev + n * sb
-                        if s:
-                            nums[mono] = s
-                        else:
-                            del nums[mono]
-                return _lowest(self.vars, nums, den)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            prev = out.get(mono)
+        field = self.field
+        if other.field is not field:
+            field = _common_field({field, other.field})
+        (na, da), (nb, db) = self._ints, other._ints
+        den = math.lcm(da, db)
+        sa, sb = den // da, den // db
+        nums = dict(na) if sa == 1 else {m: n * sa for m, n in na.items()}
+        for mono, n in nb.items():
+            prev = nums.get(mono)
             if prev is None:
-                out[mono] = coeff
+                nums[mono] = n * sb
             else:
-                s = prev + coeff
+                s = prev + n * sb
                 if s:
-                    out[mono] = s
+                    nums[mono] = s
                 else:
-                    del out[mono]
-        return Poly._raw(self.vars, out)
+                    del nums[mono]
+        return _lowest(self.vars, nums, den, field)
 
     def __neg__(self) -> "Poly":
-        ints = self._ints
-        if ints:
-            return Poly._raw(self.vars, ({m: -n for m, n in ints[0].items()}, ints[1]))
-        return Poly._raw(self.vars, {m: -c for m, c in self._terms.items()})
+        nums, den = self._ints
+        return Poly._raw(self.vars, {m: -n for m, n in nums.items()}, den, self.field)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -327,16 +344,19 @@ class Poly:
         c = _coerce_coeff(value)
         if not c:
             return Poly.zero(self.vars)
-        # both coefficient rings are fields: a nonzero times a nonzero is nonzero
-        ints = type(c) is Fraction and _over_common_denominator(self)
-        if ints:
-            n, d = c.as_integer_ratio()
-            return _lowest(self.vars, {m: v * n for m, v in ints[0].items()}, ints[1] * d)
-        return Poly._raw(self.vars, {m: c * v for m, v in self.terms.items()})
+        if isinstance(c, ExtScalar):
+            return self * Poly.const(self.vars, c)
+        # a nonzero rational times a nonzero numerator is nonzero
+        n, d = c.as_integer_ratio()
+        nums, den = self._ints
+        return _lowest(self.vars, {m: v * n for m, v in nums.items()}, den * d, self.field)
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             raise PolyError(f"polynomial exponent must be a non-negative integer, got {exponent}")
+        if self.degree() * exponent > MAX_DEGREE:
+            raise PolyError(f"a power of degree {self.degree() * exponent} is above"
+                            f" MAX_DEGREE = {MAX_DEGREE}")
         result = Poly.const(self.vars, 1)
         base = self
         n = exponent
@@ -355,25 +375,18 @@ class Poly:
             raise VariableMismatchError(f"unknown variable {var!r} (have {self.vars})")
         idx = self.vars.index(var)
         # distinct monomials have distinct derivatives and e >= 1: no term
-        # collects or vanishes
-        ints = _over_common_denominator(self)
-        if ints:
-            # e_idx sits in field idx; dividing by the variable subtracts its key
-            shift = (len(self.vars) - 1 - idx) * FIELD_BITS
-            mask = (1 << FIELD_BITS) - 1
-            step = _weights(len(self.vars))[idx]
-            nums: dict[int, int] = {}
-            for key, n in ints[0].items():
-                e = key >> shift & mask
-                if e:
-                    nums[key - step] = n * e
-            return _lowest(self.vars, nums, ints[1])
-        out: dict[Exponents, Scalar] = {}
-        for mono, coeff in self._terms.items():
-            e = mono[idx]
+        # collects or vanishes.  e_idx sits in field idx, and dividing by the
+        # variable subtracts its key, leaving the c field as it is
+        shift = (len(self.vars) - 1 - idx) * FIELD_BITS
+        mask = (1 << FIELD_BITS) - 1
+        step = _weights(len(self.vars))[idx]
+        nums, den = self._ints
+        out: dict[int, int] = {}
+        for key, n in nums.items():
+            e = key >> shift & mask
             if e:
-                out[mono[:idx] + (e - 1,) + mono[idx + 1 :]] = coeff * e
-        return Poly._raw(self.vars, out)
+                out[key - step] = n * e
+        return _lowest(self.vars, out, den, self.field)
 
     def substitute(self, images: Sequence["Poly"], jet: int | None = None) -> "Poly":
         """Exact composition p(images); a ring homomorphism into the images' ring.
@@ -408,17 +421,14 @@ class Poly:
                 cache[e] = sq if e % 2 == 0 else cut(sq * images[i])
             return cache[e]
 
-        ints = _over_common_denominator(self)
-        if ints:
-            unpack = _unpacker(len(self.vars))
-            consts = ((unpack(key), _lowest(target_vars, {0: n}, ints[1]))
-                      for key, n in ints[0].items())
-        else:
-            zero_mono = (0,) * len(target_vars)
-            consts = ((mono, Poly._raw(target_vars, {zero_mono: coeff}))
-                      for mono, coeff in self._terms.items())
-        for mono, term in consts:
-            for i, e in enumerate(mono):
+        den = self._ints[1]
+        unpack = _unpacker(len(self.vars))
+        # one constant per monomial, its powers of c keyed over the targets
+        step = 1 << _c_shift(len(target_vars))
+        for key, cs in _by_monomial(self).items():
+            term = _lowest(target_vars, {j * step: n for j, n in enumerate(cs) if n}, den,
+                           self.field)
+            for i, e in enumerate(unpack(key)):
                 if e:
                     term = cut(term * image_power(i, e))
             result = result + term
@@ -444,12 +454,12 @@ class Poly:
         """Truncate to total degree <= k (the k-jet at the origin)."""
         if k < 0:
             raise PolyError(f"jet order must be >= 0, got {k}")
-        ints = self._ints
-        if ints:
-            limit = (k + 1) << len(self.vars) * FIELD_BITS
-            nums = {m: n for m, n in ints[0].items() if m < limit}
-            return self if len(nums) == len(ints[0]) else _lowest(self.vars, nums, ints[1])
-        return Poly._raw(self.vars, {m: c for m, c in self._terms.items() if sum(m) <= k})
+        nums, den = self._ints
+        n = len(self.vars)
+        low = (1 << _c_shift(n)) - 1
+        limit = (k + 1) << n * FIELD_BITS
+        kept = {m: v for m, v in nums.items() if m & low < limit}
+        return self if len(kept) == len(nums) else _lowest(self.vars, kept, den, self.field)
 
     # -- printing --------------------------------------------------------------
 
@@ -500,48 +510,32 @@ class Poly:
 
 # the slots' own setters: Poly refuses attribute assignment, and these cost
 # less than object.__setattr__
-_set_vars, _set_terms, _set_ints = (Poly.__dict__[name].__set__ for name in Poly.__slots__)
+_set_vars, _set_field, _set_ints, _set_terms = (
+    Poly.__dict__[name].__set__ for name in Poly.__slots__)
 
 
-def _monomial(p: Poly, key: int) -> Poly:
-    """p, a Poly of at most one term, whose monomial packs to key, with its
-    integer form set when it is zero or its coefficient is a Fraction."""
-    coeffs = list(p._terms.values())
-    if not coeffs:
-        _set_ints(p, ({}, 1))
-    elif type(coeffs[0]) is Fraction:
-        n, d = coeffs[0].as_integer_ratio()
-        _set_ints(p, ({key: n}, d))
-    return p
+def _by_monomial(p: Poly) -> dict[int, list[int]]:
+    """The numerators of p by monomial: each packed key with the c field
+    masked, to the numerators of 1, c, ..., c^(k-1) (k = 1 over Q)."""
+    k = 1 if p.field is None else p.field.k
+    cshift = _c_shift(len(p.vars))
+    low = (1 << cshift) - 1
+    out: dict[int, list[int]] = {}
+    for key, n in p._ints[0].items():
+        out.setdefault(key & low, [0] * k)[key >> cshift] = n
+    return out
 
 
-def _over_common_denominator(p: Poly) -> tuple[dict[int, int], int] | bool:
-    """The integer form (nums, den) of p, or False when a coefficient is not
-    a Fraction or the degree is 2**FIELD_BITS or more.  Worked out from the
-    terms at most once per Poly, then kept."""
-    ints = p._ints
-    if ints is None:
-        coeffs = p._terms.values()
-        ints = False
-        if all(type(c) is Fraction for c in coeffs):
-            n = len(p.vars)
-            weights = _weights(n)
-            ratios = [c.as_integer_ratio() for c in coeffs]
-            # each coefficient is in lowest terms, so no prime of den divides
-            # every numerator: the form is already reduced
-            den = math.lcm(*[d for _, d in ratios])
-            nums = {sum(map(mul, m, weights)): num * (den // d)
-                    for m, (num, d) in zip(p._terms, ratios)}
-            # an exponent of 2**FIELD_BITS or more carries into the degree
-            # field, so the largest key is below the limit exactly when
-            # every field holds its exponent
-            if not nums or max(nums) < 1 << (n + 1) * FIELD_BITS:
-                ints = nums, den
-        _set_ints(p, ints)
-    return ints
+def _scalar(field: ExtField, nums: list[int], den: int) -> Scalar:
+    """The scalar sum_j nums[j] * c^j / den: a Fraction when no power of c
+    is left, else an ExtScalar."""
+    if any(nums[1:]):
+        return ExtScalar._make(field, tuple(nums), den)
+    return Fraction(nums[0], den)
 
 
-def _lowest(vars: tuple[str, ...], nums: dict[int, int], den: int) -> Poly:
+def _lowest(vars: tuple[str, ...], nums: dict[int, int], den: int,
+            field: ExtField | None) -> Poly:
     """The Poly of nonzero numerators nums over den > 0, with their common
     factor with den divided out."""
     if den != 1:
@@ -549,19 +543,18 @@ def _lowest(vars: tuple[str, ...], nums: dict[int, int], den: int) -> Poly:
         if g != 1:
             nums = {m: n // g for m, n in nums.items()}
             den //= g
-    return Poly._raw(vars, (nums, den))
+    return Poly._raw(vars, nums, den, field)
 
 
 def sum_of_products(vars: Sequence[str], pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
-    """Sum of a_i * b_i over the (a_i, b_i) pairs, collected in one term table.
+    """Sum of a_i * b_i over the (a_i, b_i) pairs, collected in one table.
 
-    Over Q every operand is taken in integer form, and each pair's numerators
-    are brought to the common denominator D of all pair products; the loop
-    then adds plain int products under the sum of two packed keys, and the
-    result is returned in integer form over D with the common factor divided
-    out.  With an ExtScalar coefficient anywhere, or a pair product of degree
-    2**FIELD_BITS or more, the same loop runs on the Fraction or ExtScalar
-    coefficients under exponent tuples.
+    Each pair's numerators are brought to the common denominator D of all
+    pair products; the loop adds plain int products under the sum of two
+    packed keys, a fold maps c^j with j >= k to 6 * c^(j - k), and the
+    result is returned over D with the common factor divided out.  A pair
+    product of degree above MAX_DEGREE raises PolyError before any product
+    is formed, and operands over two different fields raise ScalarError.
     """
     vs = tuple(vars)
     pairs = list(pairs)
@@ -569,33 +562,39 @@ def sum_of_products(vars: Sequence[str], pairs: Iterable[tuple[Poly, Poly]]) -> 
         if a.vars != vs or b.vars != vs:
             raise VariableMismatchError(
                 f"mismatched variable lists {a.vars} * {b.vars}, expected {vs}")
-    out: dict = {}
+    field = _common_field({p.field for pair in pairs for p in pair})
+    cshift = _c_shift(len(vs))
+    operands = []
+    for a, b in pairs:
+        (ta, _), (tb, _) = ints = a._ints, b._ints
+        if ta and tb:
+            # a masked key is at most the key, and the sum of two masked keys
+            # is below 1 << cshift exactly when their degrees sum to at most
+            # MAX_DEGREE: the degrees are worked out only past that bound
+            if max(ta) + max(tb) >> cshift and a.degree() + b.degree() > MAX_DEGREE:
+                raise PolyError(f"a product of degree {a.degree() + b.degree()} is above"
+                                f" MAX_DEGREE = {MAX_DEGREE}")
+            operands.append(ints)
+    den = math.lcm(*(da * db for (_, da), (_, db) in operands))
+    out: dict[int, int] = {}
     get = out.get
-    integral = [(_over_common_denominator(a), _over_common_denominator(b)) for a, b in pairs]
-    if all(ia and ib for ia, ib in integral):
-        integral = [(ia, ib) for ia, ib in integral if ia[0] and ib[0]]
-        # the product of the largest keys has the largest degree, below
-        # 2**FIELD_BITS exactly when it is below the limit
-        limit = 1 << (len(vs) + 1) * FIELD_BITS
-        if all(max(ta) + max(tb) < limit for (ta, _), (tb, _) in integral):
-            den = math.lcm(*(da * db for (_, da), (_, db) in integral))
-            for (ta, da), (tb, db) in integral:
-                scale = den // (da * db)
-                for ka, ca in ta.items():
-                    if scale != 1:
-                        ca *= scale
-                    for kb, cb in tb.items():
-                        key = ka + kb
-                        prev = get(key)
-                        out[key] = ca * cb if prev is None else prev + ca * cb
-            return _lowest(vs, {m: v for m, v in out.items() if v}, den)
-    for ta, tb in ((a.terms, b.terms) for a, b in pairs):
-        for ma, ca in ta.items():
-            for mb, cb in tb.items():
-                mono = tuple(map(add, ma, mb))
-                prev = get(mono)
-                out[mono] = ca * cb if prev is None else prev + ca * cb
-    return Poly._raw(vs, {m: v for m, v in out.items() if v})
+    for (ta, da), (tb, db) in operands:
+        scale = den // (da * db)
+        for ka, ca in ta.items():
+            if scale != 1:
+                ca *= scale
+            for kb, cb in tb.items():
+                key = ka + kb
+                prev = get(key)
+                out[key] = ca * cb if prev is None else prev + ca * cb
+    if field is not None:
+        # the factors' powers of c are below k, so their sums are below 2k
+        # and one pass leaves every power below k
+        top = field.k << cshift
+        for key in [key for key in out if key >= top]:
+            folded = key - top
+            out[folded] = get(folded, 0) + 6 * out.pop(key)
+    return _lowest(vs, {m: v for m, v in out.items() if v}, den, field)
 
 
 # ---------------------------------------------------------------------------
@@ -658,22 +657,15 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 def _term_count(p: Poly) -> int:
-    ints = p._ints
-    return len(ints[0]) if ints else len(p.terms)
+    """The number of monomials of p."""
+    return len(p._monomials())
 
 
 def _height(p: Poly) -> int:
-    """Bit height of p over one common denominator D: the bits of D or of the
+    """Bit height of p over its denominator D: the bits of D or of the
     largest integer numerator, extension residues included, if that is more."""
-    ints = p._ints
-    if ints:
-        nums, den = ints
-        return max(den.bit_length(), max(map(abs, nums.values()), default=0).bit_length())
-    pairs = [(c.nums, c.den) if isinstance(c, ExtScalar) else ((c.numerator,), c.denominator)
-             for c in p.terms.values()]
-    den = math.lcm(*[d for _, d in pairs])
-    top = max((abs(n) * (den // d) for nums, d in pairs for n in nums), default=0)
-    return max(den.bit_length(), top.bit_length())
+    nums, den = p._ints
+    return max(den.bit_length(), max(map(abs, nums.values()), default=0).bit_length())
 
 
 def _known_height(p: Poly, height: int | None) -> int:
@@ -719,7 +711,8 @@ class _Parser:
     def check_terms(self, what: str, tok: _Token, terms: int, degree: int, bits: int) -> None:
         """Refuse, before computing it, a result with at most ``terms`` terms
         and at most the monomials of degree <= ``degree`` if that exceeds
-        MAX_TERMS, or one whose height may reach ``bits`` above MAX_COEFF_BITS."""
+        MAX_TERMS, one whose height may reach ``bits`` above MAX_COEFF_BITS,
+        or one whose degree may reach ``degree`` above MAX_DEGREE."""
         n = len(self.vars)
         bound = min(terms, math.comb(n + max(degree, 0), n))
         if bound > MAX_TERMS:
@@ -729,6 +722,9 @@ class _Parser:
             raise PolyParseError(
                 f"{what} may have coefficients of up to {bits} bits, more than"
                 f" {MAX_COEFF_BITS}", tok.pos)
+        if degree > MAX_DEGREE:
+            raise PolyParseError(
+                f"{what} may have degree up to {degree}, more than {MAX_DEGREE}", tok.pos)
 
     def parse_term(self) -> Poly:
         result, height = self.parse_factor()

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from frontals.maps import PolyMap
 from frontals.poly import Poly, monomials_up_to
 
@@ -53,3 +55,21 @@ def random_linear_iso(rng: random.Random, n: int) -> PolyMap:
             p = p + Poly.variable(vars, v).scale(entries[i][j])
         comps.append(p)
     return PolyMap(tuple(comps))
+
+
+# -- expression strings for the fuzz tests --------------------------------
+
+GRAMMAR_TOKENS = st.one_of(st.sampled_from([*"+-*^()/", "x", "y", "c", " "]),
+                           st.integers(0, 200).map(str))
+GRAMMAR_ATOMS = st.one_of(st.sampled_from(["x", "y", "c"]), st.integers(0, 200).map(str))
+
+
+def joined(inner):
+    return st.one_of(st.tuples(inner, st.sampled_from([*"+-*/^"]), inner).map("".join),
+                     inner.map("({})".format))
+
+
+# nested expressions over the tokens, which parse more often than token
+# strings drawn at random; GRAMMAR_STRINGS draws either
+GRAMMAR_EXPRS = st.recursive(GRAMMAR_ATOMS, joined, max_leaves=16)
+GRAMMAR_STRINGS = st.one_of(st.lists(GRAMMAR_TOKENS, max_size=30).map("".join), GRAMMAR_EXPRS)

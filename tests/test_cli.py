@@ -1,14 +1,22 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
 import time
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from frontals.cli import main
 from frontals.mesh import MAX_DEGREE, MAX_RESOLUTION
 from frontals.scalars import MAX_EXT_ORDER
+
+from helpers import GRAMMAR_EXPRS, GRAMMAR_STRINGS
 
 GERMS = Path(__file__).resolve().parent.parent / "germs"
 
@@ -305,6 +313,17 @@ def test_mesh_degree_above_the_cap_exit_2(tmp_path, capsys):
                        " got 19998")
 
 
+def test_degree_above_the_packed_field_exit_2(tmp_path, capsys):
+    germ = tmp_path / "tower.germ"
+    germ.write_text("vars: x y\nmap:\nf1 = ((x^100)^100)^100 + x*y\nf2 = y\n",
+                    encoding="utf-8")
+    start = time.perf_counter()
+    message = _assert_input_error(capsys, "jacobian", germ)
+    assert time.perf_counter() - start < 1.0
+    assert message == ("error: in f1: power may have degree up to 1000000, more than 65535"
+                       " (at position 13) (line 3)")
+
+
 def test_multiplicity_stops_at_the_unknown_cap(tmp_path, capsys):
     germ = tmp_path / "zero.germ"
     germ.write_text("vars: x\nmap:\nf1 = 0\n", encoding="utf-8")
@@ -330,3 +349,65 @@ def test_ramify_checks_the_unknown_cap_before_building_the_system(mode, capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert "reason: 9009002 unknowns exceed the cap 20000" in out.splitlines()
+
+
+# -- fuzzing germ files through the CLI ----------------------------------------
+
+VARS_LINES = st.sampled_from(["vars: x y", "vars: x", "vars: y x", "vars:", "vars: x x",
+                              "vars: x c", "vars: x y z", ""])
+EXT_LINES = st.one_of(st.just(""), st.integers(0, 40).map("ext: {}".format),
+                      st.sampled_from(["ext:", "ext: two", "ext: -1", "ext: 2.5", "ext: 3 4"]))
+# mostly a component that vanishes at the origin whatever the expression is
+COMPONENTS = st.integers(0, 3).flatmap(lambda i: (
+    GRAMMAR_EXPRS.map("x*({})".format), GRAMMAR_EXPRS.map("y + x^2*({})".format),
+    GRAMMAR_EXPRS.map("x*y + ({})^2".format), GRAMMAR_STRINGS)[i])
+BROKEN_BLOCKS = st.sampled_from(["map:\n= x", "map:\nf1 x", "map:\nf1 = x\nf1 = y", "mu:",
+                                 "f1 = x", "map:"])
+
+
+def block(head: str, names: list[str]):
+    """A map: or mu: block with one component per name."""
+    return st.tuples(*[COMPONENTS] * len(names)).map(
+        lambda exprs: "\n".join([head] + [f"{n} = {e}" for n, e in zip(names, exprs)]))
+
+
+def mostly(usual, other):
+    """usual in three draws of four, else other."""
+    return st.integers(0, 3).flatmap(lambda i: other if i == 0 else usual)
+
+
+MAP_BLOCKS = st.one_of(block("map:", ["f1", "f2"]), block("map:", ["f1"]),
+                       block("map:", ["f1", "f2", "f3"]))
+MU_BLOCKS = st.one_of(st.just(""), block("mu:", ["m1"]), block("mu:", ["m1", "m2"]))
+# mostly the layout of a germ file, each part valid or broken; else blocks
+# in any order and number
+GERM_TEXTS = mostly(
+    st.tuples(mostly(st.just("vars: x y"), VARS_LINES),
+              mostly(st.one_of(st.just(""), st.integers(2, 6).map("ext: {}".format)), EXT_LINES),
+              mostly(block("map:", ["f1", "f2"]), st.one_of(MAP_BLOCKS, BROKEN_BLOCKS)),
+              MU_BLOCKS),
+    st.lists(st.one_of(VARS_LINES, EXT_LINES, MAP_BLOCKS, MU_BLOCKS, BROKEN_BLOCKS),
+             min_size=1, max_size=5),
+).map("\n".join)
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=5),
+          suppress_health_check=[HealthCheck.too_slow])
+@given(GERM_TEXTS, st.sampled_from(["jacobian", "frontal", "multiplicity"]))
+def test_random_germ_files_end_with_an_exit_code(text, command):
+    """Any germ file text ends each command with exit 0, 1, 2 or 3, and an
+    input error with one `error:` line, never with a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.germ"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([command, str(path)])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

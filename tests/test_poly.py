@@ -12,23 +12,24 @@ from hypothesis import strategies as st
 from frontals.poly import (
     FIELD_BITS,
     MAX_COEFF_BITS,
+    MAX_DEGREE,
     MAX_EXPONENT,
     MAX_NESTING,
     MAX_TERMS,
     Poly,
+    PolyError,
     PolyParseError,
     VariableMismatchError,
     monomials_up_to,
     parse_poly,
     _height,
-    _over_common_denominator,
     _Parser,
     _tokenize,
     sum_of_products,
 )
-from frontals.scalars import ExtField, ExtScalar
+from frontals.scalars import ExtField, ExtScalar, ScalarError
 
-from helpers import random_poly
+from helpers import GRAMMAR_STRINGS, random_poly
 
 XY = ("x", "y")
 
@@ -445,7 +446,7 @@ def coefficients(k: int | None):
 @st.composite
 def kernel_operands(draw):
     """(k for the reference, pairs of polys over one coefficient ring)."""
-    k = draw(st.sampled_from([None, 2, 3, 4, -2, -3]))
+    k = draw(st.sampled_from([None, 1, 2, 3, 4, -1, -2, -3]))
     monos = monomials_up_to(KERNEL_VARS, 3)
     poly = st.dictionaries(st.sampled_from(monos), coefficients(k), max_size=4).map(
         lambda table: Poly(KERNEL_VARS, table))
@@ -472,8 +473,8 @@ def reference_jet(a: dict, order: int) -> dict:
 
 
 def unpacked(key: int, n: int) -> tuple[int, ...]:
-    """The exponent tuple of a packed key: fields of FIELD_BITS bits, e_1
-    highest, under a top field that holds the total degree."""
+    """The exponent tuple of a packed key without its c field: fields of
+    FIELD_BITS bits, e_1 highest, under a field that holds the total degree."""
     mask = (1 << FIELD_BITS) - 1
     exponents = tuple(key >> (n - 1 - i) * FIELD_BITS & mask for i in range(n))
     assert key >> n * FIELD_BITS == sum(exponents)
@@ -481,13 +482,24 @@ def unpacked(key: int, n: int) -> tuple[int, ...]:
 
 
 def assert_canonical(p: Poly, rational: bool) -> None:
-    ints = p._ints
-    if ints:
-        # the integer form: nonzero numerators over den > 0, nothing common
-        nums, den = ints
-        assert den > 0 and all(nums.values())
-        assert math.gcd(den, *nums.values()) == 1
-        assert p.terms == {unpacked(m, len(p.vars)): Fraction(n, den) for m, n in nums.items()}
+    # the packed form: nonzero numerators over den > 0, nothing common
+    nums, den = p._ints
+    assert den > 0 and all(nums.values())
+    assert math.gcd(den, *nums.values()) == 1
+    # the power j of c sits above the degree field, below k
+    n, k = len(p.vars), 1 if p.field is None else p.field.k
+    cshift = (n + 1) * FIELD_BITS
+    parts: dict = {}
+    for key, num in nums.items():
+        j = key >> cshift
+        assert 0 <= j < k
+        mono = unpacked(key - (j << cshift), n)
+        parts.setdefault(mono, [Fraction(0)] * k)[j] = Fraction(num, den)
+    # terms equals the reference exactly, with an ExtScalar where c is left
+    assert p.terms == {mono: p.field.element(qs) if any(qs[1:]) else qs[0]
+                       for mono, qs in parts.items()}
+    assert all(type(c) is (ExtScalar if any(parts[mono][1:]) else Fraction)
+               for mono, c in p.terms.items())
     assert all(p.terms.values())
     if rational:
         assert all(type(c) is Fraction and math.gcd(c.numerator, c.denominator) == 1
@@ -531,9 +543,10 @@ def test_kernel_matches_reference(operands):
         (ab + total, reference_add(rab, expected)),
         (ab - total, reference_add(rab, expected, -1)),
     ]
-    if rational:
-        # every result is in integer form, and no Fraction table was built
-        assert all(p._ints and p._terms is None for p in [ab, total] + [p for p, _ in fed])
+    # every result stays in the packed form, with no terms table built
+    assert all(p._terms is None for p in [ab, total] + [p for p, _ in fed])
+    fields = {p.field for pair in pairs for p in pair} - {None}
+    assert total.field == next(iter(fields), None)
     zero = (0,) * len(KERNEL_VARS)
     assert ab.constant_term() == from_reference(rab, k).get(zero, 0)
     for mono in monomials_up_to(KERNEL_VARS, 2):
@@ -541,10 +554,84 @@ def test_kernel_matches_reference(operands):
     assert (ab - ab).is_zero() and ab.is_zero() == (not rab)
     for result, reference in cases + fed:
         assert result.is_zero() == (not reference)
+        # degree and order count the variables, not the powers of c
+        degrees = [sum(mono) for mono, _ in reference]
+        assert result.degree() == max(degrees, default=-1)
+        assert result.order() == min(degrees, default=math.inf)
+        assert result.is_rational() == all(j == 0 for _, j in reference)
         expect = Poly(KERNEL_VARS, from_reference(reference, k))
         assert result == expect and hash(result) == hash(expect)
         assert to_reference(result) == reference
         assert_canonical(result, rational)
+
+
+def test_extension_of_order_one_keeps_no_power_of_c():
+    # ext: 1 adjoins c = 6, which is already rational
+    field = ExtField(1)
+    p = parse_poly("c*x + 1/2*c^2*y - 3", XY, field)
+    assert p.field == field and p.is_rational()
+    assert p == P("6*x + 18*y - 3") and hash(p) == hash(P("6*x + 18*y - 3"))
+    assert str(p) == "6*x + 18*y - 3" and parse_poly(str(p), XY, field) == p
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert p.demote_rational().field is None and p.demote_rational() == p
+    for result in (p * p, p.diff("x"), p.substitute([P("x*y"), p]), -p + p):
+        assert result.field == field
+        assert_canonical(result, False)
+
+
+def test_cancelled_powers_of_c_leave_a_rational_polynomial():
+    field = ExtField(2)
+    # c*x*y cancels in the product, and c^2 = 6 cancels the y^2 terms and 6
+    r = parse_poly("(x + c*y)*(x - c*y) + c^2*y^2 + c*c - 6", XY, field)
+    assert r.field == field and r.is_rational() and str(r) == "x^2"
+    assert r == P("x^2") and hash(r) == hash(P("x^2"))
+    assert r.demote_rational().field is None and r.demote_rational() == r
+    assert_canonical(r, False)
+    # one monomial keeps a power of c: nothing is demoted
+    s = parse_poly("x + c*y - c*y + c*x", XY, ExtField(3))
+    assert not s.is_rational() and s.demote_rational() is s
+    assert str(s) == "(c + 1)*x" and parse_poly(str(s), XY, ExtField(3)) == s
+    assert s != P("x") and s - parse_poly("c*x", XY, ExtField(3)) == P("x")
+
+
+def test_kernels_refuse_two_extension_fields():
+    # no monomial is shared, so no two coefficients ever meet
+    a = parse_poly("c*x", XY, ExtField(2))
+    q = P("x*y")
+    for b in (parse_poly("c*y + 1", XY, ExtField(3)), parse_poly("d*y + 1", XY, ExtField(2, "d"))):
+        for op in (lambda: a + b, lambda: a - b, lambda: b - a, lambda: a * b,
+                   lambda: sum_of_products(XY, [(a, q), (q, b)]),
+                   lambda: Poly(XY, {(1, 0): a.coefficient((1, 0)),
+                                     (0, 1): b.coefficient((0, 1))})):
+            with pytest.raises(ScalarError):
+                op()
+    # Q mixes with any one field, and equal fields mix
+    assert (a + q).field == ExtField(2) and (q * a).field == ExtField(2)
+    assert (a * parse_poly("c*y", XY, ExtField(2))) == P("6*x*y")
+
+
+def test_parser_counts_monomials_not_powers_of_c():
+    # 2 monomials give at most 51 terms in the 50th power; with its powers
+    # of c split, the base would count 3 and the bound would be C(52, 2)
+    field = ExtField(3)
+    vs = ("x", "y", "z", "w")
+    p = parse_poly("(c + c^2 + x)^50", vs, field)
+    assert len(p.terms) == 51 and p.degree() == 50
+    with pytest.raises(PolyParseError, match="power may have up to 1326 terms"):
+        parse_poly("(c + y + x)^50", vs, field)
+
+
+def test_substitute_forms_one_term_per_monomial(monkeypatch):
+    field = ExtField(3)
+    p = parse_poly("(1 + c + c^2)*x^3 + c*y^2", XY, field)
+    images = [P("x + y"), P("x*y")]
+    expected = parse_poly("(1 + c + c^2)*(x + y)^3 + c*(x*y)^2", XY, field)
+    products = []
+    multiply = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(1) or multiply(a, b))
+    assert p.substitute(images) == expected
+    # (x + y)^2, (x + y)^3 and (x*y)^2, then one product per monomial
+    assert len(products) == 5
 
 
 def test_scale_substitute_and_degree_in_integer_form():
@@ -583,8 +670,9 @@ def test_sum_of_products_over_mixed_denominators():
 
 # -- packed keys at the field width ----------------------------------------
 #
-# A polynomial has an integer form only below degree 2**FIELD_BITS; products
-# that reach that degree take the Fraction loop on exponent tuples.
+# No Poly has a degree above MAX_DEGREE = 2**FIELD_BITS - 1, the largest
+# that the degree field of a packed key holds: products, powers,
+# construction and the parser refuse degree 2**FIELD_BITS and above.
 
 XYZ = ("x", "y", "z")
 TOP = 2**FIELD_BITS
@@ -612,61 +700,76 @@ def boundary_products() -> list[tuple[Poly, Poly]]:
 
 
 def test_products_at_the_field_width():
+    assert MAX_DEGREE == TOP - 1
     other = parse_poly("1/2*x - y*z + 3", XYZ)
-    assert other._ints
     ro = to_reference(other)
     for a, b in boundary_products():
-        product = a * b
         ref = reference_mul(to_reference(a), to_reference(b), 1)
         degree = max(sum(m) for m, _ in ref)
-        assert degree in (TOP - 1, TOP) and product.degree() == degree
+        if degree == TOP:
+            # refused exactly at the width, also as one pair of a sum
+            for op in (lambda: a * b, lambda: sum_of_products(XYZ, [(other, other), (a, b)])):
+                with pytest.raises(PolyError, match=f"degree {TOP} is above MAX_DEGREE"):
+                    op()
+            continue
+        product = a * b
+        assert degree == TOP - 1 and product.degree() == degree
         derived = [(product, ref)]
         derived += [(product.diff(v), reference_diff(ref, i)) for i, v in enumerate(XYZ)]
         derived += [(product.jet(k), reference_jet(ref, k)) for k in (2, TOP - 2, TOP - 1, TOP)]
         derived += [(product + other, reference_add(ref, ro)),
                     (other + product, reference_add(ro, ref)),
-                    (product - other, reference_add(ref, ro, -1)),
-                    (product * other, reference_mul(ref, ro, 1)),
-                    (other * product, reference_mul(ro, ref, 1))]
+                    (product - other, reference_add(ref, ro, -1))]
+        for op in (lambda: product * other, lambda: other * product):
+            with pytest.raises(PolyError, match=f"degree {TOP + 1} is above MAX_DEGREE"):
+                op()
         for result, reference in derived:
             expect = Poly(XYZ, from_reference(reference, 1))
             assert result == expect and hash(result) == hash(expect)
             assert expect == result
             assert to_reference(result) == reference
-            # the integer form exists exactly below degree TOP
-            assert (_over_common_denominator(result) is False) == (result.degree() >= TOP)
-            assert (_over_common_denominator(expect) is False) == (expect.degree() >= TOP)
             assert_canonical(result, True)
 
 
-def test_nested_powers_past_the_field_width():
-    p = parse_poly("((x^100)^100)^100", XYZ)
-    assert p == Poly(XYZ, {(10**6, 0, 0): 1}) and str(p) == "x^1000000"
-    assert p.degree() == p.order() == 10**6
-    assert _over_common_denominator(p) is False
-    assert p.diff("x") == Poly(XYZ, {(10**6 - 1, 0, 0): 10**6})
-    assert p.jet(10**6 - 1).is_zero() and p.jet(10**6) == p
-    assert p * parse_poly("1/2*y - 1", XYZ) == Poly(XYZ, {(10**6, 1, 0): Fraction(1, 2),
-                                                          (10**6, 0, 0): -1})
-    assert str(parse_poly("2*((x^100)^100)^100 - (((x^10)^10)^100)^100 + z", XYZ)) == "x^1000000 + z"
+def test_nested_powers_past_the_field_width(monkeypatch):
+    p = parse_poly("(((x^10)^10)^10)^10", XYZ)
+    assert p == Poly(XYZ, {(10**4, 0, 0): 1}) and str(p) == "x^10000"
+    assert p.degree() == p.order() == 10**4
+    assert p.diff("x") == Poly(XYZ, {(10**4 - 1, 0, 0): 10**4})
+    assert p.jet(10**4 - 1).is_zero() and p.jet(10**4) == p
+    assert p * parse_poly("1/2*y - 1", XYZ) == Poly(XYZ, {(10**4, 1, 0): Fraction(1, 2),
+                                                          (10**4, 0, 0): -1})
+    assert str(parse_poly("2*((x^10)^100)^10 - (((x^10)^10)^10)^10 + z", XYZ)) == "x^10000 + z"
+    # the parser refuses a degree above MAX_DEGREE at its a-priori bound
+    with pytest.raises(PolyParseError,
+                       match=f"power may have degree up to 1000000, more than {MAX_DEGREE}") as err:
+        parse_poly("((x^100)^100)^100", XYZ)
+    assert err.value.position == len("((x^100)^100)")
+    top = "((x^16)^64)^63*(x^16)^63*x^15"
+    assert parse_poly(top, XYZ).degree() == MAX_DEGREE
+    with pytest.raises(PolyParseError, match=f"product may have degree up to {TOP}, more than"):
+        parse_poly(f"{top}*y", XYZ)
+    with pytest.raises(PolyParseError, match=f"power may have degree up to {TOP}, more than"):
+        parse_poly("((x^16)^64)^64", XYZ)
+    # construction refuses a monomial of degree TOP
+    assert Poly(XYZ, {(TOP - 2, 1, 0): 1}).degree() == MAX_DEGREE
+    with pytest.raises(PolyError, match="MAX_DEGREE"):
+        Poly(XYZ, {(TOP - 2, 1, 1): 1})
+    # a power of degree TOP or more is refused before any product is formed
+    x, xy = Poly.variable(XYZ, "x"), parse_poly("2*x*y", XYZ)
+    products = []
+    multiply = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(1) or multiply(a, b))
+    assert (x ** (TOP - 1)).degree() == (xy ** (TOP // 2 - 1)).degree() + 1 == MAX_DEGREE
+    assert products
+    products.clear()
+    for base, exponent in ((x, TOP), (xy, TOP // 2), (xy, 10**9)):
+        with pytest.raises(PolyError, match="MAX_DEGREE"):
+            base ** exponent
+    assert not products
 
 
 # -- fuzzing the expression grammar ------------------------------------------
-
-GRAMMAR_TOKENS = st.one_of(st.sampled_from([*"+-*^()/", "x", "y", "c", " "]),
-                           st.integers(0, 200).map(str))
-GRAMMAR_ATOMS = st.one_of(st.sampled_from(["x", "y", "c"]), st.integers(0, 200).map(str))
-
-
-def joined(inner):
-    return st.one_of(st.tuples(inner, st.sampled_from([*"+-*/^"]), inner).map("".join),
-                     inner.map("({})".format))
-
-
-# token strings drawn at random, and nested expressions over the same
-# tokens, which parse more often
-GRAMMAR_STRINGS = st.one_of(st.lists(GRAMMAR_TOKENS, max_size=30).map("".join),
-                            st.recursive(GRAMMAR_ATOMS, joined, max_leaves=16))
 
 
 @settings(max_examples=300, deadline=timedelta(seconds=2))

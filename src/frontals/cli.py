@@ -64,38 +64,44 @@ def _matrix_strs(matrix) -> list[list[str]]:
     return [[str(e) for e in row] for row in matrix.rows]
 
 
+def _tuple_str(strs: list[str]) -> str:
+    """The rendering of a PolyMap or a vector from its entries' strings: each
+    polynomial of a report is rendered once, for its text line and its JSON
+    value."""
+    return "(" + ", ".join(strs) + ")"
+
+
 def _germ_summary(report: _Report, gf: GermFile) -> None:
+    components = [str(c) for c in gf.germ.components]
     report.line(f"vars: {' '.join(gf.vars)}")
     if gf.ext_order is not None:
         report.line(f"ext: {gf.ext_order}")
-    report.line(f"f = {gf.germ}")
+    report.line(f"f = {_tuple_str(components)}")
     report.set("vars", list(gf.vars))
     report.set("ext", gf.ext_order)
-    report.set("map", [str(c) for c in gf.germ.components])
+    report.set("map", components)
     if gf.multipliers:
-        report.line("mu = (" + ", ".join(str(m) for m in gf.multipliers) + ")")
-        report.set("multipliers", [str(m) for m in gf.multipliers])
+        multipliers = [str(m) for m in gf.multipliers]
+        report.line(f"mu = {_tuple_str(multipliers)}")
+        report.set("multipliers", multipliers)
 
 
 def _certify_lines(report: _Report, cert: CertifyReport) -> None:
+    failures = [(i, j, str(r)) for i, j, r in cert.condition1_failures]
+    values = [[str(x) for x in v] for v in cert.condition2_values]
     report.line(f"condition 1 (annihilates tF): {'PASS' if cert.condition1_ok else 'FAIL'}")
-    for i, j, residual in cert.condition1_failures:
+    for i, j, residual in failures:
         report.line(f"  failure at (i, j) = ({i}, {j}): residual {residual}")
-    values = [
-        "(" + ", ".join(map(str, v)) + ")" for v in cert.condition2_values
-    ]
     report.line(f"condition 2 (phi_i(0) != 0): {'PASS' if cert.condition2_ok else 'FAIL'}"
-                f"  [{', '.join(values)}]")
+                f"  [{', '.join(map(_tuple_str, values))}]")
     report.line(f"condition 3 (independent at 0): "
                 f"{'PASS' if cert.condition3_ok else 'FAIL'}  "
                 f"[rank {cert.condition3_rank} of {cert.conormal_count}]")
     report.set("certification", {
         "condition1": cert.condition1_ok,
-        "condition1_failures": [
-            {"i": i, "j": j, "residual": str(r)} for i, j, r in cert.condition1_failures
-        ],
+        "condition1_failures": [{"i": i, "j": j, "residual": r} for i, j, r in failures],
         "condition2": cert.condition2_ok,
-        "condition2_values": [[str(x) for x in v] for v in cert.condition2_values],
+        "condition2_values": values,
         "condition3": cert.condition3_ok,
         "condition3_rank": cert.condition3_rank,
         "pass": cert.ok,
@@ -112,19 +118,20 @@ def cmd_jacobian(args) -> tuple[_Report, int]:
     report = _Report("jacobian")
     _germ_summary(report, gf)
     jac, adj, det = jacobian_adjugate(gf.germ)
+    jac_rows, adj_rows, det_str = _matrix_strs(jac), _matrix_strs(adj), str(det)
+    jsq_str = str(det * det)
     report.line("Jf =")
-    for row in _matrix_strs(jac):
+    for row in jac_rows:
         report.line("  [" + ", ".join(row) + "]")
-    report.line(f"|Jf| = {det}")
+    report.line(f"|Jf| = {det_str}")
     report.line("adj(Jf) =")
-    for row in _matrix_strs(adj):
+    for row in adj_rows:
         report.line("  [" + ", ".join(row) + "]")
-    jsq = det * det
-    report.line(f"|Jf|^2 = {jsq}")
-    report.set("jacobian_matrix", _matrix_strs(jac))
-    report.set("jacobian_det", str(det))
-    report.set("adjugate", _matrix_strs(adj))
-    report.set("jacobian_squared", str(jsq))
+    report.line(f"|Jf|^2 = {jsq_str}")
+    report.set("jacobian_matrix", jac_rows)
+    report.set("jacobian_det", det_str)
+    report.set("adjugate", adj_rows)
+    report.set("jacobian_squared", jsq_str)
     report.set("status", "ok")
     return report, EXIT_OK
 
@@ -136,14 +143,16 @@ def cmd_frontal(args) -> tuple[_Report, int]:
     report = _Report("frontal")
     _germ_summary(report, gf)
     package = build_certified(gf.germ, gf.multipliers)
-    report.line(f"F = {package.frontal_map}")
-    for i, phi in enumerate(package.conormal_fields, start=1):
+    components = [str(c) for c in package.frontal_map.components]
+    conormals = [str(phi) for phi in package.conormal_fields]
+    report.line(f"F = {_tuple_str(components)}")
+    for i, phi in enumerate(conormals, start=1):
         report.line(f"phi{i} = {phi}")
     _certify_lines(report, package.report)
     ok = package.report.ok
     report.line(f"frontal certification: {'PASS' if ok else 'FAIL'}")
-    report.set("frontal_map", [str(c) for c in package.frontal_map.components])
-    report.set("conormals", [str(phi) for phi in package.conormal_fields])
+    report.set("frontal_map", components)
+    report.set("conormals", conormals)
     report.set("status", "pass" if ok else "fail")
     return report, EXIT_OK if ok else EXIT_FAIL
 
@@ -167,11 +176,12 @@ def cmd_multiplicity(args) -> tuple[_Report, int]:
 def cmd_ramify(args) -> tuple[_Report, int]:
     gf = load_germ_file(args.file)
     psi = parse_poly(args.psi, gf.vars, gf.field)
+    psi_str = str(psi)
     report = _Report("ramify")
     _germ_summary(report, gf)
-    report.line(f"psi = {psi}")
+    report.line(f"psi = {psi_str}")
     report.line(f"mode = {args.mode}, jet order = {args.jet}")
-    report.set("psi", str(psi))
+    report.set("psi", psi_str)
     report.set("mode", args.mode)
     report.set("jet_order", args.jet)
     if args.mode == "gradient":
@@ -186,14 +196,13 @@ def cmd_ramify(args) -> tuple[_Report, int]:
         witnesses: dict[str, str] = {}
         if args.mode == "gradient":
             for i, a in enumerate(cert.witnesses, start=1):
-                report.line(f"witness a{i} = {a}")
-                witnesses[f"a{i}"] = str(a)
+                text = witnesses[f"a{i}"] = str(a)
+                report.line(f"witness a{i} = {text}")
         else:
-            report.line(f"witness mu = {cert.mu}")
-            report.line(f"witness eta = {cert.eta}  [in variables "
-                        f"{' '.join(cert.eta.vars)}]")
-            witnesses["mu"] = str(cert.mu)
-            witnesses["eta"] = str(cert.eta)
+            mu = witnesses["mu"] = str(cert.mu)
+            eta = witnesses["eta"] = str(cert.eta)
+            report.line(f"witness mu = {mu}")
+            report.line(f"witness eta = {eta}  [in variables {' '.join(cert.eta.vars)}]")
         report.line("recheck: zero jet residual")
         report.set("witnesses", witnesses)
         report.set("rechecked", verdict.is_member)  # MEMBER only after the recheck passed
@@ -217,15 +226,17 @@ def _entry_label(entry_report) -> str:
 
 def _corpus_entry_lines(report: _Report, er) -> dict:
     label = _entry_label(er)
+    claimed = [str(c) for c in er.entry.claimed.components]
+    literal = [str(c) for c in er.literal.result.components]
     report.line(f"[{label}] certify: {'PASS' if er.certified else 'FAIL'}"
                 f" | literal: {'MATCH' if er.literal.matches else 'MISMATCH'}"
                 + (f" | corrected: {'MATCH' if er.corrected.matches else 'MISMATCH'}"
                    if er.corrected is not None else "")
                 + f" | path: {er.path}")
-    report.line(f"  claimed = {er.entry.claimed}")
+    report.line(f"  claimed = {_tuple_str(claimed)}")
     if not er.literal.matches:
         if er.literal.rational:
-            report.line(f"  literal result = {er.literal.result}")
+            report.line(f"  literal result = {_tuple_str(literal)}")
             report.line(f"  residual (claimed - literal) = {er.literal.residual}")
         else:
             report.line("  literal result has irrational coefficients")
@@ -234,9 +245,9 @@ def _corpus_entry_lines(report: _Report, er) -> dict:
     return {
         "entry": label,
         "certified": er.certified,
-        "claimed": [str(c) for c in er.entry.claimed.components],
+        "claimed": claimed,
         "literal_match": er.literal.matches,
-        "literal_result": [str(c) for c in er.literal.result.components],
+        "literal_result": literal,
         "corrected_match": er.corrected.matches if er.corrected is not None else None,
         "path": er.path,
         "notes": list(er.notes),

@@ -53,9 +53,9 @@ import functools
 import math
 import struct
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
-from .scalars import ExtField, ExtScalar, Scalar, ScalarError
+from .scalars import ExtField, ExtScalar, Scalar, ScalarError, ratio_str, residue_str, signed_sum
 
 Exponents = tuple[int, ...]
 
@@ -185,8 +185,12 @@ class Poly:
         ExtScalar when a power of c is left in it."""
         table = self._terms
         if table is None:
-            unpack = _unpacker(len(self.vars))
-            table = {unpack(key): c for key, c in self._coefficients().items()}
+            unpack, (nums, den), field = _unpacker(len(self.vars)), self._ints, self.field
+            if field is None:
+                table = {unpack(key): Fraction(n, den) for key, n in nums.items()}
+            else:
+                table = {unpack(key): _scalar(field, cs, den)
+                         for key, cs in _by_monomial(self).items()}
             _set_terms(self, table)
         return table
 
@@ -220,17 +224,6 @@ class Poly:
             return nums
         low = (1 << _c_shift(len(self.vars))) - 1
         return {key & low for key in nums}
-
-    def _coefficients(self) -> dict[int, Scalar]:
-        """The nonzero coefficient of each monomial, by its packed key with
-        the c field masked."""
-        nums, den = self._ints
-        field = self.field
-        if field is not None:
-            return {key: _scalar(field, cs, den) for key, cs in _by_monomial(self).items()}
-        if den == 1:
-            return {key: Fraction(n) for key, n in nums.items()}
-        return {key: Fraction(n, den) for key, n in nums.items()}
 
     def _coefficient(self, key: int) -> Scalar:
         """The coefficient of the monomial with packed key."""
@@ -266,12 +259,6 @@ class Poly:
         keys = self._monomials()
         return min(keys) >> len(self.vars) * FIELD_BITS if keys else math.inf
 
-    def sorted_terms(self) -> Iterator[tuple[Exponents, Scalar]]:
-        coeffs = self._coefficients()
-        unpack = _unpacker(len(self.vars))
-        for key in sorted(coeffs, reverse=True):
-            yield unpack(key), coeffs[key]
-
     def is_rational(self) -> bool:
         """True when every coefficient lies in Q: no power of c is left."""
         return self.field is None or max(self._ints[0], default=0) < 1 << _c_shift(len(self.vars))
@@ -297,16 +284,11 @@ class Poly:
 
     # -- ring operations -----------------------------------------------------
 
-    def _check_same_vars(self, other: "Poly") -> None:
-        if self.vars != other.vars:
-            raise VariableMismatchError(
-                f"mismatched variable lists {self.vars} vs {other.vars}"
-            )
-
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        self._check_same_vars(other)
+        if self.vars != other.vars:
+            raise VariableMismatchError(f"mismatched variable lists {self.vars} vs {other.vars}")
         field = self.field
         if other.field is not field:
             field = _common_field({field, other.field})
@@ -357,14 +339,14 @@ class Poly:
         if self.degree() * exponent > MAX_DEGREE:
             raise PolyError(f"a power of degree {self.degree() * exponent} is above"
                             f" MAX_DEGREE = {MAX_DEGREE}")
-        result = Poly.const(self.vars, 1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        if not exponent:
+            return Poly.const(self.vars, 1)
+        # left to right over the bits of the exponent, from the base itself
+        result = self
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     # -- calculus and composition ---------------------------------------------
@@ -463,46 +445,33 @@ class Poly:
 
     # -- printing --------------------------------------------------------------
 
-    def _term_str(self, mono: Exponents, coeff: Scalar) -> tuple[bool, str]:
-        """Render one term as (is_negative, body); sign handling is the caller's."""
-        factors = [
-            v if e == 1 else f"{v}^{e}"
-            for v, e in zip(self.vars, mono)
-            if e > 0
-        ]
-        if isinstance(coeff, ExtScalar) and not coeff.is_rational():
-            nonzero = [(i, q) for i, q in enumerate(coeff.coeffs) if q]
-            if len(nonzero) == 1:
-                # single power of c: pull its rational sign out
-                i, q = nonzero[0]
-                sym = coeff.field.symbol
-                cpow = sym if i == 1 else f"{sym}^{i}"
-                head = [] if abs(q) == 1 else [str(abs(q))]
-                return q < 0, "*".join(head + [cpow] + factors)
-            return False, "*".join([f"({coeff})"] + factors)
-        q = coeff.to_fraction() if isinstance(coeff, ExtScalar) else coeff
-        if not factors:
-            return q < 0, str(abs(q))
-        if abs(q) == 1:
-            return q < 0, "*".join(factors)
-        return q < 0, "*".join([str(abs(q))] + factors)
-
     def __str__(self) -> str:
-        if self.is_zero():
+        """Descending graded-lex order, written from the packed form's integers."""
+        nums, den = self._ints
+        if not nums:
             return "0"
-        pieces: list[str] = []
-        for mono, coeff in self.sorted_terms():
-            negative, body = self._term_str(mono, coeff)
-            if not pieces:
-                # a leading negative must stay inside the grammar: the sign can
-                # only live in an int literal, so "-x" becomes "-1*x"
-                if negative:
-                    pieces.append("-" + body if body[0].isdigit() else "-1*" + body)
-                else:
-                    pieces.append(body)
-            else:
-                pieces.append(f"- {body}" if negative else f"+ {body}")
-        return " ".join(pieces)
+        if self.is_rational():
+            terms = [(key, ((0, nums[key]),)) for key in sorted(nums, reverse=True)]
+        else:
+            groups = _by_monomial(self)
+            terms = [(key, [(j, n) for j, n in reversed(list(enumerate(groups[key]))) if n])
+                     for key in sorted(groups, reverse=True)]
+        names, unpack = self.vars, _unpacker(len(self.vars))
+        sym = self.field and self.field.symbol
+        pieces: list[tuple[bool, str]] = []
+        for key, parts in terms:
+            factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(names, unpack(key)) if e]
+            if len(parts) > 1:
+                # no single sign to pull out of a residue with two powers of c
+                pieces.append((False, "*".join([f"({residue_str(sym, parts, den)})"] + factors)))
+                continue
+            j, num = parts[0]
+            if j:
+                factors.insert(0, sym if j == 1 else f"{sym}^{j}")
+            if abs(num) != den or not factors:
+                factors.insert(0, ratio_str(num, den))
+            pieces.append((num < 0, "*".join(factors)))
+        return signed_sum(pieces)
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -633,9 +602,10 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        # ASCII digits only: str.isdigit also takes '²' or '١'
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(_Token("int", text[i:j], i))
             i = j
@@ -656,11 +626,6 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-def _term_count(p: Poly) -> int:
-    """The number of monomials of p."""
-    return len(p._monomials())
-
-
 def _height(p: Poly) -> int:
     """Bit height of p over its denominator D: the bits of D or of the
     largest integer numerator, extension residues included, if that is more."""
@@ -668,8 +633,10 @@ def _height(p: Poly) -> int:
     return max(den.bit_length(), max(map(abs, nums.values()), default=0).bit_length())
 
 
-def _known_height(p: Poly, height: int | None) -> int:
-    return _height(p) if height is None else height
+# a product of atoms (rational literals, variables and c, each possibly to
+# a power) is one packed monomial (key, num, den, field): num * x^key / den
+# in lowest terms, key 0 when num is 0, field the ExtField once c took part
+Monomial = tuple[int, int, int, Union[ExtField, None]]
 
 
 class _Parser:
@@ -679,9 +646,10 @@ class _Parser:
         self.vars = vars
         self.field = field
         self.depth = 0
-        # a product of two residues of Q(c), c^k = 6, sums k products, each
-        # at most 6 times a numerator product
-        self.fold = 6 * field.k if field is not None else 1
+        self.dshift, self.cshift = len(vars) * FIELD_BITS, _c_shift(len(vars))
+        # fold: a product of two residues of Q(c), c^k = 6, sums k products,
+        # each at most 6 times a numerator product
+        self.k, self.fold = (1, 1) if field is None else (field.k, 6 * field.k)
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -691,22 +659,55 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_op(self, op: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise PolyParseError(f"expected {op!r}, found {tok.text or 'end of input'!r}", tok.pos)
-        return self.advance()
-
     def parse_expr(self) -> Poly:
-        result = self.parse_term()
+        terms = [self.parse_term()]
         while True:
             tok = self.peek()
             if tok.kind == "op" and tok.text in "+-":
                 self.advance()
-                rhs = self.parse_term()
-                result = result + rhs if tok.text == "+" else result - rhs
+                term = self.parse_term()
+                if tok.text == "-":
+                    term = -term if type(term) is Poly else (term[0], -term[1], *term[2:])
+                terms.append(term)
             else:
-                return result
+                return self.sum(terms)
+
+    def sum(self, terms: list[Poly | Monomial]) -> Poly:
+        """The monomials collected over one common denominator, plus each Poly."""
+        polys = [t for t in terms if type(t) is Poly]
+        monomials = [t for t in terms if type(t) is not Poly]
+        if monomials:
+            den = math.lcm(*[d for _, _, d, _ in monomials])
+            nums: dict[int, int] = {}
+            for key, num, d, _ in monomials:
+                nums[key] = nums.get(key, 0) + num * (den // d)
+            field = next((f for *_, f in monomials if f is not None), None)
+            polys.insert(0, _lowest(self.vars, {m: v for m, v in nums.items() if v}, den, field))
+        return functools.reduce(Poly.__add__, polys)
+
+    def poly(self, factor: Poly | Monomial) -> Poly:
+        if type(factor) is Poly:
+            return factor
+        key, num, den, field = factor
+        return Poly._raw(self.vars, {key: num} if num else {}, den, field)
+
+    def measure(self, factor: Poly | Monomial) -> tuple[int, int, int]:
+        """The term count, degree and _height of a factor."""
+        if type(factor) is Poly:
+            return len(factor._monomials()), factor.degree(), _height(factor)
+        key, num, den, _ = factor
+        if not num:
+            return 0, -1, 1
+        return 1, key >> self.dshift & MAX_DEGREE, max(abs(num).bit_length(), den.bit_length())
+
+    def monomial(self, key: int, num: int, den: int, field: ExtField | None) -> Monomial:
+        """num * x^key / den in lowest terms, with c^(q*k + r) folded to 6^q * c^r."""
+        if not num:
+            return 0, 0, 1, field
+        q = (key >> self.cshift) // self.k
+        num *= 6**q
+        g = math.gcd(num, den)
+        return key - (q * self.k << self.cshift), num // g, den // g, field
 
     def check_terms(self, what: str, tok: _Token, terms: int, degree: int, bits: int) -> None:
         """Refuse, before computing it, a result with at most ``terms`` terms
@@ -726,22 +727,24 @@ class _Parser:
             raise PolyParseError(
                 f"{what} may have degree up to {degree}, more than {MAX_DEGREE}", tok.pos)
 
-    def parse_term(self) -> Poly:
-        result, height = self.parse_factor()
+    def parse_term(self) -> Poly | Monomial:
+        result = self.parse_factor()
         while True:
             tok = self.peek()
             if tok.kind == "op" and tok.text == "*":
                 self.advance()
-                rhs, rhs_height = self.parse_factor()
+                rhs = self.parse_factor()
                 # each coefficient sums at most min(t_a, t_b) products of the
                 # numerators over the product of the two denominators
-                ta, tb = _term_count(result), _term_count(rhs)
-                pairs = min(ta, tb)
-                self.check_terms("product", tok, ta * tb,
-                                 result.degree() + rhs.degree(),
-                                 _known_height(result, height) + _known_height(rhs, rhs_height)
-                                 + (pairs * self.fold).bit_length())
-                result, height = result * rhs, None
+                (ta, da, ha), (tb, db, hb) = self.measure(result), self.measure(rhs)
+                self.check_terms("product", tok, ta * tb, da + db,
+                                 ha + hb + (min(ta, tb) * self.fold).bit_length())
+                if type(result) is Poly or type(rhs) is Poly:
+                    result = self.poly(result) * self.poly(rhs)
+                else:
+                    # keys add
+                    (ka, na, da, fa), (kb, nb, db, fb) = result, rhs
+                    result = self.monomial(ka + kb, na * nb, da * db, fa or fb)
             elif tok.kind == "op" and tok.text == "/":
                 raise PolyParseError(
                     "division by a non-constant: '/' is only allowed inside a"
@@ -753,9 +756,8 @@ class _Parser:
             else:
                 return result
 
-    def parse_factor(self) -> tuple[Poly, int | None]:
-        """A factor and its _height, or None while that is not computed."""
-        base, height = self.parse_base()
+    def parse_factor(self) -> Poly | Monomial:
+        base = self.parse_base()
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             self.advance()
@@ -765,21 +767,23 @@ class _Parser:
             exponent = int(exp_tok.text)
             if exponent > MAX_EXPONENT:
                 raise PolyParseError(f"exponent above {MAX_EXPONENT}", exp_tok.pos)
-            t = _term_count(base)
+            t, degree, height = self.measure(base)
             if t:
                 # one term per multiset of e of the t terms of the base; the
                 # numerators of p^e are at most (t * fold * 2^H(p))^e
                 self.check_terms("power", tok, math.comb(t + exponent - 1, exponent),
-                                 exponent * base.degree(),
-                                 exponent * (_known_height(base, height)
-                                             + (t * self.fold).bit_length()))
+                                 exponent * degree,
+                                 exponent * (height + (t * self.fold).bit_length()))
             self.advance()
-            return base ** exponent, None
-        return base, height
+            if type(base) is Poly:
+                return base ** exponent
+            # a zeroth power is 1 over Q, as for a Poly
+            key, num, den, field = base
+            return self.monomial(key * exponent, num**exponent, den**exponent,
+                                 field if exponent else None)
+        return base
 
-    def parse_base(self) -> tuple[Poly, int | None]:
-        """A base and its _height: known for a number or a variable, None
-        for a parenthesised expression or the extension generator."""
+    def parse_base(self) -> Poly | Monomial:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "(":
             if self.depth == MAX_NESTING:
@@ -788,49 +792,45 @@ class _Parser:
             self.advance()
             self.depth += 1
             inner = self.parse_expr()
-            self.expect_op(")")
+            close = self.advance()
+            if close.kind != "op" or close.text != ")":
+                raise PolyParseError(
+                    f"expected ')', found {close.text or 'end of input'!r}", close.pos)
             self.depth -= 1
-            return inner, None
-        if tok.kind == "op" and tok.text == "-":
+            return inner
+        negative = tok.kind == "op" and tok.text == "-"
+        if negative:
             self.advance()
-            num_tok = self.peek()
-            if num_tok.kind != "int":
-                raise PolyParseError("expected an integer after '-'", num_tok.pos)
-            return self.parse_rational(negative=True)
+            tok = self.peek()
+            if tok.kind != "int":
+                raise PolyParseError("expected an integer after '-'", tok.pos)
         if tok.kind == "int":
-            return self.parse_rational(negative=False)
+            # a rational literal, its sign in the numerator
+            self.advance()
+            numerator, denominator = -int(tok.text) if negative else int(tok.text), 1
+            if self.peek().kind == "op" and self.peek().text == "/":
+                self.advance()
+                den_tok = self.peek()
+                if den_tok.kind == "ident":
+                    raise PolyParseError("division by a non-constant", den_tok.pos)
+                if den_tok.kind != "int":
+                    raise PolyParseError("expected an integer denominator", den_tok.pos)
+                self.advance()
+                denominator = int(den_tok.text)
+                if denominator == 0:
+                    raise PolyParseError("zero denominator in rational literal", den_tok.pos)
+            return self.monomial(0, numerator, denominator, None)
         if tok.kind == "ident":
             self.advance()
             name = tok.text
             if self.field is not None and name == self.field.symbol:
-                return Poly.const(self.vars, self.field.generator), None
+                return self.monomial(1 << self.cshift, 1, 1, self.field)
             if name not in self.vars:
                 raise PolyParseError(f"unknown variable {name!r}", tok.pos)
-            return Poly.variable(self.vars, name), 1
+            return _weights(len(self.vars))[self.vars.index(name)], 1, 1, None
         raise PolyParseError(
             f"expected a number, variable or '(', found {tok.text or 'end of input'!r}",
             tok.pos)
-
-    def parse_rational(self, negative: bool) -> tuple[Poly, int]:
-        num_tok = self.advance()
-        numerator = -int(num_tok.text) if negative else int(num_tok.text)
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "/":
-            self.advance()
-            den_tok = self.peek()
-            if den_tok.kind == "ident":
-                raise PolyParseError("division by a non-constant", den_tok.pos)
-            if den_tok.kind != "int":
-                raise PolyParseError("expected an integer denominator", den_tok.pos)
-            self.advance()
-            denominator = int(den_tok.text)
-            if denominator == 0:
-                raise PolyParseError("zero denominator in rational literal", den_tok.pos)
-            value = Fraction(numerator, denominator)
-        else:
-            value = Fraction(numerator)
-        return (Poly.const(self.vars, value),
-                max(abs(value.numerator).bit_length(), value.denominator.bit_length()))
 
 
 def parse_poly(text: str, vars: Sequence[str], field: ExtField | None = None) -> Poly:

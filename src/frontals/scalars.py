@@ -238,42 +238,55 @@ class ExtScalar:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        if not n:
+            return self.field.one
+        # left to right over the bits of the exponent, from the base itself
+        result = self
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self:
-            return "0"
-        coeffs = self.coeffs
-        sym = self.field.symbol
-        parts: list[str] = []
-        for i in range(self.field.k - 1, -1, -1):
-            q = coeffs[i]
-            if q == 0:
-                continue
-            if i == 0:
-                body = str(abs(q))
-            else:
-                head = sym if i == 1 else f"{sym}^{i}"
-                body = head if abs(q) == 1 else f"{abs(q)}*{head}"
-            if not parts:
-                if q < 0:
-                    # keep the leading sign inside an int literal so the
-                    # rendering re-parses under the expression grammar
-                    parts.append("-" + body if body[0].isdigit() else "-1*" + body)
-                else:
-                    parts.append(body)
-            else:
-                parts.append(f"+ {body}" if q > 0 else f"- {body}")
-        return " ".join(parts)
+        parts = [(j, n) for j, n in reversed(list(enumerate(self.nums))) if n]
+        return residue_str(self.field.symbol, parts, self.den) if parts else "0"
 
     def __repr__(self) -> str:
         return f"ExtScalar({self.field!r}, {self})"
+
+
+# -- rendering from integers ---------------------------------------------------
+
+
+def ratio_str(num: int, den: int) -> str:
+    """|num| / den in lowest terms, as str(Fraction) writes it."""
+    g = math.gcd(num, den)
+    num, den = abs(num) // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def signed_sum(terms: Sequence[tuple[bool, str]]) -> str:
+    """The terms (is_negative, body) joined by their signs.  A leading
+    negative sign can only live in an int literal under the expression
+    grammar, so "-x" is written "-1*x"."""
+    negative, body = terms[0]
+    pieces = [("-" + body if body[0].isdigit() else "-1*" + body) if negative else body]
+    pieces += [f"- {body}" if negative else f"+ {body}" for negative, body in terms[1:]]
+    return " ".join(pieces)
+
+
+def residue_str(symbol: str, parts: Sequence[tuple[int, int]], den: int) -> str:
+    """The residue sum of num * symbol^j / den over parts, the (j, num) with
+    num nonzero in descending j, as ExtScalar prints it."""
+    terms = []
+    for j, num in parts:
+        if not j:
+            body = ratio_str(num, den)
+        else:
+            power = symbol if j == 1 else f"{symbol}^{j}"
+            body = power if abs(num) == den else f"{ratio_str(num, den)}*{power}"
+        terms.append((num < 0, body))
+    return signed_sum(terms)

@@ -324,6 +324,16 @@ def test_degree_above_the_packed_field_exit_2(tmp_path, capsys):
                        " (at position 13) (line 3)")
 
 
+def test_non_ascii_digit_exit_2(tmp_path, capsys):
+    germ = tmp_path / "superscript.germ"
+    germ.write_text("vars: x y\nmap:\nf1 = x^\u00b2\nf2 = y + \u0661\n", encoding="utf-8")
+    message = _assert_input_error(capsys, "jacobian", germ)
+    assert message == "error: in f1: unexpected character '\u00b2' (at position 2) (line 3)"
+    germ.write_text("vars: x y\nmap:\nf1 = x\nf2 = y + \u0661\n", encoding="utf-8")
+    message = _assert_input_error(capsys, "jacobian", germ)
+    assert message == "error: in f2: unexpected character '\u0661' (at position 4) (line 4)"
+
+
 def test_multiplicity_stops_at_the_unknown_cap(tmp_path, capsys):
     germ = tmp_path / "zero.germ"
     germ.write_text("vars: x\nmap:\nf1 = 0\n", encoding="utf-8")

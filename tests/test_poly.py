@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 from datetime import timedelta
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frontals.poly as poly_module
+import frontals.scalars as scalars_module
 from frontals.poly import (
     FIELD_BITS,
     MAX_COEFF_BITS,
@@ -29,7 +32,14 @@ from frontals.poly import (
 )
 from frontals.scalars import ExtField, ExtScalar, ScalarError
 
-from helpers import GRAMMAR_STRINGS, random_poly
+from helpers import (
+    GRAMMAR_STRINGS,
+    PARSER_REFERENCE,
+    parse_outcome,
+    random_poly,
+    reference_scalar_str,
+    reference_str,
+)
 
 XY = ("x", "y")
 
@@ -134,14 +144,17 @@ def test_parse_coefficient_size_cap():
 
 
 def test_parser_carries_exact_heights():
-    # a height the parser carries with a factor is the one _height computes
+    # the height, term count and degree the parser reads off a factor, a
+    # packed monomial or a Poly, are those of the Poly it stands for
     F = ExtField(2)
     for text in ("x", "7", "-5/2", "0", "-0/3", "12/8", "c", "(x + 1/3)", "x^3", "(2/3*y)^4",
-                 "-9/4", "c^3", "(1 + c)^2"):
+                 "-9/4", "c^3", "(1 + c)^2", "0^0", "c^0", "(-3/4)^5", "c^5"):
         parser = _Parser(_tokenize(text), XY, F)
-        poly, height = parser.parse_factor()
+        factor = parser.parse_factor()
         assert parser.peek().kind == "end"
-        assert height is None or height == _height(poly), text
+        poly = parser.poly(factor)
+        assert parser.measure(factor) == (len(poly.terms), poly.degree(), _height(poly)), text
+        assert poly == parse_poly(text, XY, F)
 
 
 def test_height_bounds_hold():
@@ -159,6 +172,51 @@ def test_height_bounds_hold():
             assert _height(a ** e) <= e * (_height(a) + (len(a.terms) * fold).bit_length())
             pairs = min(len(a.terms), len(b.terms))
             assert _height(a * b) <= _height(a) + _height(b) + (pairs * fold).bit_length()
+
+
+@pytest.mark.parametrize("text, char, position", [
+    ("x^²", "²", 2),     # a superscript two as an exponent
+    ("x + ١", "١", 4),   # an Arabic-Indic one as a base
+    ("٣*x", "٣", 0),     # an Arabic-Indic three as a base
+    ("x^٣", "٣", 2),     # and as an exponent
+    ("x + 1٣", "٣", 5),  # after ASCII digits
+    ("2/٣", "٣", 2),     # as a denominator
+])
+def test_parse_refuses_non_ascii_digits(text, char, position):
+    # digits are ASCII 0-9: str.isdigit() would take these, and int()
+    # would read '١' as 1 or refuse '²' with a bare ValueError
+    with pytest.raises(PolyParseError, match=f"unexpected character {char!r}") as err:
+        P(text)
+    assert err.value.position == position
+
+
+def test_parser_matches_the_recorded_reference():
+    # the packed form, field and printed string, or the error class,
+    # message and position, of every input recorded in tests/helpers.py
+    cases = json.loads(PARSER_REFERENCE.read_text(encoding="utf-8"))
+    assert len(cases) > 2000
+    for case in cases:
+        expected = {key: v for key, v in case.items() if key not in ("text", "vars", "k")}
+        outcome = parse_outcome(case["text"], tuple(case["vars"]), case["k"])
+        assert json.loads(json.dumps(outcome)) == expected, (case["text"], case["k"])
+
+
+def test_a_term_of_atoms_forms_no_product(monkeypatch):
+    products = []
+    kernel = poly_module.sum_of_products
+    monkeypatch.setattr(poly_module, "sum_of_products",
+                        lambda *args: products.append(1) or kernel(*args))
+    F = ExtField(3)
+    p = parse_poly("1/3*c*x^3*y^2", XY, F)
+    assert not products
+    assert p == Poly(XY, {(3, 2): F.generator / 3}) and p.field == F
+    assert parse_poly("-2/4*c^4*y*x^3*y*6/9", XY, F) == parse_poly("-2*c*x^3*y^2", XY, F)
+    assert not products
+    # a parenthesised group: one square, then one product for each factor
+    # that meets it
+    assert parse_poly("2*x*(x + c)^2*y", XY, F) == parse_poly(
+        "2*x^3*y + 4*c*x^2*y + 2*c^2*x*y", XY, F)
+    assert len(products) == 3
 
 
 def test_parse_unknown_variable():
@@ -210,6 +268,29 @@ def test_mul_square():
 
 def test_pow_matches_expansion():
     assert P("x^2 + y") ** 2 == P("x^4 + 2*x^2*y + y^2")
+
+
+def test_powers_start_from_the_base(monkeypatch):
+    F = ExtField(3)
+    p, a = parse_poly("c*x + 2/3*y - 1", XY, F), F.element([1, Fraction(-1, 2), 3])
+    expected_p, expected_a = [Poly.const(XY, 1)], [F.one]
+    for _ in range(9):
+        expected_p.append(expected_p[-1] * p)
+        expected_a.append(expected_a[-1] * a)
+    products = []
+    for cls in (Poly, ExtScalar):
+        multiply = cls.__mul__
+        monkeypatch.setattr(cls, "__mul__",
+                            lambda u, v, multiply=multiply: products.append(1) or multiply(u, v))
+    # left to right over the bits: a square per bit after the first and a
+    # product per further 1 bit, none with the constant one
+    for e, count in enumerate([0, 0, 1, 2, 2, 3, 3, 4, 3, 4]):
+        products.clear()
+        assert p ** e == expected_p[e] and len(products) == count, e
+        products.clear()
+        assert a ** e == expected_a[e] and len(products) == count, e
+    assert (p ** 0).field is None and (p ** 1).field == F
+    assert a ** -2 * a ** 2 == F.one
 
 
 def test_add_zero_identity():
@@ -302,6 +383,55 @@ def test_print_negative_leading_term():
     assert str(P("0 - x")) == "-1*x"
     assert str(P("0 - 3*x + y")) == "-3*x + y"
     assert str(P("y - x^2")) == "-1*x^2 + y"
+
+
+def test_print_extension_coefficients(monkeypatch):
+    F = ExtField(3)
+    cases = [
+        ("3 - c^2*x", "-1*c^2*x + 3"),
+        ("(3 - c^2)*x - 2/3*c*y", "(-1*c^2 + 3)*x - 2/3*c*y"),
+        ("-5/2 + 0*x", "-5/2"),
+        ("c*(1 - c)*x^2 - c^2*y^2*x - 7/6", "-1*c^2*x*y^2 + (-1*c^2 + c)*x^2 - 7/6"),
+        ("12/8*c^2 - 4/6*c + 18/12", "(3/2*c^2 - 2/3*c + 3/2)"),
+    ]
+    polys = [parse_poly(text, XY, F) for text, _ in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the printer built a scalar")
+
+    # the printer builds no Fraction and no ExtScalar
+    with monkeypatch.context() as patch:
+        for module in (poly_module, scalars_module):
+            patch.setattr(module, "Fraction", refuse)
+        patch.setattr(ExtScalar, "__init__", refuse)
+        patch.setattr(ExtScalar, "_make", refuse)
+        texts = [str(p) for p in polys]
+    assert texts == [printed for _, printed in cases]
+    assert all(p._terms is None for p in polys)
+    assert [reference_str(p) for p in polys] == texts
+
+
+@st.composite
+def printable_polys(draw):
+    """Polynomials over Q or Q(6^(1/k)), k = 1..5, with constants, signs
+    and coefficients that keep one or several powers of c."""
+    k = draw(st.sampled_from([None, 1, 2, 3, 4, 5]))
+    vars = draw(st.sampled_from([("x",), XY, ("x", "y", "z")]))
+    table = draw(st.dictionaries(st.sampled_from(monomials_up_to(vars, 3)),
+                                 coefficients(k), max_size=5))
+    scale = draw(st.sampled_from([1, -1, Fraction(-7, 6), Fraction(12, 35)]))
+    return Poly(vars, table).scale(scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(printable_polys())
+def test_print_matches_the_reference_printer(p):
+    text = str(p)
+    # printed from the packed form: no terms table is built
+    assert p._terms is None
+    assert text == reference_str(p)
+    assert all(str(c) == reference_scalar_str(c) for c in p.terms.values())
+    assert parse_poly(text, p.vars, p.field) == p
 
 
 @settings(max_examples=100, deadline=None)

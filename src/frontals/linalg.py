@@ -5,16 +5,19 @@ Q(6^(1/k))), and for the sparse jet-level systems of the local-algebra and
 ramification modules, built by `jet_rows` and `jet_solve`.  Rows are dicts
 keyed by integer column indices; column order is the integer order, which
 callers fix deterministically, so elimination and the extracted solutions
-are reproducible.  Rational rows are eliminated over the integers, and
-Fractions appear only in the values of `SparseSolver.solve()`.
+are reproducible.  Every row is eliminated fraction-free over Z[c], c the
+generator of Q(6^(1/k)), with no reciprocal; Fractions and ExtScalar
+quotients appear only in the values of `SparseSolver.solve()`.
 
-The jet systems are integer rows: a polynomial enters as the numerators of
-its packed form (`frontals.poly`), an ExtScalar where a power of c is left,
-and its column is scaled by a multiple of its denominator, which moves no
-pivot and changes no rank.  `jet_solve` builds its system one degree at a
-time.  Its unknowns arrive in nondecreasing order of a lower bound on the
-degree of their terms, and each is placed when the equations reach its
-bound: the equations of degree d involve only unknowns of bound <= d.  The
+The jet systems are rows over Z[c] by construction: a polynomial enters as
+the numerators of its packed form (`frontals.poly`), an ExtScalar over 1
+where a power of c is left, and its column is scaled by a multiple of its
+denominator, which moves no pivot and changes no rank.  `jet_solve` hands
+its rows to the elimination loop of `SparseSolver` without the input pass
+of `add_row`, and builds its system one degree at a time.  Its unknowns
+arrive in nondecreasing order of a lower bound on the degree of their
+terms, and each is placed when the equations reach its bound: the
+equations of degree d involve only unknowns of bound <= d.  The
 equations enter in the order of the whole order-k system, so a solve that
 stops at an inconsistent equation of degree d makes the same solver calls
 and proves the same: the equations entered are rows of the whole system,
@@ -26,19 +29,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import itemgetter, mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, Union
 
 from .poly import FIELD_BITS, Exponents, Poly, _by_monomial, _unpacker, _weights
-from .scalars import ExtScalar, Scalar
+from .scalars import ExtField, ExtScalar, Scalar
 
 # one unknown: a monomial shift and the tuple of polynomials it multiplies
 Unknown = tuple[Exponents, tuple[Poly, ...]]
 # one unknown of `jet_solve`: a bound on its degree, its column, then as above
 Streamed = tuple[int, int, Exponents, tuple[Poly, ...]]
+# an element of Z[c]: an int, or an ExtScalar over 1 where a power of c is left
+Entry = Union[int, ExtScalar]
 # the terms of one polynomial as (degree, packed key, numerator), by degree
-Terms = list[tuple[int, int, Scalar]]
-
-_ONE = Fraction(1)
+Terms = list[tuple[int, int, Entry]]
 
 
 class SparseSolver:
@@ -49,21 +52,22 @@ class SparseSolver:
     side marks the system inconsistent.  Entries and right-hand sides are
     ints, Fractions or ExtScalars; a float raises TypeError.
 
-    Rational rows are eliminated fraction-free.  A row whose entries and
-    right-hand side are all ints or Fractions is scaled to integers by the
-    lcm of its denominators.  It is stored primitive (the gcd of its entries
-    and right-hand side divided out) with its positive leading entry p, and
-    a row with entry a in the pivot column is reduced to p*row - a*pivot.  A
-    row holding an ExtScalar, or reduced by a pivot that does, is stored
-    with leading entry 1 by one reciprocal (lead None).  Scaling a row never
-    moves its smallest column, so the pivot set and the values of `solve()`
-    are those of plain Gaussian elimination.
+    Elimination is fraction-free over Z[c], c the generator of Q(6^(1/k)),
+    and takes no reciprocal.  A row and its right-hand side are scaled by the
+    lcm of all their denominators, so that each entry is an Entry.  A row
+    with entry a in the column of a pivot row with leading entry p is
+    reduced to p*row - a*pivot.  A new pivot row is stored primitive: the
+    gcd of its integers (ints and the numerators of ExtScalars, right-hand
+    side included) is divided out, and an int leading entry is made
+    positive.  Scaling a row never moves its smallest column, and the
+    solution with every free column at zero is unique, so the pivot set and
+    the values of `solve()` are those of plain Gaussian elimination.
+    `solve()` divides by a leading entry only where it produces a value.
     """
 
     def __init__(self) -> None:
-        # pivot column -> (the row without its leading entry, rhs, integer
-        # leading entry, or None for a row scaled to leading entry 1)
-        self.pivots: dict[int, tuple[dict[int, Scalar], Scalar, int | None]] = {}
+        # pivot column -> (the row without its leading entry, rhs, leading entry)
+        self.pivots: dict[int, tuple[dict[int, Entry], Entry, Entry]] = {}
         self.inconsistent = False
 
     @property
@@ -71,26 +75,21 @@ class SparseSolver:
         return len(self.pivots)
 
     def add_row(self, row: Mapping[int, Scalar], rhs: Scalar = 0) -> None:
-        work = {c: v for c, v in row.items() if v}
-        kinds = set(map(type, work.values()))
-        kinds.add(type(rhs))
-        exact = kinds <= _RATIONAL
-        if exact and kinds != _INT:
-            work, rhs = _scaled_to_integers(work, rhs)
-        elif not kinds <= _SCALARS:
-            bad = ", ".join(sorted(k.__name__ for k in kinds - _SCALARS))
-            raise TypeError(f"SparseSolver takes ints, Fractions and ExtScalars, not {bad}")
+        self._eliminate(*_in_z_c(row, rhs))
+
+    def _eliminate(self, work: dict[int, Entry], rhs: Entry) -> None:
+        """Reduce a row of Entries, none of them zero, which the solver then
+        owns; store it as a pivot row or mark the system inconsistent."""
+        pivots = self.pivots
         while work:
             lead = min(work)
-            pivot = self.pivots.get(lead)
+            pivot = pivots.get(lead)
             if pivot is None:
-                self.pivots[lead] = (_primitive if exact else _normalised)(lead, work, rhs)
+                pivots[lead] = _primitive(lead, work, rhs)
                 return
             prow, prhs, p = pivot
             factor = work.pop(lead)
-            if p is None:
-                exact = False
-            elif p != 1:
+            if p != 1:
                 for c in work:
                     work[c] *= p
                 rhs = p * rhs
@@ -118,50 +117,71 @@ class SparseSolver:
                 if val:
                     acc = acc - v * val
             if acc:
-                if lead is not None:
-                    acc = Fraction(acc, lead) if type(acc) is int else acc / lead
-                values[col] = acc
+                values[col] = (Fraction(acc, lead) if type(acc) is int and type(lead) is int
+                               else acc / lead)
         return values
 
 
 _INT = frozenset((int,))
-_RATIONAL = frozenset((int, Fraction))
 _SCALARS = frozenset((int, Fraction, ExtScalar))
 
 
-def _scaled_to_integers(work: dict[int, Fraction | int], rhs: Fraction | int
-                        ) -> tuple[dict[int, int], int]:
-    """A rational row and its rhs times the lcm of their denominators."""
-    nums: dict[int, int] = {}
-    den = 1
-    for c, v in work.items():
-        nums[c], d = v.as_integer_ratio()
-        if d != 1:
-            den = math.lcm(den, d)
-    n, d = rhs.as_integer_ratio()
-    den = math.lcm(den, d)
-    if den == 1:
-        return nums, n
-    return ({c: v.numerator * (den // v.denominator) for c, v in work.items()},
-            n * (den // d))
+def _in_z_c(row: Mapping[int, Scalar], rhs: Scalar) -> tuple[dict[int, Entry], Entry]:
+    """A row of scalars without its zero entries, and its rhs, times the lcm
+    of their denominators."""
+    work = {c: v for c, v in row.items() if v}
+    kinds = set(map(type, work.values()))
+    kinds.add(type(rhs))
+    if kinds == _INT:
+        return work, rhs
+    if not kinds <= _SCALARS:
+        bad = ", ".join(sorted(k.__name__ for k in kinds - _SCALARS))
+        raise TypeError(f"SparseSolver takes ints, Fractions and ExtScalars, not {bad}")
+    den = math.lcm(*(v.den if type(v) is ExtScalar else v.denominator
+                     for v in (rhs, *work.values())))
+    return {c: _times(v, den) for c, v in work.items()}, _times(rhs, den)
 
 
-def _primitive(lead: int, work: dict[int, int], rhs: int) -> tuple[dict[int, int], int, int]:
-    """The stored form of an integer row: primitive, with a positive lead."""
-    g = math.gcd(rhs, *work.values())
+def _times(v: Scalar, den: int) -> Entry:
+    """v * den, for den a multiple of the denominator of v."""
+    if type(v) is ExtScalar:
+        factor = den // v.den
+        return _entry(v.field, tuple(n * factor for n in v.nums))
+    return v.numerator * (den // v.denominator)
+
+
+def _quotient(v: Entry, g: int) -> Entry:
+    """v / g, for an integer g that divides v."""
+    if type(v) is ExtScalar:
+        return _entry(v.field, tuple(n // g for n in v.nums))
+    return v // g
+
+
+def _entry(field: ExtField, nums: tuple[int, ...]) -> Entry:
+    """The Entry with these numerators of 1, c, ..., c^(k-1)."""
+    return ExtScalar._make(field, nums, 1) if any(nums[1:]) else nums[0]
+
+
+def _primitive(lead: int, work: dict[int, Entry], rhs: Entry
+               ) -> tuple[dict[int, Entry], Entry, Entry]:
+    """The stored form of a row: primitive, with an int leading entry
+    positive, and an ExtScalar with no power of c left turned into its int."""
+    try:
+        g = math.gcd(rhs, *work.values())
+    except TypeError:  # an ExtScalar among them
+        g = math.gcd(*(n for v in (rhs, *work.values())
+                       for n in (v.nums if type(v) is ExtScalar else (v,))))
+        head = _quotient(work[lead], 1)
+        if type(head) is int and head < 0:
+            g = -g
+        work = {c: _quotient(v, g) for c, v in work.items()}
+        return work, _quotient(rhs, g), work.pop(lead)
     if work[lead] < 0:
         g = -g
     if g != 1:
         work = {c: v // g for c, v in work.items()}
         rhs //= g
     return work, rhs, work.pop(lead)
-
-
-def _normalised(lead: int, work: dict[int, Scalar], rhs: Scalar
-                ) -> tuple[dict[int, Scalar], Scalar, None]:
-    """The stored form of a row over the scalars: scaled to leading entry 1."""
-    inv = _ONE / work.pop(lead)
-    return {c: v * inv for c, v in work.items()}, rhs * inv, None
 
 
 def scalar_rank(rows: Sequence[Sequence[Scalar]]) -> int:
@@ -172,7 +192,7 @@ def scalar_rank(rows: Sequence[Sequence[Scalar]]) -> int:
 
 
 def jet_rows(k: int, unknowns: Sequence[Unknown]
-             ) -> dict[tuple[int, Exponents], dict[int, Scalar]]:
+             ) -> dict[tuple[int, Exponents], dict[int, Entry]]:
     """The k-jet equations of sum_c u_c * x^(m_c) * v_c over unknown scalars u_c,
     scaled to integers.
 
@@ -210,7 +230,7 @@ class _RowBuilder:
             raise ValueError(f"jet order {k} is not below 2**{FIELD_BITS}")
         self.k = k
         self.weights, self.dshift = _weights(n), n * FIELD_BITS
-        self.rows: dict[tuple[int, int], dict[int, Scalar]] = {}
+        self.rows: dict[tuple[int, int], dict[int, Entry]] = {}
         # column -> its scale, where the lcm of its denominators is not 1
         self.scales: dict[int, int] = {}
         self._columns: dict[int, tuple[tuple[Poly, ...], list[tuple[int, Terms, int]], int]] = {}
@@ -257,7 +277,7 @@ class _RowBuilder:
                     rows.setdefault((b, at + key), {})[column] = num if factor == 1 else num * factor
 
 
-def _integer_form(p: Poly) -> tuple[dict[int, Scalar], int]:
+def _integer_form(p: Poly) -> tuple[dict[int, Entry], int]:
     """p's numerators over its denominator, by packed monomial key: the
     ints of its form over Q; over Q(c), for each monomial the numerators
     that its c field splits off, as an ExtScalar over 1 when a power of c
@@ -265,8 +285,7 @@ def _integer_form(p: Poly) -> tuple[dict[int, Scalar], int]:
     nums, den = p._ints
     if p.field is None:
         return nums, den
-    return {key: ExtScalar._make(p.field, tuple(cs), 1) if any(cs[1:]) else cs[0]
-            for key, cs in _by_monomial(p).items()}, den
+    return {key: _entry(p.field, tuple(cs)) for key, cs in _by_monomial(p).items()}, den
 
 
 def jet_solve(k: int, monos: Sequence[Exponents], rhs: Sequence[Poly],
@@ -311,7 +330,7 @@ def jet_solve(k: int, monos: Sequence[Exponents], rhs: Sequence[Poly],
                     pending = next(stream, None)
                 builder.place(batch)
             value = coeffs.get(key, 0)
-            solver.add_row(rows.pop((b, key), {}), value if factor == 1 else value * factor)
+            solver._eliminate(rows.pop((b, key), {}), value if factor == 1 else value * factor)
             if solver.inconsistent:
                 return None
     values = solver.solve()

@@ -3,6 +3,10 @@
 The frontal is sampled exactly on an (m+1) x (m+1) rational grid over
 [-r, r]^2; only the final decimal rendering is lossy (12 significant digits,
 round-half-even), so the byte output is deterministic for fixed inputs.
+Each coordinate is an integer over a common denominator: each component is
+restricted to a grid row as integer coefficients in x, evaluated by
+Horner's rule at the integer grid values, and the quotient is rounded once
+from the two integers, with no Fraction built.
 Vertices are emitted row-major (y rows, x fastest), each grid cell split
 into two triangles.
 """
@@ -19,10 +23,10 @@ from .scalars import ExtScalar, Scalar
 
 # largest grid resolution m accepted: the OBJ text grows as m^2
 MAX_RESOLUTION = 256
-# largest total degree d of F accepted: the power tables hold (m+1)(d+1)
-# integers of up to about d*log2(2*m*|r|) bits each.  The tests, the germs/
-# files and the benchmark's mesh tasks reach degree 12; a dense degree-63 F
-# at the largest resolution takes a few seconds
+# largest total degree d of F accepted: the power table of the grid rows
+# holds (m+1)(d+1) integers of up to about d*log2(2*m*|r|) bits each.  The
+# tests, the germs/ files and the benchmark's mesh tasks reach degree 12; a
+# dense degree-63 F at the largest resolution takes a few seconds
 MAX_DEGREE = 64
 # shared: a fresh local context per coordinate cost as much as the rendering
 CTX = Context(prec=12, rounding=ROUND_HALF_EVEN)
@@ -32,9 +36,15 @@ def decimal12(value: Scalar) -> str:
     """Render an exact rational with 12 significant digits, round-half-even."""
     if isinstance(value, ExtScalar):
         value = value.to_fraction()
-    if value == 0:
+    return _decimal12(value.numerator, value.denominator)
+
+
+def _decimal12(num: int, den: int) -> str:
+    """num / den, den > 0 and not necessarily in lowest terms, as decimal12
+    renders it: the quotient is rounded once, from the exact integers."""
+    if not num:
         return "0"
-    return format(CTX.divide(value.numerator, value.denominator).normalize(CTX), "f")
+    return format(CTX.divide(num, den).normalize(CTX), "f")
 
 
 def frontal_surface(germ: PolyMap, multipliers: tuple[Poly, ...]) -> PolyMap:
@@ -70,7 +80,7 @@ def build_obj(F: PolyMap, r: Fraction, m: int) -> str:
     unpack = _unpacker(2)
     # grid coordinate i is -r + i*2r/m = grid[i] / q, and a component of
     # degree d with integer numerators over D is S / (D * q^d) at a grid
-    # point, S an integer sum of numerators times powers of grid values
+    # point, S an integer polynomial in the grid values
     grid = [(2 * i - m) * r.numerator for i in range(m + 1)]
     q = r.denominator * m
     components = []
@@ -82,16 +92,22 @@ def build_obj(F: PolyMap, r: Fraction, m: int) -> str:
     powers = [[a**e for e in range(max(degree, 0) + 1)] for a in grid]
     lines: list[str] = []
     for py in powers:
-        # each component restricted to this row, as integer coefficients of x^e
+        # each component restricted to this row: its integer coefficients of
+        # x^e, highest e first, for Horner's rule
         rows = []
         for terms, den in components:
-            row: dict[int, int] = {}
+            row = [0] * (max((ex for ex, _, _ in terms), default=0) + 1)
             for ex, ey, n in terms:
-                row[ex] = row.get(ex, 0) + n * py[ey]
-            rows.append((list(row.items()), den))
-        for px in powers:
-            lines.append("v " + " ".join(
-                decimal12(Fraction(sum(c * px[e] for e, c in row), den)) for row, den in rows))
+                row[ex] += n * py[ey]
+            rows.append((row[::-1], den))
+        for a in grid:
+            coords = []
+            for row, den in rows:
+                s = 0
+                for c in row:
+                    s = s * a + c
+                coords.append(_decimal12(s, den))
+            lines.append("v " + " ".join(coords))
     width = m + 1
     for j in range(m):
         for i in range(m):

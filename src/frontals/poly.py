@@ -583,6 +583,9 @@ MAX_TERMS = 1000
 # largest coefficient bit height (see _height) a parsed '^' or '*' may reach
 # by the same a-priori bound: ((3/7 + 2/3*x)^100)^9 would reach about 4000
 MAX_COEFF_BITS = 2000
+# the digits of 2**MAX_COEFF_BITS: an integer literal with more digits,
+# leading zeros aside, has more than MAX_COEFF_BITS bits
+MAX_LITERAL_DIGITS = len(str(2**MAX_COEFF_BITS))
 
 
 class _Token:
@@ -624,6 +627,22 @@ def _tokenize(text: str) -> list[_Token]:
         raise PolyParseError(f"unexpected character {ch!r}", i)
     tokens.append(_Token("end", "", n))
     return tokens
+
+
+def _int_value(tok: _Token, max_digits: int) -> int | None:
+    """The value of an int token, or None when it has more than max_digits
+    digits after its leading zeros, which int() then never reads."""
+    digits = tok.text.lstrip("0") or "0"
+    return int(digits) if len(digits) <= max_digits else None
+
+
+def _literal_value(tok: _Token) -> int:
+    """The value of an int token of a rational literal, which must have at
+    most MAX_COEFF_BITS bits."""
+    value = _int_value(tok, MAX_LITERAL_DIGITS)
+    if value is None or value.bit_length() > MAX_COEFF_BITS:
+        raise PolyParseError(f"integer literal of more than {MAX_COEFF_BITS} bits", tok.pos)
+    return value
 
 
 def _height(p: Poly) -> int:
@@ -764,8 +783,8 @@ class _Parser:
             exp_tok = self.peek()
             if exp_tok.kind != "int":
                 raise PolyParseError("exponent must be a non-negative integer", exp_tok.pos)
-            exponent = int(exp_tok.text)
-            if exponent > MAX_EXPONENT:
+            exponent = _int_value(exp_tok, len(str(MAX_EXPONENT)))
+            if exponent is None or exponent > MAX_EXPONENT:
                 raise PolyParseError(f"exponent above {MAX_EXPONENT}", exp_tok.pos)
             t, degree, height = self.measure(base)
             if t:
@@ -807,7 +826,9 @@ class _Parser:
         if tok.kind == "int":
             # a rational literal, its sign in the numerator
             self.advance()
-            numerator, denominator = -int(tok.text) if negative else int(tok.text), 1
+            numerator, denominator = _literal_value(tok), 1
+            if negative:
+                numerator = -numerator
             if self.peek().kind == "op" and self.peek().text == "/":
                 self.advance()
                 den_tok = self.peek()
@@ -816,7 +837,7 @@ class _Parser:
                 if den_tok.kind != "int":
                     raise PolyParseError("expected an integer denominator", den_tok.pos)
                 self.advance()
-                denominator = int(den_tok.text)
+                denominator = _literal_value(den_tok)
                 if denominator == 0:
                     raise PolyParseError("zero denominator in rational literal", den_tok.pos)
             return self.monomial(0, numerator, denominator, None)

@@ -334,6 +334,17 @@ def test_non_ascii_digit_exit_2(tmp_path, capsys):
     assert message == "error: in f2: unexpected character '\u0661' (at position 4) (line 4)"
 
 
+def test_oversized_literal_exit_2(tmp_path, capsys):
+    germ = tmp_path / "long.germ"
+    germ.write_text(f"vars: x y\nmap:\nf1 = {'7' * 5000}*x\nf2 = y\n", encoding="utf-8")
+    message = _assert_input_error(capsys, "jacobian", germ)
+    assert message == ("error: in f1: integer literal of more than 2000 bits"
+                       " (at position 0) (line 3)")
+    germ.write_text(f"vars: x y\nmap:\nf1 = x\nf2 = y^{'1' * 5000}\n", encoding="utf-8")
+    message = _assert_input_error(capsys, "jacobian", germ)
+    assert message == "error: in f2: exponent above 100 (at position 2) (line 4)"
+
+
 def test_multiplicity_stops_at_the_unknown_cap(tmp_path, capsys):
     germ = tmp_path / "zero.germ"
     germ.write_text("vars: x\nmap:\nf1 = 0\n", encoding="utf-8")

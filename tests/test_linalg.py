@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from frontals.linalg import SparseSolver, jet_rows, jet_solve
 from frontals.poly import FIELD_BITS, monomials_up_to, parse_poly
-from frontals.scalars import ExtField
+from frontals.scalars import ExtField, ExtScalar
 
 XY = ("x", "y")
 
@@ -137,9 +137,9 @@ def test_float_entries_are_refused():
 
 
 def test_mixed_rational_and_extension_rows_in_either_order():
-    # rational rows are eliminated over the integers and extension rows by
-    # one reciprocal per pivot; a row that meets a pivot of the other kind
-    # carries on over the scalars
+    # every row is eliminated fraction-free over Z[c], whatever the kinds
+    # of its entries and of the pivots it meets; solve() divides by an
+    # extension leading entry only where that gives a value
     c = ExtField(2).generator
     rows = [
         ({0: 2, 1: Fraction(3, 2), 2: 1}, Fraction(1, 3)),
@@ -168,10 +168,16 @@ def test_mixed_rational_and_extension_rows_in_either_order():
     assert solutions[0] == solutions[1]
 
 
-def _dense_reference(rows, ncols):
+def _dense_reference(rows, ncols, field=None):
     """Rank, inconsistency and the solution with every free column zero, by
-    dense Gauss-Jordan elimination over Fractions."""
-    m = [[Fraction(row.get(j, 0)) for j in range(ncols)] + [Fraction(rhs)] for row, rhs in rows]
+    dense Gauss-Jordan elimination over Fractions, or in ExtScalar
+    arithmetic over the field when one is given."""
+    def scalar(v):
+        if field is None:
+            return Fraction(v)
+        return v if isinstance(v, ExtScalar) else field.element([v])
+
+    m = [[scalar(row.get(j, 0)) for j in range(ncols)] + [scalar(rhs)] for row, rhs in rows]
     pivots = []
     for col in range(ncols):
         r = len(pivots)
@@ -180,7 +186,9 @@ def _dense_reference(rows, ncols):
             continue
         m[r], m[found] = m[found], m[r]
         lead = m[r][col]
-        m[r] = [v / lead for v in m[r]]
+        inv = 1 / lead
+        assert inv * lead == 1
+        m[r] = [v * inv for v in m[r]]
         for i in range(len(m)):
             if i != r and m[i][col]:
                 factor = m[i][col]
@@ -201,39 +209,66 @@ _NONZERO = st.one_of(
 _ENTRY = st.one_of(st.just(0), st.just(Fraction(0)), _NONZERO)
 
 
+def _ext_entries(k):
+    """Nonzero elements of Q(6^(1/k)) with a power of c in them, and the
+    entries of _ENTRY and those mixed."""
+    field = ExtField(k)
+    # (n_0 + n_j*c^j + ...) / d with n_j nonzero, j drawn from 1..k-1
+    ext = st.builds(
+        lambda nums, j, nj, d: field.element([Fraction(n, d) for n in
+                                              nums[:j] + [nj] + nums[j + 1:]]),
+        st.lists(st.integers(-4, 4), min_size=k, max_size=k), st.integers(1, k - 1),
+        st.integers(-4, 4).filter(bool), st.integers(1, 6))
+    return st.one_of(_NONZERO, ext), st.one_of(_ENTRY, ext, ext)
+
+
 @st.composite
-def _rational_systems(draw):
+def _systems(draw):
+    """A system over Q, or over Q(6^(1/k)) for k = 2..4 with ints,
+    Fractions and ExtScalars mixed; returns the field (None for Q) too."""
+    k = draw(st.sampled_from((None, None, None, 2, 3, 4)))
+    nonzero, entry = (_NONZERO, _ENTRY) if k is None else _ext_entries(k)
     ncols = draw(st.integers(1, 6))
-    rows = draw(st.lists(st.tuples(st.dictionaries(st.integers(0, ncols - 1), _ENTRY, max_size=ncols),
-                                   _ENTRY), max_size=7))
+    rows = draw(st.lists(st.tuples(st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols),
+                                   entry), max_size=7))
     # rank deficiency: combinations of drawn rows, some with a moved rhs
     for _ in range(draw(st.integers(0, 3)) if rows else 0):
         (ra, ba), (rb, bb) = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
-        s, t = draw(_NONZERO), draw(_ENTRY)
+        s, t = draw(nonzero), draw(entry)
         row = {col: s * ra.get(col, 0) + t * rb.get(col, 0) for col in set(ra) | set(rb)}
         rhs = s * ba + t * bb + draw(st.sampled_from((0, 0, 1, Fraction(-2, 7))))
         rows.insert(draw(st.integers(0, len(rows))), (row, rhs))
-    return ncols, rows
+    return (None if k is None else ExtField(k)), ncols, rows
 
 
-@settings(max_examples=150, deadline=None)
-@given(_rational_systems())
+def _integers(v):
+    return v.nums if isinstance(v, ExtScalar) else (v,)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_systems())
 def test_sparse_solver_matches_dense_gauss_jordan(system):
-    ncols, rows = system
+    field, ncols, rows = system
     solver = SparseSolver()
     for row, rhs in rows:
         solver.add_row(row, rhs)
-    rank, inconsistent, solution = _dense_reference(rows, ncols)
+    rank, inconsistent, solution = _dense_reference(rows, ncols, field)
     assert solver.rank == rank
     assert solver.inconsistent == inconsistent
-    # stored integer pivot rows are primitive with a positive leading entry
+    # stored pivot rows lie in Z[c]: ints, and ExtScalars over 1 with a power
+    # of c left; primitive, with an int leading entry positive
     for prow, prhs, lead in solver.pivots.values():
-        assert type(lead) is int and lead > 0
-        assert math.gcd(lead, prhs, *prow.values()) == 1
+        entries = [lead, prhs, *prow.values()]
+        for v in entries:
+            assert type(v) is int or (type(v) is ExtScalar and v.den == 1
+                                      and not v.is_rational())
+        assert math.gcd(*(n for v in entries for n in _integers(v))) == 1
+        assert type(lead) is ExtScalar or lead > 0
     if inconsistent:
         with pytest.raises(ValueError):
             solver.solve()
     else:
         x = solver.solve()
         assert x == solution
-        assert all(type(v) is Fraction for v in x.values())
+        if field is None:
+            assert all(type(v) is Fraction for v in x.values())

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import math
 import random
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frontals.maps import PolyMap
 from frontals.mesh import MAX_RESOLUTION, build_obj, decimal12, frontal_surface
-from frontals.poly import PolyError, parse_poly
+from frontals.poly import Poly, PolyError, parse_poly
 from frontals.scalars import ExtField
 
 XY = ("x", "y")
@@ -130,3 +133,37 @@ def test_obj_rejects_irrational_maps_and_oversized_grids():
     F = frontal_surface(germ, (parse_poly("1", XY),))
     with pytest.raises(PolyError, match="at most"):
         build_obj(F, Fraction(1), MAX_RESOLUTION + 1)
+
+
+def _power_table_vertices(F: PolyMap, r: Fraction, m: int) -> list[str]:
+    """The vertex records of an independent sampler: at grid point (i, j)
+    a component of degree d is S / (D * q^d), S the sum over its terms of
+    the integer numerator times q^(d - |e|) times powers of the grid values
+    from a table, rendered through decimal12(Fraction(S, D * q^d))."""
+    grid = [(2 * i - m) * r.numerator for i in range(m + 1)]
+    q = r.denominator * m
+    powers = [[a**e for e in range(9)] for a in grid]
+    components = []
+    for comp in F.components:
+        terms = comp.terms
+        deg = max((sum(mono) for mono in terms), default=0)
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        components.append(([(ex, ey, c.numerator * (den // c.denominator) * q ** (deg - ex - ey))
+                            for (ex, ey), c in terms.items()], den * q**deg))
+    return ["v " + " ".join(decimal12(Fraction(sum(n * px[ex] * py[ey] for ex, ey, n in terms), den))
+                            for terms, den in components)
+            for py in powers for px in powers]
+
+
+_MONOMIAL = st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(lambda e: sum(e) <= 8)
+_COEFF = st.fractions(min_value=-20, max_value=20, max_denominator=30).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.dictionaries(_MONOMIAL, _COEFF, max_size=8), min_size=3, max_size=3),
+       st.fractions(min_value=Fraction(1, 20), max_value=7, max_denominator=20),
+       st.integers(2, 12))
+def test_obj_vertices_match_a_power_table_sampler(terms, r, m):
+    F = PolyMap(tuple(Poly(XY, t) for t in terms))
+    vertices = build_obj(F, r, m).splitlines()[:(m + 1) ** 2]
+    assert vertices == _power_table_vertices(F, r, m)

@@ -143,6 +143,28 @@ def test_parse_coefficient_size_cap():
         P("(((2^100)^100)^100)^100")
 
 
+def test_parse_refuses_oversized_literals_before_reading_them():
+    # the digit count decides before int() reads a literal, so a literal
+    # past Python's 4,300-digit conversion limit fails like any other
+    X = ("x",)
+    huge = "7" * 5000
+    for text, position in ((f"{huge}*x", 0), (f"x + -{huge}", 5), (f"1/{huge}", 2),
+                           ("1" * 700, 0), (f"x - 2/{'3' * 700}", 6)):
+        with pytest.raises(PolyParseError, match=f"literal of more than {MAX_COEFF_BITS} bits") \
+                as err:
+            P(text, X)
+        assert err.value.position == position, text
+    with pytest.raises(PolyParseError, match="exponent above") as err:
+        P("x^" + "1" * 5000, X)
+    assert err.value.position == 2
+    # the cap is on bits: 2^2000 - 1 is accepted, 2^2000 is not; leading
+    # zeros do not count
+    assert _height(P(str(2**MAX_COEFF_BITS - 1), X)) == MAX_COEFF_BITS
+    with pytest.raises(PolyParseError, match="literal of more than"):
+        P(str(2**MAX_COEFF_BITS), X)
+    assert P("0" * 5000 + "7*x^" + "0" * 5000 + "3", X) == P("7*x^3", X)
+
+
 def test_parser_carries_exact_heights():
     # the height, term count and degree the parser reads off a factor, a
     # packed monomial or a Poly, are those of the Poly it stands for

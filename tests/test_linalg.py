@@ -210,8 +210,9 @@ _ENTRY = st.one_of(st.just(0), st.just(Fraction(0)), _NONZERO)
 
 
 def _ext_entries(k):
-    """Nonzero elements of Q(6^(1/k)) with a power of c in them, and the
-    entries of _ENTRY and those mixed."""
+    """The strategies of one nonzero scalar and of one entry (zero allowed)
+    of a system over Q(6^(1/k)): those of _NONZERO and _ENTRY, and elements
+    with a power of c in them."""
     field = ExtField(k)
     # (n_0 + n_j*c^j + ...) / d with n_j nonzero, j drawn from 1..k-1
     ext = st.builds(

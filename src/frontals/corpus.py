@@ -63,7 +63,7 @@ class CorpusEntry:
 @dataclass
 class CompositionOutcome:
     label: str                 # "literal" | "corrected"
-    result: PolyMap            # demoted to rational coefficients where possible
+    result: PolyMap            # over Q where no power of c is left
     matches: bool
     rational: bool             # all final coefficients rational
     residual: PolyMap | None   # claimed - result when it does not match
@@ -370,7 +370,6 @@ def compose_chain(F: PolyMap, chain: tuple[ChainStep, ...],
 
 def _outcome(label: str, result: PolyMap, claimed: PolyMap) -> CompositionOutcome:
     rational = result.is_rational()
-    result = result.demote_rational()
     matches = rational and result == claimed
     residual = None
     if not matches:

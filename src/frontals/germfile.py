@@ -36,7 +36,7 @@ class GermFile:
     vars: tuple[str, ...]
     germ: PolyMap
     multipliers: tuple[Poly, ...]
-    field: ExtField | None  # built once: every coefficient holds this object
+    field: ExtField | None  # the ext: field; a Poly holds it only where a power of c is left
 
     @property
     def ext_order(self) -> int | None:

@@ -72,9 +72,6 @@ class PolyMap:
     def eval(self, point: Sequence) -> tuple[Scalar, ...]:
         return tuple(c.eval(point) for c in self.components)
 
-    def demote_rational(self) -> "PolyMap":
-        return PolyMap(tuple(c.demote_rational() for c in self.components))
-
     def is_rational(self) -> bool:
         return all(c.is_rational() for c in self.components)
 

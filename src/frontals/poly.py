@@ -1,10 +1,13 @@
 """Sparse multivariate polynomials over Q or Q(6^(1/k)), exact.
 
 A ``Poly`` is a fixed, ordered variable list, a coefficient field ``field``
-(None for Q, else the ``ExtField`` Q(c) = Q[c]/(c^k - 6)) and one internal
-form, built when the Poly is: ``_ints = (nums, den)``, nonzero integer
-numerators over one denominator ``den > 0`` with no factor common to all,
-so the form is unique.  There is no floating point anywhere.
+and one internal form, built when the Poly is: ``_ints = (nums, den)``,
+nonzero integer numerators over one denominator ``den > 0`` with no factor
+common to all.  ``field`` is the ``ExtField`` Q(c) = Q[c]/(c^k - 6) when a
+power of c is left in some coefficient, and None, for Q, exactly when none
+is: every constructor enforces this, so equal polynomials have equal
+``(vars, _ints, field)`` and a Poly holds nothing else.  There is no
+floating point anywhere.
 
 The keys of ``nums`` are packed monomials, one int each (after Monagan &
 Pearce, "Polynomial division using dynamic arrays, heaps, and packed
@@ -27,12 +30,12 @@ one, so no exponent or degree field overflows, in a Poly or in a product
 of two.  The c field is the highest and has no width limit.
 
 Products, derivatives, jets, sums, negations, scalings and substitutions
-are computed on this form and return it.  The public ``terms`` table, keyed
-by exponent tuples, is built from it only when something reads ``terms``,
-then kept: the c field is grouped back into one coefficient per monomial,
-an ExtScalar when a power of c is left in it, else a Fraction.  Printing
-is in descending graded-lexicographic order, so it is deterministic and
-``parse(print(p)) == p``.
+are computed on this form and return it; a result in which every power of
+c cancelled is over Q.  The public ``terms`` table, keyed by exponent
+tuples, is built from the form on each read: the c field is grouped back
+into one coefficient per monomial, an ExtScalar when a power of c is left
+in it, else a Fraction.  Printing is in descending graded-lexicographic
+order, so it is deterministic and ``parse(print(p)) == p``.
 
 The accepted expression grammar (ASCII, whitespace insignificant):
 
@@ -55,7 +58,8 @@ import struct
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
-from .scalars import ExtField, ExtScalar, Scalar, ScalarError, ratio_str, residue_str, signed_sum
+from .scalars import (GENERATOR, ExtField, ExtScalar, Scalar, ScalarError, ratio_str,
+                      residue_str, signed_sum)
 
 Exponents = tuple[int, ...]
 
@@ -118,7 +122,8 @@ def _coerce_coeff(value: Union[int, Fraction, ExtScalar]) -> Scalar:
 
 def _common_field(fields: set[ExtField | None]) -> ExtField | None:
     """The field of a result computed over the given fields, None standing
-    for Q: the one ExtField among them, or None."""
+    for Q: the one ExtField among them, or None.  Only an operand that keeps
+    a power of c has a field, so only two such operands can clash."""
     fields.discard(None)
     if len(fields) > 1:
         raise ScalarError("cannot mix polynomials over different extension fields")
@@ -128,8 +133,7 @@ def _common_field(fields: set[ExtField | None]) -> ExtField | None:
 class Poly:
     """Immutable sparse polynomial with exact coefficients."""
 
-    # _terms is None until terms is read
-    __slots__ = ("vars", "field", "_ints", "_terms")
+    __slots__ = ("vars", "field", "_ints")
 
     def __init__(self, vars: Sequence[str], terms: dict[Exponents, Scalar]):
         vs = tuple(vars)
@@ -148,7 +152,8 @@ class Poly:
                                 f" above MAX_DEGREE = {MAX_DEGREE}") from None
             c = value if type(value) is Fraction else _coerce_coeff(value)
             if isinstance(c, ExtScalar):
-                if c.field is not field:
+                # a rational ExtScalar is rational: it adds no power of c
+                if any(c.nums[1:]) and c.field is not field:
                     field = _common_field({field, c.field})
                 parts += [(key + (j << cshift), num, c.den) for j, num in enumerate(c.nums) if num]
             else:
@@ -161,7 +166,6 @@ class Poly:
         _set_vars(self, vs)
         _set_field(self, field)
         _set_ints(self, ({key: num * (den // d) for key, num, d in parts}, den))
-        _set_terms(self, None)
 
     @classmethod
     def _raw(cls, vars: tuple[str, ...], nums: dict[int, int], den: int,
@@ -169,30 +173,26 @@ class Poly:
         """Trusted constructor for results that are already canonical: a
         variable tuple and the form of the module docstring, nonzero integer
         numerators keyed by packed monomials, every power of c below the
-        field's k, over den > 0 with nothing common to all.  The new Poly
-        owns nums."""
+        field's k, over den > 0 with nothing common to all.  The field is
+        the one the numerators were computed over, and is dropped when no
+        key has a power of c left.  The new Poly owns nums."""
         p = object.__new__(cls)
         _set_vars(p, vars)
+        if field is not None and max(nums, default=0) < 1 << _c_shift(len(vars)):
+            field = None
         _set_field(p, field)
         _set_ints(p, (nums, den))
-        _set_terms(p, None)
         return p
 
     @property
     def terms(self) -> dict[Exponents, Scalar]:
         """The term table: exponent tuples to nonzero coefficients, built from
-        the packed form when first read.  A coefficient is a Fraction, or an
+        the packed form on each read.  A coefficient is a Fraction, or an
         ExtScalar when a power of c is left in it."""
-        table = self._terms
-        if table is None:
-            unpack, (nums, den), field = _unpacker(len(self.vars)), self._ints, self.field
-            if field is None:
-                table = {unpack(key): Fraction(n, den) for key, n in nums.items()}
-            else:
-                table = {unpack(key): _scalar(field, cs, den)
-                         for key, cs in _by_monomial(self).items()}
-            _set_terms(self, table)
-        return table
+        unpack, (nums, den), field = _unpacker(len(self.vars)), self._ints, self.field
+        if field is None:
+            return {unpack(key): Fraction(n, den) for key, n in nums.items()}
+        return {unpack(key): _scalar(field, cs, den) for key, cs in _by_monomial(self).items()}
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -261,26 +261,17 @@ class Poly:
 
     def is_rational(self) -> bool:
         """True when every coefficient lies in Q: no power of c is left."""
-        return self.field is None or max(self._ints[0], default=0) < 1 << _c_shift(len(self.vars))
-
-    def demote_rational(self) -> "Poly":
-        """The same polynomial over Q when every coefficient lies in Q."""
-        if self.field is None or not self.is_rational():
-            return self
-        return Poly._raw(self.vars, *self._ints)
+        return self.field is None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        # a rational ExtScalar equals its Fraction, so the fields of two
-        # equal forms matter only when a power of c is left
         return (self.vars == other.vars and self._ints == other._ints
-                and (self.field == other.field or self.is_rational()))
+                and self.field == other.field)
 
     def __hash__(self) -> int:
         nums, den = self._ints
-        field = None if self.is_rational() else self.field
-        return hash((self.vars, frozenset(nums.items()), den, field))
+        return hash((self.vars, frozenset(nums.items()), den, self.field))
 
     # -- ring operations -----------------------------------------------------
 
@@ -450,24 +441,23 @@ class Poly:
         nums, den = self._ints
         if not nums:
             return "0"
-        if self.is_rational():
+        if self.field is None:
             terms = [(key, ((0, nums[key]),)) for key in sorted(nums, reverse=True)]
         else:
             groups = _by_monomial(self)
             terms = [(key, [(j, n) for j, n in reversed(list(enumerate(groups[key]))) if n])
                      for key in sorted(groups, reverse=True)]
         names, unpack = self.vars, _unpacker(len(self.vars))
-        sym = self.field and self.field.symbol
         pieces: list[tuple[bool, str]] = []
         for key, parts in terms:
             factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(names, unpack(key)) if e]
             if len(parts) > 1:
                 # no single sign to pull out of a residue with two powers of c
-                pieces.append((False, "*".join([f"({residue_str(sym, parts, den)})"] + factors)))
+                pieces.append((False, "*".join([f"({residue_str(parts, den)})"] + factors)))
                 continue
             j, num = parts[0]
             if j:
-                factors.insert(0, sym if j == 1 else f"{sym}^{j}")
+                factors.insert(0, GENERATOR if j == 1 else f"{GENERATOR}^{j}")
             if abs(num) != den or not factors:
                 factors.insert(0, ratio_str(num, den))
             pieces.append((num < 0, "*".join(factors)))
@@ -479,7 +469,7 @@ class Poly:
 
 # the slots' own setters: Poly refuses attribute assignment, and these cost
 # less than object.__setattr__
-_set_vars, _set_field, _set_ints, _set_terms = (
+_set_vars, _set_field, _set_ints = (
     Poly.__dict__[name].__set__ for name in Poly.__slots__)
 
 
@@ -653,9 +643,9 @@ def _height(p: Poly) -> int:
 
 
 # a product of atoms (rational literals, variables and c, each possibly to
-# a power) is one packed monomial (key, num, den, field): num * x^key / den
-# in lowest terms, key 0 when num is 0, field the ExtField once c took part
-Monomial = tuple[int, int, int, Union[ExtField, None]]
+# a power) is one packed monomial (key, num, den): num * x^key / den in
+# lowest terms, key 0 when num is 0; the parser's field goes with it
+Monomial = tuple[int, int, int]
 
 
 class _Parser:
@@ -686,7 +676,7 @@ class _Parser:
                 self.advance()
                 term = self.parse_term()
                 if tok.text == "-":
-                    term = -term if type(term) is Poly else (term[0], -term[1], *term[2:])
+                    term = -term if type(term) is Poly else (term[0], -term[1], term[2])
                 terms.append(term)
             else:
                 return self.sum(terms)
@@ -696,37 +686,37 @@ class _Parser:
         polys = [t for t in terms if type(t) is Poly]
         monomials = [t for t in terms if type(t) is not Poly]
         if monomials:
-            den = math.lcm(*[d for _, _, d, _ in monomials])
+            den = math.lcm(*[d for _, _, d in monomials])
             nums: dict[int, int] = {}
-            for key, num, d, _ in monomials:
+            for key, num, d in monomials:
                 nums[key] = nums.get(key, 0) + num * (den // d)
-            field = next((f for *_, f in monomials if f is not None), None)
-            polys.insert(0, _lowest(self.vars, {m: v for m, v in nums.items() if v}, den, field))
+            polys.insert(0, _lowest(self.vars, {m: v for m, v in nums.items() if v}, den,
+                                    self.field))
         return functools.reduce(Poly.__add__, polys)
 
     def poly(self, factor: Poly | Monomial) -> Poly:
         if type(factor) is Poly:
             return factor
-        key, num, den, field = factor
-        return Poly._raw(self.vars, {key: num} if num else {}, den, field)
+        key, num, den = factor
+        return Poly._raw(self.vars, {key: num} if num else {}, den, self.field)
 
     def measure(self, factor: Poly | Monomial) -> tuple[int, int, int]:
         """The term count, degree and _height of a factor."""
         if type(factor) is Poly:
             return len(factor._monomials()), factor.degree(), _height(factor)
-        key, num, den, _ = factor
+        key, num, den = factor
         if not num:
             return 0, -1, 1
         return 1, key >> self.dshift & MAX_DEGREE, max(abs(num).bit_length(), den.bit_length())
 
-    def monomial(self, key: int, num: int, den: int, field: ExtField | None) -> Monomial:
+    def monomial(self, key: int, num: int, den: int) -> Monomial:
         """num * x^key / den in lowest terms, with c^(q*k + r) folded to 6^q * c^r."""
         if not num:
-            return 0, 0, 1, field
+            return 0, 0, 1
         q = (key >> self.cshift) // self.k
         num *= 6**q
         g = math.gcd(num, den)
-        return key - (q * self.k << self.cshift), num // g, den // g, field
+        return key - (q * self.k << self.cshift), num // g, den // g
 
     def check_terms(self, what: str, tok: _Token, terms: int, degree: int, bits: int) -> None:
         """Refuse, before computing it, a result with at most ``terms`` terms
@@ -762,8 +752,8 @@ class _Parser:
                     result = self.poly(result) * self.poly(rhs)
                 else:
                     # keys add
-                    (ka, na, da, fa), (kb, nb, db, fb) = result, rhs
-                    result = self.monomial(ka + kb, na * nb, da * db, fa or fb)
+                    (ka, na, da), (kb, nb, db) = result, rhs
+                    result = self.monomial(ka + kb, na * nb, da * db)
             elif tok.kind == "op" and tok.text == "/":
                 raise PolyParseError(
                     "division by a non-constant: '/' is only allowed inside a"
@@ -796,10 +786,8 @@ class _Parser:
             self.advance()
             if type(base) is Poly:
                 return base ** exponent
-            # a zeroth power is 1 over Q, as for a Poly
-            key, num, den, field = base
-            return self.monomial(key * exponent, num**exponent, den**exponent,
-                                 field if exponent else None)
+            key, num, den = base
+            return self.monomial(key * exponent, num**exponent, den**exponent)
         return base
 
     def parse_base(self) -> Poly | Monomial:
@@ -840,15 +828,15 @@ class _Parser:
                 denominator = _literal_value(den_tok)
                 if denominator == 0:
                     raise PolyParseError("zero denominator in rational literal", den_tok.pos)
-            return self.monomial(0, numerator, denominator, None)
+            return self.monomial(0, numerator, denominator)
         if tok.kind == "ident":
             self.advance()
             name = tok.text
-            if self.field is not None and name == self.field.symbol:
-                return self.monomial(1 << self.cshift, 1, 1, self.field)
+            if self.field is not None and name == GENERATOR:
+                return self.monomial(1 << self.cshift, 1, 1)
             if name not in self.vars:
                 raise PolyParseError(f"unknown variable {name!r}", tok.pos)
-            return _weights(len(self.vars))[self.vars.index(name)], 1, 1, None
+            return _weights(len(self.vars))[self.vars.index(name)], 1, 1
         raise PolyParseError(
             f"expected a number, variable or '(', found {tok.text or 'end of input'!r}",
             tok.pos)
@@ -857,14 +845,14 @@ class _Parser:
 def parse_poly(text: str, vars: Sequence[str], field: ExtField | None = None) -> Poly:
     """Parse an expression into a canonical Poly over the given variables.
 
-    When ``field`` is an ExtField, its generator symbol (default "c") is
-    accepted as a coefficient constant; the symbol must then not collide
-    with a variable name.
+    When ``field`` is an ExtField, its generator c is accepted as a
+    coefficient constant, and no variable may then be named c.  The result
+    is over ``field`` when a power of c is left in it, else over Q.
     """
     vs = tuple(vars)
-    if field is not None and field.symbol in vs:
+    if field is not None and GENERATOR in vs:
         raise PolyParseError(
-            f"variable name {field.symbol!r} collides with the extension generator", 0)
+            f"variable name {GENERATOR!r} collides with the extension generator", 0)
     parser = _Parser(_tokenize(text), vs, field)
     result = parser.parse_expr()
     tail = parser.peek()

@@ -4,7 +4,8 @@ Rational scalars are plain ``fractions.Fraction`` (already canonical a/b in
 lowest terms with positive denominator).  The extension field Q[c]/(c^k - 6)
 exists for compositions whose diffeomorphisms contain the k-th root of 6;
 c^k - 6 is irreducible over Q (Eisenstein at 2), so the quotient is a field
-and every nonzero residue is invertible.
+and every nonzero residue is invertible.  An ``ExtField`` is decided by k
+alone, and its generator is always written c (``GENERATOR``).
 
 An extension element is stored as k integer numerators of 1, c, ...,
 c^(k-1) over one positive denominator, in lowest terms: products are integer
@@ -26,6 +27,8 @@ Scalar = Union[Fraction, "ExtScalar"]
 # largest extension order accepted from input (germ files, corpus --k); the
 # cost of one product grows as k^2 and of one inverse as k^3
 MAX_EXT_ORDER = 32
+# the name of the generator 6^(1/k) in expressions and printed residues
+GENERATOR = "c"
 
 
 class ScalarError(ArithmeticError):
@@ -33,19 +36,19 @@ class ScalarError(ArithmeticError):
 
 
 class ExtField:
-    """The field Q[c]/(c^k - 6), i.e. rationals adjoined the real k-th root of 6."""
+    """The field Q[c]/(c^k - 6), i.e. rationals adjoined the real k-th root of
+    6; k alone decides it, and its generator is written GENERATOR."""
 
-    def __init__(self, k: int, symbol: str = "c"):
+    def __init__(self, k: int):
         if k < 1:
             raise ValueError(f"extension order must be >= 1, got {k}")
         self.k = k
-        self.symbol = symbol
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ExtField) and other.k == self.k and other.symbol == self.symbol
+        return isinstance(other, ExtField) and other.k == self.k
 
     def __hash__(self) -> int:
-        return hash((self.k, self.symbol))
+        return hash(self.k)
 
     def __repr__(self) -> str:
         return f"ExtField({self.k})"
@@ -252,7 +255,7 @@ class ExtScalar:
 
     def __str__(self) -> str:
         parts = [(j, n) for j, n in reversed(list(enumerate(self.nums))) if n]
-        return residue_str(self.field.symbol, parts, self.den) if parts else "0"
+        return residue_str(parts, self.den) if parts else "0"
 
     def __repr__(self) -> str:
         return f"ExtScalar({self.field!r}, {self})"
@@ -278,15 +281,15 @@ def signed_sum(terms: Sequence[tuple[bool, str]]) -> str:
     return " ".join(pieces)
 
 
-def residue_str(symbol: str, parts: Sequence[tuple[int, int]], den: int) -> str:
-    """The residue sum of num * symbol^j / den over parts, the (j, num) with
-    num nonzero in descending j, as ExtScalar prints it."""
+def residue_str(parts: Sequence[tuple[int, int]], den: int) -> str:
+    """The residue sum of num * c^j / den over parts, the (j, num) with num
+    nonzero in descending j, as ExtScalar prints it."""
     terms = []
     for j, num in parts:
         if not j:
             body = ratio_str(num, den)
         else:
-            power = symbol if j == 1 else f"{symbol}^{j}"
+            power = GENERATOR if j == 1 else f"{GENERATOR}^{j}"
             body = power if abs(num) == den else f"{ratio_str(num, den)}*{power}"
         terms.append((num < 0, body))
     return signed_sum(terms)

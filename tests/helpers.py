@@ -187,7 +187,6 @@ def reference_scalar_str(q) -> str:
         return str(q)
     if not q:
         return "0"
-    sym = q.field.symbol
     parts: list[str] = []
     for i in range(q.field.k - 1, -1, -1):
         a = q.coeffs[i]
@@ -196,7 +195,7 @@ def reference_scalar_str(q) -> str:
         if i == 0:
             body = str(abs(a))
         else:
-            head = sym if i == 1 else f"{sym}^{i}"
+            head = "c" if i == 1 else f"c^{i}"
             body = head if abs(a) == 1 else f"{abs(a)}*{head}"
         if not parts:
             parts.append(("-" + body if body[0].isdigit() else "-1*" + body) if a < 0 else body)
@@ -213,8 +212,7 @@ def reference_term_str(vars: tuple[str, ...], mono: tuple[int, ...], coeff) -> t
         if len(nonzero) == 1:
             # a single power of c: its rational sign is pulled out
             i, q = nonzero[0]
-            sym = coeff.field.symbol
-            cpow = sym if i == 1 else f"{sym}^{i}"
+            cpow = "c" if i == 1 else f"c^{i}"
             head = [] if abs(q) == 1 else [str(abs(q))]
             return q < 0, "*".join(head + [cpow] + factors)
         return False, "*".join([f"({reference_scalar_str(coeff)})"] + factors)

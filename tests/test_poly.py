@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import random
@@ -46,6 +47,20 @@ XY = ("x", "y")
 
 def P(text: str, vars=XY) -> Poly:
     return parse_poly(text, vars)
+
+
+@contextlib.contextmanager
+def no_fraction_built():
+    """Refuse the construction of any Fraction while the block runs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Fraction, "__new__", refuse)
+        # Fraction arithmetic builds its results through this from 3.12 on
+        if "_from_coprime_ints" in Fraction.__dict__:
+            patch.setattr(Fraction, "_from_coprime_ints", classmethod(refuse))
+        yield
 
 
 # -- parsing ---------------------------------------------------------------
@@ -214,11 +229,16 @@ def test_parse_refuses_non_ascii_digits(text, char, position):
 
 def test_parser_matches_the_recorded_reference():
     # the packed form, field and printed string, or the error class,
-    # message and position, of every input recorded in tests/helpers.py
+    # message and position, of every input recorded in tests/helpers.py;
+    # the field is k exactly when a recorded key keeps a power of c
     cases = json.loads(PARSER_REFERENCE.read_text(encoding="utf-8"))
     assert len(cases) > 2000
     for case in cases:
         expected = {key: v for key, v in case.items() if key not in ("text", "vars", "k")}
+        if "nums" in expected:
+            cshift = (len(case["vars"]) + 1) * FIELD_BITS
+            keeps_c = any(key >> cshift for key, _ in expected["nums"])
+            expected["field"] = case["k"] if keeps_c else None
         outcome = parse_outcome(case["text"], tuple(case["vars"]), case["k"])
         assert json.loads(json.dumps(outcome)) == expected, (case["text"], case["k"])
 
@@ -429,7 +449,6 @@ def test_print_extension_coefficients(monkeypatch):
         patch.setattr(ExtScalar, "_make", refuse)
         texts = [str(p) for p in polys]
     assert texts == [printed for _, printed in cases]
-    assert all(p._terms is None for p in polys)
     assert [reference_str(p) for p in polys] == texts
 
 
@@ -448,9 +467,9 @@ def printable_polys(draw):
 @settings(max_examples=300, deadline=None)
 @given(printable_polys())
 def test_print_matches_the_reference_printer(p):
-    text = str(p)
     # printed from the packed form: no terms table is built
-    assert p._terms is None
+    with no_fraction_built():
+        text = str(p)
     assert text == reference_str(p)
     assert all(str(c) == reference_scalar_str(c) for c in p.terms.values())
     assert parse_poly(text, p.vars, p.field) == p
@@ -641,6 +660,8 @@ def assert_canonical(p: Poly, rational: bool) -> None:
     # the power j of c sits above the degree field, below k
     n, k = len(p.vars), 1 if p.field is None else p.field.k
     cshift = (n + 1) * FIELD_BITS
+    # the field is None exactly when no key has a power of c left
+    assert (p.field is None) == all(key >> cshift == 0 for key in nums)
     parts: dict = {}
     for key, num in nums.items():
         j = key >> cshift
@@ -667,44 +688,46 @@ def test_kernel_matches_reference(operands):
                    for c in (*a.terms.values(), *b.terms.values()))
     a, b = pairs[0]
     ra, rb = to_reference(a), to_reference(b)
-    cases = [
-        (a * b, reference_mul(ra, rb, k)),
-        (a + b, reference_add(ra, rb)),
-        (a - b, reference_add(ra, rb, -1)),
-    ]
+    # every result is computed in the packed form, with no Fraction built;
+    # the results of the first five are fed back into the kernels
+    with no_fraction_built():
+        ab, total = a * b, sum_of_products(KERNEL_VARS, pairs)
+        results = [ab, a + b, a - b, total, sum_of_products(KERNEL_VARS, pairs + [(-a, b)]),
+                   ab * total,
+                   sum_of_products(KERNEL_VARS, [(ab, total), (total.diff("x"), ab.jet(2))]),
+                   ab.diff("x"), total.diff("y"), ab.jet(3), total.jet(1), -ab, ab + total,
+                   ab - total]
+    rab = reference_mul(ra, rb, k)
     expected = {}
     for p, q in pairs:
         expected = reference_add(expected, reference_mul(to_reference(p), to_reference(q), k))
-    cases.append((sum_of_products(KERNEL_VARS, pairs), expected))
-    # a cancelling pair removes exactly a*b from the sum
-    cases.append((sum_of_products(KERNEL_VARS, pairs + [(-a, b)]),
-                  reference_add(expected, reference_mul(ra, rb, k), -1)))
-    # kernel results fed back into the kernels, before their terms are read
-    ab, total = cases[0][0], cases[3][0]
-    rab = cases[0][1]
-    fed = [
-        (ab * total, reference_mul(rab, expected, k)),
-        (sum_of_products(KERNEL_VARS, [(ab, total), (total.diff("x"), ab.jet(2))]),
-         reference_add(reference_mul(rab, expected, k),
-                       reference_mul(reference_diff(expected, 0), reference_jet(rab, 2), k))),
-        (ab.diff("x"), reference_diff(rab, 0)),
-        (total.diff("y"), reference_diff(expected, 1)),
-        (ab.jet(3), reference_jet(rab, 3)),
-        (total.jet(1), reference_jet(expected, 1)),
-        (-ab, reference_add({}, rab, -1)),
-        (ab + total, reference_add(rab, expected)),
-        (ab - total, reference_add(rab, expected, -1)),
+    references = [
+        rab,
+        reference_add(ra, rb),
+        reference_add(ra, rb, -1),
+        expected,
+        # a cancelling pair removes exactly a*b from the sum
+        reference_add(expected, rab, -1),
+        reference_mul(rab, expected, k),
+        reference_add(reference_mul(rab, expected, k),
+                      reference_mul(reference_diff(expected, 0), reference_jet(rab, 2), k)),
+        reference_diff(rab, 0),
+        reference_diff(expected, 1),
+        reference_jet(rab, 3),
+        reference_jet(expected, 1),
+        reference_add({}, rab, -1),
+        reference_add(rab, expected),
+        reference_add(rab, expected, -1),
     ]
-    # every result stays in the packed form, with no terms table built
-    assert all(p._terms is None for p in [ab, total] + [p for p, _ in fed])
+    # the sum is over the operands' one field exactly when a power of c is left
     fields = {p.field for pair in pairs for p in pair} - {None}
-    assert total.field == next(iter(fields), None)
+    assert total.field == (fields.pop() if any(j for _, j in expected) else None)
     zero = (0,) * len(KERNEL_VARS)
     assert ab.constant_term() == from_reference(rab, k).get(zero, 0)
     for mono in monomials_up_to(KERNEL_VARS, 2):
         assert total.coefficient(mono) == from_reference(expected, k).get(mono, 0)
     assert (ab - ab).is_zero() and ab.is_zero() == (not rab)
-    for result, reference in cases + fed:
+    for result, reference in zip(results, references):
         assert result.is_zero() == (not reference)
         # degree and order count the variables, not the powers of c
         degrees = [sum(mono) for mono, _ in reference]
@@ -718,16 +741,18 @@ def test_kernel_matches_reference(operands):
 
 
 def test_extension_of_order_one_keeps_no_power_of_c():
-    # ext: 1 adjoins c = 6, which is already rational
+    # ext: 1 adjoins c = 6, which is already rational: every Poly is over Q
     field = ExtField(1)
     p = parse_poly("c*x + 1/2*c^2*y - 3", XY, field)
-    assert p.field == field and p.is_rational()
+    assert p.field is None and p.is_rational()
     assert p == P("6*x + 18*y - 3") and hash(p) == hash(P("6*x + 18*y - 3"))
     assert str(p) == "6*x + 18*y - 3" and parse_poly(str(p), XY, field) == p
     assert all(type(c) is Fraction for c in p.terms.values())
-    assert p.demote_rational().field is None and p.demote_rational() == p
-    for result in (p * p, p.diff("x"), p.substitute([P("x*y"), p]), -p + p):
-        assert result.field == field
+    # so is a table of its elements, which are rational ExtScalars
+    q = Poly(XY, {(1, 0): field.generator, (0, 1): field.element([9])})
+    assert q.field is None and q == P("6*x + 9*y")
+    for result in (p * p, p.diff("x"), p.substitute([P("x*y"), p]), -p + p, q * p):
+        assert result.field is None
         assert_canonical(result, False)
 
 
@@ -735,31 +760,48 @@ def test_cancelled_powers_of_c_leave_a_rational_polynomial():
     field = ExtField(2)
     # c*x*y cancels in the product, and c^2 = 6 cancels the y^2 terms and 6
     r = parse_poly("(x + c*y)*(x - c*y) + c^2*y^2 + c*c - 6", XY, field)
-    assert r.field == field and r.is_rational() and str(r) == "x^2"
+    assert r.field is None and r.is_rational() and str(r) == "x^2"
     assert r == P("x^2") and hash(r) == hash(P("x^2"))
-    assert r.demote_rational().field is None and r.demote_rational() == r
-    assert_canonical(r, False)
-    # one monomial keeps a power of c: nothing is demoted
+    assert_canonical(r, True)
+    # one monomial keeps a power of c: the polynomial keeps its field
     s = parse_poly("x + c*y - c*y + c*x", XY, ExtField(3))
-    assert not s.is_rational() and s.demote_rational() is s
+    assert s.field == ExtField(3) and not s.is_rational()
     assert str(s) == "(c + 1)*x" and parse_poly(str(s), XY, ExtField(3)) == s
-    assert s != P("x") and s - parse_poly("c*x", XY, ExtField(3)) == P("x")
+    d = s - parse_poly("c*x", XY, ExtField(3))
+    assert s != P("x") and d == P("x") and d.field is None
 
 
 def test_kernels_refuse_two_extension_fields():
     # no monomial is shared, so no two coefficients ever meet
     a = parse_poly("c*x", XY, ExtField(2))
     q = P("x*y")
-    for b in (parse_poly("c*y + 1", XY, ExtField(3)), parse_poly("d*y + 1", XY, ExtField(2, "d"))):
-        for op in (lambda: a + b, lambda: a - b, lambda: b - a, lambda: a * b,
-                   lambda: sum_of_products(XY, [(a, q), (q, b)]),
-                   lambda: Poly(XY, {(1, 0): a.coefficient((1, 0)),
-                                     (0, 1): b.coefficient((0, 1))})):
-            with pytest.raises(ScalarError):
-                op()
+    b = parse_poly("c*y + 1", XY, ExtField(3))
+    for op in (lambda: a + b, lambda: a - b, lambda: b - a, lambda: a * b,
+               lambda: sum_of_products(XY, [(a, q), (q, b)]),
+               lambda: Poly(XY, {(1, 0): a.coefficient((1, 0)),
+                                 (0, 1): b.coefficient((0, 1))})):
+        with pytest.raises(ScalarError):
+            op()
     # Q mixes with any one field, and equal fields mix
     assert (a + q).field == ExtField(2) and (q * a).field == ExtField(2)
     assert (a * parse_poly("c*y", XY, ExtField(2))) == P("6*x*y")
+
+
+def test_rational_results_mix_across_extension_fields():
+    # computed over k = 2 and k = 3, both left with no power of c: over Q
+    r2 = parse_poly("c*x", XY, ExtField(2)) * parse_poly("c*y", XY, ExtField(2))
+    r3 = parse_poly("(c*x + y)^3 - c^3*x^3", XY, ExtField(3)) - parse_poly(
+        "3*c^2*x^2*y + 3*c*x*y^2", XY, ExtField(3))
+    assert r2 == P("6*x*y") and r3 == P("y^3")
+    assert r2.field is None and r3.field is None
+    assert r2 + r3 == P("6*x*y + y^3") and r2 * r3 == P("6*x*y^4")
+    # and each mixes with a polynomial that keeps the other field
+    a3, a2 = parse_poly("c*x", XY, ExtField(3)), parse_poly("c*y", XY, ExtField(2))
+    assert r2 * a3 == parse_poly("6*c*x^2*y", XY, ExtField(3))
+    assert sum_of_products(XY, [(r3, a2), (r2, r3)]) == parse_poly(
+        "c*y^4 + 6*x*y^4", XY, ExtField(2))
+    mixed = Poly(XY, {(1, 0): r2.coefficient((1, 1)), (0, 1): a3.coefficient((1, 0))})
+    assert mixed == parse_poly("6*x + c*y", XY, ExtField(3))
 
 
 def test_parser_counts_monomials_not_powers_of_c():
@@ -787,11 +829,12 @@ def test_substitute_forms_one_term_per_monomial(monkeypatch):
 
 
 def test_scale_substitute_and_degree_in_integer_form():
-    p = P("2/3*x^2*y - 5/7*y + 1")
-    q = p.scale(Fraction(-7, 4))
-    s = p.substitute([P("x + y"), P("2/3*y")], jet=2)
-    # each result is in integer form, with no Fraction table built
-    assert all(r._ints and r._terms is None for r in (p, q, s))
+    scale = Fraction(-7, 4)
+    # each result is computed in integer form, with no Fraction built
+    with no_fraction_built():
+        p = P("2/3*x^2*y - 5/7*y + 1")
+        q = p.scale(scale)
+        s = p.substitute([P("x + y"), P("2/3*y")], jet=2)
     assert q == P("-7/6*x^2*y + 5/4*y - 7/4") and q.scale(Fraction(-4, 7)) == p
     assert s == P("-10/21*y + 1")
     assert p.scale(0).is_zero() and p.scale(1) == p

@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -23,7 +22,7 @@ from .frontal import CertifyReport, build_certified
 from .germfile import GermFile, GermFileError, load_germ_file
 from .local_algebra import multiplicity
 from .maps import jacobian_adjugate
-from .mesh import build_obj, frontal_surface
+from .mesh import build_obj, frontal_surface, parse_range
 from .poly import PolyError, PolyParseError, parse_poly
 from .ramification import (
     MEMBER,
@@ -284,7 +283,7 @@ def cmd_corpus(args) -> tuple[_Report, int]:
 
 def cmd_mesh(args) -> tuple[_Report, int]:
     gf = load_germ_file(args.file)
-    r = Fraction(args.range)
+    r = parse_range(args.range)
     F = frontal_surface(gf.germ, gf.multipliers)
     obj_text = build_obj(F, r, args.res)
     report = _Report("mesh")

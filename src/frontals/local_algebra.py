@@ -29,10 +29,11 @@ SparseSolver whose columns keep their numbers, and c_k is the count of
 monomials of degree <= k in c variables minus its rank.
 
 When no two consecutive orders up to the cap agree, the result is reported
-as not stabilized.  So is a search that stops before an order k at which the
-unknowns of orders 0..k, n * C(n+k+1, n+1) in all (n the source dimension,
-before the reduction), would exceed MAX_UNKNOWNS; its `reason` names that
-cap.
+as not stabilized.  So is a search that stops before an order k at which
+what the reduced search builds would exceed MAX_UNKNOWNS: order j lists the
+C(c+j-1, c) monomials of degree < j in the c corank variables and enters c
+unknowns for each, so orders 0..k build (c+1) * C(c+k, c+1) in all.  Its
+`reason` names that cap.
 """
 
 from __future__ import annotations
@@ -108,8 +109,9 @@ def _by_degree(p: Poly) -> dict[int, Poly]:
     return {d: _lowest(p.vars, part, den, p.field) for d, part in parts.items()}
 
 
-def _codimensions(f: PolyMap) -> Iterator[int]:
-    """c_0, c_1, ... of I = (f_1, ..., f_n), one order per step.
+def _codimensions(f: PolyMap) -> tuple[int, Iterator[int]]:
+    """The number c of corank variables the search runs in, and c_0, c_1,
+    ... of I = (f_1, ..., f_n), one order per step.
 
     Unknown (m, i) of sum_(m,i) u_(m,i) x^m g_i is column |g| * index(m) + i
     with m running over monomials_up_to(free, k - 1), a prefix of the next
@@ -118,28 +120,32 @@ def _codimensions(f: PolyMap) -> Iterator[int]:
     vs = f.source_vars
     pivots, heads, others = _reduce_linear_part(f)
     free = tuple(v for j, v in enumerate(vs) if j not in pivots)
-    zero = Poly.zero(free)
-    nothing = (zero,)
-    # x_(p_j) = psi_j on the zero set of h_j
-    psis = [Poly.variable(vs, vs[p]) - h for p, h in zip(pivots, heads)]
-    # x_p -> phi (0 at order 0), x_free -> x_free
-    images = [zero if j in pivots else Poly.variable(free, v) for j, v in enumerate(vs)]
-    gs = others
-    solver = SparseSolver()
-    for k in count():
-        if k and pivots and others:
-            phi = [psi.substitute(images, jet=k) for psi in psis]
-            for p, image in zip(pivots, phi):
-                images[p] = image
-            gs = [g.substitute(images, jet=k) for g in others]
-        # one tuple per part, so that `jet_rows` reads each part once
-        parts = [{d: (part,) for d, part in _by_degree(g).items()} for g in gs]
-        unknowns = [(m, part.get(k - sum(m), nothing))
-                    for m in (monomials_up_to(free, k - 1) if k else ())
-                    for part in parts]
-        for row in jet_rows(k, unknowns).values():
-            solver.add_row(row)
-        yield comb(len(free) + k, k) - solver.rank
+
+    def orders() -> Iterator[int]:
+        zero = Poly.zero(free)
+        nothing = (zero,)
+        # x_(p_j) = psi_j on the zero set of h_j
+        psis = [Poly.variable(vs, vs[p]) - h for p, h in zip(pivots, heads)]
+        # x_p -> phi (0 at order 0), x_free -> x_free
+        images = [zero if j in pivots else Poly.variable(free, v) for j, v in enumerate(vs)]
+        gs = others
+        solver = SparseSolver()
+        for k in count():
+            if k and pivots and others:
+                phi = [psi.substitute(images, jet=k) for psi in psis]
+                for p, image in zip(pivots, phi):
+                    images[p] = image
+                gs = [g.substitute(images, jet=k) for g in others]
+            # one tuple per part, so that `jet_rows` reads each part once
+            parts = [{d: (part,) for d, part in _by_degree(g).items()} for g in gs]
+            unknowns = [(m, part.get(k - sum(m), nothing))
+                        for m in (monomials_up_to(free, k - 1) if k else ())
+                        for part in parts]
+            for row in jet_rows(k, unknowns).values():
+                solver.add_row(row)
+            yield comb(len(free) + k, k) - solver.rank
+
+    return len(free), orders()
 
 
 def multiplicity(f: PolyMap, k_max: int = 12) -> MultiplicityResult:
@@ -150,16 +156,15 @@ def multiplicity(f: PolyMap, k_max: int = 12) -> MultiplicityResult:
         raise PolyError("multiplicity needs an origin-preserving germ")
     if k_max < 0:
         raise PolyError(f"jet cap must be >= 0, got {k_max}")
-    n = f.source_dim
     sequence: list[int] = []
-    codimensions = _codimensions(f)
+    c, codimensions = _codimensions(f)
     for k in range(k_max + 1):
-        unknowns = n * comb(n + k + 1, n + 1)
-        if unknowns > MAX_UNKNOWNS:
+        built = (c + 1) * comb(c + k, c + 1)
+        if built > MAX_UNKNOWNS:
             return MultiplicityResult(
                 value=None, jet_order=k - 1, dimension_sequence=tuple(sequence),
-                reason=f"order {k} would bring the unknowns of orders 0..{k} to "
-                       f"{unknowns}, over the cap MAX_UNKNOWNS = {MAX_UNKNOWNS}")
+                reason=f"order {k} would bring the monomials and unknowns of orders 0..{k}"
+                       f" to {built}, over the cap MAX_UNKNOWNS = {MAX_UNKNOWNS}")
         d = next(codimensions)
         sequence.append(d)
         if k >= 1 and sequence[k] == sequence[k - 1]:

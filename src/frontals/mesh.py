@@ -13,6 +13,7 @@ into two triangles.
 
 from __future__ import annotations
 
+import re
 from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
 
@@ -28,6 +29,16 @@ MAX_RESOLUTION = 256
 # tests, the germs/ files and the benchmark's mesh tasks reach degree 12; a
 # dense degree-63 F at the largest resolution takes a few seconds
 MAX_DEGREE = 64
+# largest bit length of the numerator and of the denominator of the grid
+# half-width r: the grid values and the rendered quotients grow with them
+MAX_RANGE_BITS = 128
+# the digits of 2**MAX_RANGE_BITS: an integer with more digits, leading
+# zeros aside, has more than MAX_RANGE_BITS bits
+MAX_RANGE_DIGITS = len(str(2**MAX_RANGE_BITS))
+# the texts Fraction reads, with looser digit groups: [sign] a/b, or
+# [sign] digits [. digits] [e [sign] digits]
+_RANGE_TEXT = re.compile(r"\s*[-+]?(?=\d|\.\d)(?:(?P<num>[\d_]+)\s*/\s*(?P<den>[\d_]+)"
+                         r"|(?P<int>[\d_]*)(?:\.(?P<frac>[\d_]*))?(?:[eE](?P<exp>[-+]?[\d_]+))?)\s*")
 # shared: a fresh local context per coordinate cost as much as the rendering
 CTX = Context(prec=12, rounding=ROUND_HALF_EVEN)
 
@@ -45,6 +56,53 @@ def _decimal12(num: int, den: int) -> str:
     if not num:
         return "0"
     return format(CTX.divide(num, den).normalize(CTX), "f")
+
+
+def _over_range_bits(digits: str, zeros: int = 0) -> bool:
+    """Whether the integer written by digits and then that many zeros has
+    more than MAX_RANGE_BITS bits; nothing larger than that is built."""
+    digits = digits.replace("_", "").lstrip("0")
+    if not digits:
+        return False
+    return (len(digits) + zeros > MAX_RANGE_DIGITS
+            or (int(digits) * 10**zeros).bit_length() > MAX_RANGE_BITS)
+
+
+def parse_range(text: str) -> Fraction:
+    """The grid half-width r written in text, as Fraction reads it.
+
+    The text is refused, before any integer is built from it, when one of
+    the integers it writes r with has more than MAX_RANGE_BITS bits: a and
+    b of a/b, or of a decimal with significant digits N and decimal
+    exponent s, N * 10^s when s >= 0, else N and 10^-s.
+    """
+    m = _RANGE_TEXT.fullmatch(text)
+    if m is None:
+        # nor does Fraction read it
+        return Fraction(text)
+    too_large = PolyError(f"grid half-width must have a numerator and a denominator of at"
+                          f" most {MAX_RANGE_BITS} bits")
+    if m["den"] is not None:
+        if _over_range_bits(m["num"]) or _over_range_bits(m["den"]):
+            raise too_large
+        if not int(m["den"].replace("_", "")):
+            raise PolyError("grid half-width has a zero denominator")
+        return Fraction(text)
+    frac = m["frac"] or ""
+    mantissa = (m["int"] + frac).replace("_", "").lstrip("0")
+    significant = mantissa.rstrip("0")
+    if not significant:
+        # zero, whatever its exponent; build_obj refuses it
+        return Fraction(0)
+    exp = (m["exp"] or "0").replace("_", "")
+    # an exponent of 19 digits or more is beyond any text's length
+    if len(exp.lstrip("+-").lstrip("0")) > 18:
+        raise too_large
+    s = int(exp) - len(frac.replace("_", "")) + len(mantissa) - len(significant)
+    if (_over_range_bits(significant, s) if s >= 0
+            else _over_range_bits(significant) or _over_range_bits("1", -s)):
+        raise too_large
+    return Fraction(text)
 
 
 def frontal_surface(germ: PolyMap, multipliers: tuple[Poly, ...]) -> PolyMap:
@@ -66,6 +124,9 @@ def build_obj(F: PolyMap, r: Fraction, m: int) -> str:
                         f"{F.source_dim} -> {F.target_dim}")
     if r <= 0:
         raise PolyError(f"grid half-width must be positive, got {r}")
+    if max(r.numerator.bit_length(), r.denominator.bit_length()) > MAX_RANGE_BITS:
+        raise PolyError(f"grid half-width must have a numerator and a denominator of at"
+                        f" most {MAX_RANGE_BITS} bits")
     if m < 2:
         raise PolyError(f"grid resolution must be at least 2, got {m}")
     if m > MAX_RESOLUTION:

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from frontals.cli import main
-from frontals.mesh import MAX_DEGREE, MAX_RESOLUTION
+from frontals.mesh import MAX_DEGREE, MAX_RANGE_BITS, MAX_RESOLUTION
 from frontals.scalars import MAX_EXT_ORDER
 
 from helpers import GRAMMAR_EXPRS, GRAMMAR_STRINGS
@@ -313,6 +313,33 @@ def test_mesh_degree_above_the_cap_exit_2(tmp_path, capsys):
                        " got 19998")
 
 
+@pytest.mark.parametrize("text", ["1e30000", "1e999999999", "7" * 5000])
+def test_mesh_range_above_the_cap_exit_2(text, capsys):
+    # refused from its digits and exponent, before Fraction builds 10^999999999
+    start = time.perf_counter()
+    message = _assert_input_error(capsys, "mesh", GERMS / "cuspidal_edge.germ",
+                                  "--range", text, "--res", 8)
+    assert time.perf_counter() - start < 1.0
+    assert message == ("error: grid half-width must have a numerator and a denominator"
+                       f" of at most {MAX_RANGE_BITS} bits")
+
+
+@pytest.mark.parametrize("text, same", [("1", "1/1"), ("1/2", "0.5"), ("0.75", "3/4"),
+                                        ("2.5e-1", "1/4")])
+def test_mesh_range_forms(text, same, capsys):
+    code, out = run_cli(capsys, "mesh", GERMS / "cuspidal_edge.germ", "--range", text,
+                        "--res", 2)
+    assert code == 0 and out.count("\nv ") == 8 and out.count("\nf ") == 8
+    assert run_cli(capsys, "mesh", GERMS / "cuspidal_edge.germ", "--range", same,
+                   "--res", 2)[1] == out
+
+
+def test_mesh_range_with_a_zero_denominator_exit_2(capsys):
+    message = _assert_input_error(capsys, "mesh", GERMS / "cuspidal_edge.germ",
+                                  "--range", "1/0", "--res", 2)
+    assert message == "error: grid half-width has a zero denominator"
+
+
 def test_degree_above_the_packed_field_exit_2(tmp_path, capsys):
     germ = tmp_path / "tower.germ"
     germ.write_text("vars: x y\nmap:\nf1 = ((x^100)^100)^100 + x*y\nf2 = y\n",
@@ -350,12 +377,12 @@ def test_multiplicity_stops_at_the_unknown_cap(tmp_path, capsys):
     germ.write_text("vars: x\nmap:\nf1 = 0\n", encoding="utf-8")
     code, out = run_cli(capsys, "multiplicity", germ, "--jet-cap", "100000")
     assert code == 0
-    assert "not stabilized at jet order 445 (sequence 1, 2, 3, " in out
+    assert "not stabilized at jet order 315 (sequence 1, 2, 3, " in out
     assert out.rstrip().endswith("over the cap MAX_UNKNOWNS = 100000")
     code, out = run_cli(capsys, "multiplicity", germ, "--jet-cap", "100000", "--format", "json")
     payload = json.loads(out)
     assert code == 0
-    assert payload["status"] == "not-stabilized" and payload["jet_order"] == 445
+    assert payload["status"] == "not-stabilized" and payload["jet_order"] == 315
     assert payload["reason"].endswith("over the cap MAX_UNKNOWNS = 100000")
     for argv in ((GERMS / "fold.germ",), (germ, "--jet-cap", "5")):
         code, out = run_cli(capsys, "multiplicity", *argv, "--format", "json")

@@ -126,17 +126,19 @@ def test_negative_jet_cap_rejected():
 
 @pytest.mark.parametrize("f, last", [
     # not finite: the y-axis lies in the zero set
-    (PolyMap.from_exprs(["x^2", "x*y", "z"], ("x", "y", "z")), 27),
-    (PolyMap((Poly.zero(("x",)),)), 445),
+    (PolyMap.from_exprs(["x^2", "x*y", "z"], ("x", "y", "z")), 57),
+    (PolyMap((Poly.zero(("x",)),)), 315),
 ])
 def test_unknown_cap_stops_the_search(f, last):
     result = multiplicity(f, 100_000)
     assert not result.stabilized
     assert result.jet_order == last
     assert len(result.dimension_sequence) == last + 1
-    # order last + 1 is the first whose unknowns with those below exceed the cap
-    n = f.source_dim
-    assert n * comb(n + last + 1, n + 1) <= MAX_UNKNOWNS < n * comb(n + last + 2, n + 1)
+    # order last + 1 is the first at which the monomials listed and the
+    # unknowns entered by the search in the c corank variables, over the
+    # orders up to it, exceed the cap
+    c = corank_at_zero(f)
+    assert (c + 1) * comb(c + last, c + 1) <= MAX_UNKNOWNS < (c + 1) * comb(c + last + 1, c + 1)
     assert "MAX_UNKNOWNS" in result.reason
     assert str(result).endswith("; " + result.reason)
 
@@ -150,5 +152,14 @@ def test_jet_cap_reached_first_has_no_reason():
 
 
 def test_unknown_cap_admits_a_7_front():
-    # order 8 in 7 variables brings 7 * C(16, 8) = 90,090 unknowns
+    # order 8 in the one corank variable builds 2 * C(9, 2) = 72 monomials
+    # and unknowns over orders 0..8
     assert a_k_front_checks(7).multiplicity.value == 8
+
+
+@pytest.mark.parametrize("k", [8, 9])
+def test_unknown_cap_admits_larger_a_k_fronts(k):
+    # the cap counts the reduced search, in x1 alone, so the A_k front
+    # stabilizes at order k + 1, in k variables
+    result = a_k_front_checks(k).multiplicity
+    assert result.value == k + 1 and result.jet_order == k + 1

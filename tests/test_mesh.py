@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frontals.maps import PolyMap
-from frontals.mesh import MAX_RESOLUTION, build_obj, decimal12, frontal_surface
+from frontals.mesh import (MAX_RANGE_BITS, MAX_RESOLUTION, build_obj, decimal12,
+                           frontal_surface, parse_range)
 from frontals.poly import Poly, PolyError, parse_poly
 from frontals.scalars import ExtField
 
@@ -133,6 +134,28 @@ def test_obj_rejects_irrational_maps_and_oversized_grids():
     F = frontal_surface(germ, (parse_poly("1", XY),))
     with pytest.raises(PolyError, match="at most"):
         build_obj(F, Fraction(1), MAX_RESOLUTION + 1)
+    # r itself: a numerator or denominator of more than MAX_RANGE_BITS bits
+    top = 2**MAX_RANGE_BITS
+    assert build_obj(F, Fraction(top - 1, top - 2), 2).count("\n") == 9 + 8
+    for r in (Fraction(top), Fraction(1, top), Fraction(top + 1, 3)):
+        with pytest.raises(PolyError, match=f"at most {MAX_RANGE_BITS} bits"):
+            build_obj(F, r, 2)
+
+
+def test_parse_range_reads_what_fraction_reads():
+    # the integers a text writes r with decide, before any is built
+    top = 2**MAX_RANGE_BITS
+    for text in ("1", " 3/4 ", "-2.5e-1", "0.75", "1_0", "1e38", "12.5E+2", "000.010e2",
+                 f"{top - 1}", f"1/{top - 1}", "0." + "0" * 37 + "1", "1" + "0" * 1000 + "e-1000"):
+        assert parse_range(text) == Fraction(text), text
+    assert parse_range("0e999999999") == 0
+    for text in ("1e39", "1e-39", f"{top}", f"1/{top}", "7" * 5000, "1e999999999",
+                 "1e-999999999", "1e" + "9" * 5000, "0." + "0" * 38 + "1"):
+        with pytest.raises(PolyError, match=f"at most {MAX_RANGE_BITS} bits"):
+            parse_range(text)
+    for text in ("abc", "", ".", "1/x", "1e"):
+        with pytest.raises(ValueError):
+            parse_range(text)
 
 
 def _power_table_vertices(F: PolyMap, r: Fraction, m: int) -> list[str]:

@@ -109,43 +109,40 @@ def _by_degree(p: Poly) -> dict[int, Poly]:
     return {d: _lowest(p.vars, part, den, p.field) for d, part in parts.items()}
 
 
-def _codimensions(f: PolyMap) -> tuple[int, Iterator[int]]:
-    """The number c of corank variables the search runs in, and c_0, c_1,
-    ... of I = (f_1, ..., f_n), one order per step.
+def _codimensions(f: PolyMap, reduction: tuple[list[int], list[Poly], list[Poly]]
+                  ) -> Iterator[int]:
+    """c_0, c_1, ... of I = (f_1, ..., f_n), one order per step, from the
+    reduction of f by `_reduce_linear_part`.
 
     Unknown (m, i) of sum_(m,i) u_(m,i) x^m g_i is column |g| * index(m) + i
     with m running over monomials_up_to(free, k - 1), a prefix of the next
     order's list, so rows entered at lower orders keep their meaning.
     """
     vs = f.source_vars
-    pivots, heads, others = _reduce_linear_part(f)
+    pivots, heads, others = reduction
     free = tuple(v for j, v in enumerate(vs) if j not in pivots)
-
-    def orders() -> Iterator[int]:
-        zero = Poly.zero(free)
-        nothing = (zero,)
-        # x_(p_j) = psi_j on the zero set of h_j
-        psis = [Poly.variable(vs, vs[p]) - h for p, h in zip(pivots, heads)]
-        # x_p -> phi (0 at order 0), x_free -> x_free
-        images = [zero if j in pivots else Poly.variable(free, v) for j, v in enumerate(vs)]
-        gs = others
-        solver = SparseSolver()
-        for k in count():
-            if k and pivots and others:
-                phi = [psi.substitute(images, jet=k) for psi in psis]
-                for p, image in zip(pivots, phi):
-                    images[p] = image
-                gs = [g.substitute(images, jet=k) for g in others]
-            # one tuple per part, so that `jet_rows` reads each part once
-            parts = [{d: (part,) for d, part in _by_degree(g).items()} for g in gs]
-            unknowns = [(m, part.get(k - sum(m), nothing))
-                        for m in (monomials_up_to(free, k - 1) if k else ())
-                        for part in parts]
-            for row in jet_rows(k, unknowns).values():
-                solver.add_row(row)
-            yield comb(len(free) + k, k) - solver.rank
-
-    return len(free), orders()
+    zero = Poly.zero(free)
+    nothing = (zero,)
+    # x_(p_j) = psi_j on the zero set of h_j
+    psis = [Poly.variable(vs, vs[p]) - h for p, h in zip(pivots, heads)]
+    # x_p -> phi (0 at order 0), x_free -> x_free
+    images = [zero if j in pivots else Poly.variable(free, v) for j, v in enumerate(vs)]
+    gs = others
+    solver = SparseSolver()
+    for k in count():
+        if k and pivots and others:
+            phi = [psi.substitute(images, jet=k) for psi in psis]
+            for p, image in zip(pivots, phi):
+                images[p] = image
+            gs = [g.substitute(images, jet=k) for g in others]
+        # one tuple per part, so that `jet_rows` reads each part once
+        parts = [{d: (part,) for d, part in _by_degree(g).items()} for g in gs]
+        unknowns = [(m, part.get(k - sum(m), nothing))
+                    for m in (monomials_up_to(free, k - 1) if k else ())
+                    for part in parts]
+        for row in jet_rows(k, unknowns).values():
+            solver.add_row(row)
+        yield comb(len(free) + k, k) - solver.rank
 
 
 def multiplicity(f: PolyMap, k_max: int = 12) -> MultiplicityResult:
@@ -156,8 +153,11 @@ def multiplicity(f: PolyMap, k_max: int = 12) -> MultiplicityResult:
         raise PolyError("multiplicity needs an origin-preserving germ")
     if k_max < 0:
         raise PolyError(f"jet cap must be >= 0, got {k_max}")
+    reduction = _reduce_linear_part(f)
+    # the search runs in the variables that are not pivots of the reduction
+    c = f.source_dim - len(reduction[0])
     sequence: list[int] = []
-    c, codimensions = _codimensions(f)
+    codimensions = _codimensions(f, reduction)
     for k in range(k_max + 1):
         built = (c + 1) * comb(c + k, c + 1)
         if built > MAX_UNKNOWNS:

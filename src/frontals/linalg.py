@@ -2,7 +2,7 @@
 
 Used for ranks of scalar matrices (corank, conormal independence, inverses in
 Q(6^(1/k))), and for the sparse jet-level systems of the local-algebra and
-ramification modules, built by `jet_rows` and `jet_solve`.  Rows are dicts
+ramification modules, built by `order_rows` and `jet_solve`.  Rows are dicts
 keyed by integer column indices; column order is the integer order, which
 callers fix deterministically, so elimination and the extracted solutions
 are reproducible.  Every row is eliminated fraction-free over Z[c], c the
@@ -11,8 +11,15 @@ quotients appear only in the values of `SparseSolver.solve()`.
 
 The jet systems are rows over Z[c] by construction: a polynomial enters as
 the numerators of its packed form (`frontals.poly`), an ExtScalar over 1
-where a power of c is left, and its column is scaled by a multiple of its
-denominator, which moves no pivot and changes no rank.  `jet_solve` hands
+where a power of c is left, scaled by a multiple of its denominator, which
+moves no pivot and changes no rank.  Each system has one scaling rule.
+
+`order_rows` gives the equations that jet order k adds to the multiplicity
+system of `frontals.local_algebra`, those at the monomials of degree k.
+Every row is scaled by one L, the lcm of the generators' denominators, so
+that the rows of all orders share one solver.
+
+`jet_solve` scales each column by the lcm of its own denominators, hands
 its rows to the elimination loop of `SparseSolver` without the input pass
 of `add_row`, and builds its system one degree at a time.  Its unknowns
 arrive in nondecreasing order of a lower bound on the degree of their
@@ -31,12 +38,11 @@ from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Iterable, Mapping, Sequence, Union
 
-from .poly import FIELD_BITS, Exponents, Poly, _by_monomial, _unpacker, _weights
+from .poly import FIELD_BITS, Exponents, Poly, _by_monomial, _weights
 from .scalars import ExtField, ExtScalar, Scalar
 
-# one unknown: a monomial shift and the tuple of polynomials it multiplies
-Unknown = tuple[Exponents, tuple[Poly, ...]]
-# one unknown of `jet_solve`: a bound on its degree, its column, then as above
+# one unknown of `jet_solve`: a bound on its degree, its column, a monomial
+# shift and the tuple of polynomials it multiplies
 Streamed = tuple[int, int, Exponents, tuple[Poly, ...]]
 # an element of Z[c]: an int, or an ExtScalar over 1 where a power of c is left
 Entry = Union[int, ExtScalar]
@@ -191,90 +197,49 @@ def scalar_rank(rows: Sequence[Sequence[Scalar]]) -> int:
     return solver.rank
 
 
-def jet_rows(k: int, unknowns: Sequence[Unknown]
-             ) -> dict[tuple[int, Exponents], dict[int, Entry]]:
-    """The k-jet equations of sum_c u_c * x^(m_c) * v_c over unknown scalars u_c,
-    scaled to integers.
+def _check_order(k: int) -> None:
+    if k >= 1 << FIELD_BITS:
+        raise ValueError(f"jet order {k} is not below 2**{FIELD_BITS}")
 
-    Unknown c is the pair (m_c, v_c) of a shift and a tuple of polynomials;
-    entry b of the sum is sum_c u_c * x^(m_c) * v_c[b].  The row of (b, mono)
-    holds, for each c that reaches it, the coefficient of u_c at mono in
-    entry b times L, the lcm of the denominators of all the polynomials: an
-    int, or an ExtScalar with integer numerators where a power of c is left
-    in it.  Terms
-    of degree above k are dropped.  Every column is scaled by the same L,
-    which is every row times L, so rows of several calls can share one
-    solver, with the rank and pivots of the rational rows (`jet_solve`, one
-    call per system, scales each column by its own lcm).  The order k must
-    be below 2**FIELD_BITS.
+
+def order_rows(k: int, shifts: Sequence[Exponents], gens: Sequence[Poly]
+               ) -> list[dict[int, Entry]]:
+    """The equations that jet order k adds to the system of
+    sum_(t,i) u_(t,i) * x^(shifts[t]) * gens[i] over unknown scalars u_(t,i):
+    one row for each monomial of degree k that the sum reaches, in the
+    order the unknowns first reach them.
+
+    Unknown (t, i) is column len(gens) * t + i, and its entry in the row of
+    x^a is the coefficient of x^(a - shifts[t]) in gens[i], times L, the lcm
+    of the denominators of gens: an int, or an ExtScalar with integer
+    numerators where a power of c is left in it.  One L scales every row, so
+    the rows of every order share one solver, with the rank and pivots of
+    the rational rows.  The order k must be below 2**FIELD_BITS.
     """
-    n = len(unknowns[0][0]) if unknowns else 0
-    builder = _RowBuilder(k, n)
-    distinct = {id(polys): polys for _, polys in unknowns}
-    scale = math.lcm(*(builder.column(polys)[2] for polys in distinct.values()))
-    builder.place(((c, shift, polys) for c, (shift, polys) in enumerate(unknowns)), scale)
-    unpack = _unpacker(n)
-    return {(b, unpack(key)): row for (b, key), row in builder.rows.items()}
-
-
-class _RowBuilder:
-    """The rows of one jet system, keyed by the entry and the packed monomial
-    (see `frontals.poly`), entered one unknown at a time.  Every monomial of
-    degree <= k has an exact key.  The terms of a tuple of polynomials are
-    worked out once and kept by the tuple's id, with the tuple, so that no id
-    is reused while the builder exists: unknowns that share a tuple share
-    the work."""
-
-    def __init__(self, k: int, n: int) -> None:
-        if k >= 1 << FIELD_BITS:
-            raise ValueError(f"jet order {k} is not below 2**{FIELD_BITS}")
-        self.k = k
-        self.weights, self.dshift = _weights(n), n * FIELD_BITS
-        self.rows: dict[tuple[int, int], dict[int, Entry]] = {}
-        # column -> its scale, where the lcm of its denominators is not 1
-        self.scales: dict[int, int] = {}
-        self._columns: dict[int, tuple[tuple[Poly, ...], list[tuple[int, Terms, int]], int]] = {}
-
-    def column(self, polys: tuple[Poly, ...]
-               ) -> tuple[tuple[Poly, ...], list[tuple[int, Terms, int]], int]:
-        """polys; for each nonzero polynomial, its entry b, its terms by
-        ascending degree (stable) and its denominator, from `_integer_form`;
-        and the lcm of the denominators."""
-        entry = self._columns.get(id(polys))
-        if entry is None:
-            dshift, tables = self.dshift, []
-            for b, p in enumerate(polys):
-                nums, den = _integer_form(p)
-                if nums:
-                    terms = sorted(((key >> dshift, key, num) for key, num in nums.items()),
-                                   key=itemgetter(0))
-                    tables.append((b, terms, den))
-            entry = self._columns[id(polys)] = (polys, tables, math.lcm(*(d for *_, d in tables)))
-        return entry
-
-    def place(self, unknowns: Iterable[tuple[int, Exponents, tuple[Poly, ...]]],
-              scale: int = 0) -> None:
-        """Enter the entries of each unknown (c, m_c, v_c), up to degree k, in
-        column c: x^(m_c) times each polynomial of v_c, scaled to integers
-        over Q by scale, a multiple of every denominator, or when 0 by the
-        lcm of the denominators of v_c, which is kept in `scales`."""
-        columns, weights, dshift, k, rows = (
-            self._columns, self.weights, self.dshift, self.k, self.rows)
-        for column, shift, polys in unknowns:
-            _, tables, lcm = columns.get(id(polys)) or self.column(polys)
-            if not tables:
-                continue
-            if not scale and lcm != 1:
-                self.scales[column] = lcm
-            at = sum(map(mul, shift, weights))
-            # the degree field of a shift's key is at least its degree
-            room = k - (at >> dshift)
-            for b, terms, den in tables:
-                factor = (scale or lcm) // den
-                for degree, key, num in terms:
-                    if degree > room:
-                        break
-                    rows.setdefault((b, at + key), {})[column] = num if factor == 1 else num * factor
+    _check_order(k)
+    if not gens:
+        return []
+    n = len(gens[0].vars)
+    weights, dshift = _weights(n), n * FIELD_BITS
+    forms = [_integer_form(g) for g in gens]
+    scale = math.lcm(*(den for _, den in forms))
+    # each generator's terms as (packed key, numerator), by degree
+    levels = []
+    for nums, den in forms:
+        level: dict[int, list[tuple[int, Entry]]] = {}
+        for key, num in nums.items():
+            level.setdefault(key >> dshift, []).append((key, num))
+        levels.append((level, scale // den))
+    rows: dict[int, dict[int, Entry]] = {}
+    width = len(gens)
+    for t, shift in enumerate(shifts):
+        at = sum(map(mul, shift, weights))
+        room = k - (at >> dshift)
+        for i, (level, factor) in enumerate(levels):
+            column = width * t + i
+            for key, num in level.get(room, ()):
+                rows.setdefault(at + key, {})[column] = num if factor == 1 else num * factor
+    return list(rows.values())
 
 
 def _integer_form(p: Poly) -> tuple[dict[int, Entry], int]:
@@ -295,10 +260,11 @@ def jet_solve(k: int, monos: Sequence[Exponents], rhs: Sequence[Poly],
     Each unknown is streamed as (bound, c, m_c, v_c): its column c, and a
     lower bound on the degree of every term of x^(m_c) * v_c, in
     nondecreasing order of bound (an unknown of bound above k adds nothing
-    and may be left out).  The equations enter in (entry, monomial) order,
-    monomials in the order of `monos`.  An unknown is pulled from the stream,
-    and its entries placed, when the first equation of degree >= its bound
-    is reached, which is enough: the equations of degree d involve only
+    and may be left out); entry b of the sum is sum_c u_c * x^(m_c) *
+    v_c[b].  The equations enter in (entry, monomial) order, monomials in
+    the order of `monos`.  An unknown is pulled from the stream, and its
+    entries placed, when the first equation of degree >= its bound is
+    reached, which is enough: the equations of degree d involve only
     unknowns of bound <= d.  Returns None at the first inconsistent
     equation, so that the unknowns of higher bound are never pulled, else
     the values of `solve()`.  Like k, every monomial must have a degree
@@ -308,33 +274,69 @@ def jet_solve(k: int, monos: Sequence[Exponents], rhs: Sequence[Poly],
     the denominators of v_c, and the right-hand sides by L, the lcm of
     theirs, so u_c = v_c * D_c / L for the solution v of the integer system.
     """
+    _check_order(k)
     n = len(monos[0]) if monos else 0
-    builder = _RowBuilder(k, n)
-    weights, dshift = builder.weights, builder.dshift
+    weights, dshift = _weights(n), n * FIELD_BITS
     keys = [sum(map(mul, mono, weights)) for mono in monos]
     if keys and max(keys) >> dshift + FIELD_BITS:
         raise ValueError(f"a monomial is not of degree below 2**{FIELD_BITS}")
+    # (entry, packed monomial) -> row; every monomial of degree <= k has an
+    # exact key
+    rows: dict[tuple[int, int], dict[int, Entry]] = {}
+    # column -> its scale D_c, where it is not 1
+    scales: dict[int, int] = {}
+    # the terms of a tuple of polynomials are worked out once and kept by
+    # the tuple's id, with the tuple, so that no id is reused while the
+    # system is built: unknowns that share a tuple share the work
+    columns: dict[int, tuple[tuple[Poly, ...], list[tuple[int, Terms, int]], int]] = {}
+
+    def place(column: int, shift: Exponents, polys: tuple[Poly, ...]) -> None:
+        """Enter x^shift times each polynomial of polys, up to degree k, in
+        column, scaled to integers by the lcm of their denominators."""
+        entry = columns.get(id(polys))
+        if entry is None:
+            # for each nonzero polynomial, its entry b, its terms by
+            # ascending degree (stable) and its denominator
+            tables = []
+            for b, p in enumerate(polys):
+                nums, den = _integer_form(p)
+                if nums:
+                    terms = sorted(((key >> dshift, key, num) for key, num in nums.items()),
+                                   key=itemgetter(0))
+                    tables.append((b, terms, den))
+            entry = columns[id(polys)] = (polys, tables, math.lcm(*(d for *_, d in tables)))
+        _, tables, lcm = entry
+        if not tables:
+            return
+        if lcm != 1:
+            scales[column] = lcm
+        at = sum(map(mul, shift, weights))
+        # the degree field of a shift's key is at least its degree
+        room = k - (at >> dshift)
+        for b, terms, den in tables:
+            factor = lcm // den
+            for degree, key, num in terms:
+                if degree > room:
+                    break
+                rows.setdefault((b, at + key), {})[column] = num if factor == 1 else num * factor
+
     targets = [_integer_form(p) for p in rhs]
     lcm = math.lcm(*(den for _, den in targets))
     stream = iter(unknowns)
     pending = next(stream, None)
     levels = [(key, min(key >> dshift, k)) for key in keys]
-    rows, solver = builder.rows, SparseSolver()
+    solver = SparseSolver()
     for b, (coeffs, den) in enumerate(targets):
         factor = lcm // den
         for key, degree in levels:
-            if pending is not None and pending[0] <= degree:
-                batch = []
-                while pending is not None and pending[0] <= degree:
-                    batch.append(pending[1:])
-                    pending = next(stream, None)
-                builder.place(batch)
+            while pending is not None and pending[0] <= degree:
+                place(*pending[1:])
+                pending = next(stream, None)
             value = coeffs.get(key, 0)
             solver._eliminate(rows.pop((b, key), {}), value if factor == 1 else value * factor)
             if solver.inconsistent:
                 return None
     values = solver.solve()
-    scales = builder.scales
     for c, v in values.items():
         scale = scales.get(c, 1)
         if scale != lcm:

@@ -43,9 +43,9 @@ from itertools import count
 from math import comb
 from typing import Iterator
 
-from .linalg import SparseSolver, jet_rows
+from .linalg import SparseSolver, order_rows
 from .maps import PolyMap, _jacobian_at_zero
-from .poly import FIELD_BITS, Poly, PolyError, _lowest, monomials_up_to
+from .poly import Poly, PolyError, monomials_up_to
 
 MAX_UNKNOWNS = 100_000
 
@@ -98,17 +98,6 @@ def _reduce_linear_part(f: PolyMap) -> tuple[list[int], list[Poly], list[Poly]]:
     return pivots, comps[:len(pivots)], comps[len(pivots):]
 
 
-def _by_degree(p: Poly) -> dict[int, Poly]:
-    """The nonzero homogeneous parts of p, keyed by degree, split in its
-    packed form by the degree field of the keys."""
-    nums, den = p._ints
-    dshift, mask = len(p.vars) * FIELD_BITS, (1 << FIELD_BITS) - 1
-    parts: dict[int, dict[int, int]] = {}
-    for key, num in nums.items():
-        parts.setdefault(key >> dshift & mask, {})[key] = num
-    return {d: _lowest(p.vars, part, den, p.field) for d, part in parts.items()}
-
-
 def _codimensions(f: PolyMap, reduction: tuple[list[int], list[Poly], list[Poly]]
                   ) -> Iterator[int]:
     """c_0, c_1, ... of I = (f_1, ..., f_n), one order per step, from the
@@ -122,7 +111,6 @@ def _codimensions(f: PolyMap, reduction: tuple[list[int], list[Poly], list[Poly]
     pivots, heads, others = reduction
     free = tuple(v for j, v in enumerate(vs) if j not in pivots)
     zero = Poly.zero(free)
-    nothing = (zero,)
     # x_(p_j) = psi_j on the zero set of h_j
     psis = [Poly.variable(vs, vs[p]) - h for p, h in zip(pivots, heads)]
     # x_p -> phi (0 at order 0), x_free -> x_free
@@ -135,12 +123,7 @@ def _codimensions(f: PolyMap, reduction: tuple[list[int], list[Poly], list[Poly]
             for p, image in zip(pivots, phi):
                 images[p] = image
             gs = [g.substitute(images, jet=k) for g in others]
-        # one tuple per part, so that `jet_rows` reads each part once
-        parts = [{d: (part,) for d, part in _by_degree(g).items()} for g in gs]
-        unknowns = [(m, part.get(k - sum(m), nothing))
-                    for m in (monomials_up_to(free, k - 1) if k else ())
-                    for part in parts]
-        for row in jet_rows(k, unknowns).values():
+        for row in order_rows(k, monomials_up_to(free, k - 1) if k else (), gs):
             solver.add_row(row)
         yield comb(len(free) + k, k) - solver.rank
 

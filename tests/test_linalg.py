@@ -7,66 +7,68 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frontals.linalg import SparseSolver, jet_rows, jet_solve
+from frontals.linalg import SparseSolver, jet_solve, order_rows
 from frontals.poly import FIELD_BITS, monomials_up_to, parse_poly
 from frontals.scalars import ExtField, ExtScalar
 
 XY = ("x", "y")
 
 
-def test_jet_rows_shift_truncate_and_key_by_entry():
-    x_plus_y = parse_poly("x + y + x^2", XY)
-    x, y = parse_poly("x", XY), parse_poly("y", XY)
-    unknowns = [
-        ((0, 0), (x_plus_y,)),      # u0 * (x + y + x^2)
-        ((1, 0), (x_plus_y,)),      # u1 * x * (x + y + x^2): x^3 is dropped
-        ((0, 1), (x, y)),           # u2 * y * (x, y): two entries
-    ]
-    one = Fraction(1)
-    assert jet_rows(2, unknowns) == {
-        (0, (1, 0)): {0: one},
-        (0, (0, 1)): {0: one},
-        (0, (2, 0)): {0: one, 1: one},
-        (0, (1, 1)): {1: one, 2: one},
-        (1, (0, 2)): {2: one},
-    }
+def test_order_rows_select_degree_k_and_number_columns_by_shift_and_generator():
+    g0, g1 = parse_poly("x + y + x^2", XY), parse_poly("x*y", XY)
+    # unknown (t, i) multiplies x^(shifts[t]) * g_i and is column 2*t + i
+    shifts = [(0, 0), (1, 0), (0, 1)]     # 1, x, y
+    # order 2 adds the rows of x^2, x*y and y^2, in the order the columns
+    # first reach them: u0*x^2 and u1*x*y, then x*(x + y), then y*(x + y);
+    # the degree-1 terms of g0 * 1 and the x^3 of g0 * x belong to other orders
+    assert order_rows(2, shifts, [g0, g1]) == [{0: 1, 2: 1}, {1: 1, 2: 1, 4: 1}, {4: 1}]
+    assert all(type(v) is int for row in order_rows(2, shifts, [g0, g1]) for v in row.values())
+    assert order_rows(0, (), [g0, g1]) == [] and order_rows(2, shifts, []) == []
 
 
-def test_jet_rows_drops_a_shift_beyond_the_order():
+def test_order_rows_drop_a_shift_beyond_the_order():
     x = parse_poly("x", XY)
-    assert jet_rows(1, [((2, 0), (x,)), ((0, 0), (x,))]) == {(0, (1, 0)): {1: Fraction(1)}}
+    assert order_rows(1, [(2, 0), (0, 0)], [x]) == [{1: 1}]
 
 
-def test_jet_rows_scale_every_column_by_the_lcm_of_the_denominators():
-    p, q = parse_poly("1/2*x + 1/3*y", XY), parse_poly("2/5*x", XY)
-    unknowns = [((0, 0), (p,)), ((1, 0), (p,)), ((0, 0), (q,)), ((0, 1), (p, q))]
-    rows = jet_rows(2, unknowns)
-    # every row is the rational row times lcm(6, 5) = 30, in integers
-    assert rows == {
-        (0, (1, 0)): {0: 15, 2: 12},
-        (0, (0, 1)): {0: 10},
-        (0, (2, 0)): {1: 15},
-        (0, (1, 1)): {1: 10, 3: 15},
-        (0, (0, 2)): {3: 10},
-        (1, (1, 1)): {3: 12},
-    }
-    assert all(type(v) is int for row in rows.values() for v in row.values())
-    # the rows of the coefficients as Fractions have the same rank
+def test_order_rows_scale_every_row_by_one_lcm_of_the_denominators():
+    gens = [parse_poly("1/2*x + 1/3*y + 1/7*x^2", XY), parse_poly("2/5*x", XY)]
+    shifts = monomials_up_to(XY, 2)
+    # the rows of the coefficients as Fractions, built from the term tables
     rational: dict = {}
-    for c, (shift, polys) in enumerate(unknowns):
-        for b, poly in enumerate(polys):
-            for mono, coeff in poly.terms.items():
+    for t, shift in enumerate(shifts):
+        for i, g in enumerate(gens):
+            for mono, coeff in g.terms.items():
                 target = (shift[0] + mono[0], shift[1] + mono[1])
-                if sum(target) <= 2:
-                    rational.setdefault((b, target), {})[c] = coeff
-    assert rational.keys() == rows.keys()
-    ranks = []
-    for system in (rows, rational):
-        solver = SparseSolver()
-        for row in system.values():
-            solver.add_row(row)
-        ranks.append(solver.rank)
-    assert ranks[0] == ranks[1] == _dense_reference([(r, 0) for r in rational.values()], 4)[0]
+                rational.setdefault(target, {})[2 * t + i] = coeff
+    solvers = SparseSolver(), SparseSolver()
+    for k in range(4):
+        rows = order_rows(k, shifts, gens)
+        # every row is the rational row times lcm(42, 5) = 210, in integers
+        expected = [row for mono, row in rational.items() if sum(mono) == k]
+        assert rows == [{c: v * 210 for c, v in row.items()} for row in expected]
+        assert all(type(v) is int for row in rows for v in row.values())
+        for solver, system in zip(solvers, (rows, expected)):
+            for row in system:
+                solver.add_row(row)
+    # one solver over all orders has the rank of the rational rows
+    ncols = 2 * len(shifts)
+    kept = [(row, 0) for mono, row in rational.items() if sum(mono) <= 3]
+    assert solvers[0].rank == solvers[1].rank == _dense_reference(kept, ncols)[0]
+    assert solvers[0].pivots == solvers[1].pivots
+
+
+def test_order_rows_keep_a_power_of_c_as_an_ext_scalar_over_one():
+    field = ExtField(2)
+    g = parse_poly("c*x + 1/2*y + 3*x^2", XY, field)
+    rows = order_rows(1, [(0, 0)], [g])
+    # L = 2: c*x gives 2c, an ExtScalar over 1; y/2 gives the int 1
+    assert rows == [{0: 2 * field.generator}, {0: 1}]
+    ext, one = rows[0][0], rows[1][0]
+    assert type(ext) is ExtScalar and ext.den == 1 and ext.nums == (0, 2)
+    assert type(one) is int
+    assert order_rows(2, [(0, 0)], [g]) == [{0: 6}]
+    assert type(order_rows(2, [(0, 0)], [g])[0][0]) is int
 
 
 def test_jet_solve_unscales_columns_and_right_hand_sides():
@@ -99,10 +101,11 @@ def test_jet_systems_refuse_degrees_past_the_packed_keys():
     vs = ("x",)
     x = parse_poly("x", vs)
     with pytest.raises(ValueError):
-        jet_rows(2**FIELD_BITS, [((0,), (x,))])
+        order_rows(2**FIELD_BITS, [(0,)], [x])
     with pytest.raises(ValueError):
         jet_solve(2, [(0,), (2**FIELD_BITS,)], [x], [(1, 0, (0,), (x,))])
-    assert jet_rows(2**FIELD_BITS - 1, [((0,), (x,))]) == {(0, (1,)): {0: Fraction(1)}}
+    # x^(2**FIELD_BITS - 2) * x, of the largest degree a key holds
+    assert order_rows(2**FIELD_BITS - 1, [(2**FIELD_BITS - 2,)], [x]) == [{0: 1}]
 
 
 # -- SparseSolver ----------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -302,17 +303,20 @@ def cmd_mesh(args) -> tuple[_Report, int]:
     return report, EXIT_OK
 
 
+# one end of a --k piece: an integer in ASCII digits, spaces around it
+_K_BOUND = re.compile(r" *-?[0-9]+ *")
+
+
 def _parse_k_range(text: str) -> tuple[int, ...]:
     values: list[int] = []
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
             continue
-        if "-" in piece[1:]:
-            lo_text, hi_text = piece.split("-", 1)
-            lo, hi = int(lo_text), int(hi_text)
-        else:
-            lo = hi = int(piece)
+        bounds = piece.split("-", 1) if "-" in piece[1:] else [piece, piece]
+        if not all(map(_K_BOUND.fullmatch, bounds)):
+            raise ValueError(f"--k takes integers and ranges lo-hi, not {piece!r}")
+        lo, hi = map(int, bounds)
         if hi > MAX_EXT_ORDER:
             raise ValueError(f"--k values above {MAX_EXT_ORDER} are not supported, got {hi}")
         values.extend(range(lo, hi + 1))
@@ -382,7 +386,9 @@ def main(argv=None) -> int:
     try:
         report, code = args.handler(args)
     except (GermFileError, PolyParseError, PolyError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_INPUT
     timing_ms = int((time.perf_counter() - start) * 1000)
     print(report.render(args.format, timing_ms))

@@ -408,12 +408,11 @@ def run_entry(name: str, **parameters) -> EntryReport:
                        corrected=corrected, notes=notes)
 
 
-def run_all(k_values: tuple[int, ...] = (2, 3),
-            signs: tuple[str, ...] = ("+", "-")) -> CorpusSummary:
-    """Run every fixed entry plus the 4_k family over the given parameters."""
+def run_all(k_values: tuple[int, ...] = (2, 3)) -> CorpusSummary:
+    """Run every fixed entry plus the 4_k family at each k, both signs."""
     reports = [run_entry(name) for name in FIXED_ENTRY_NAMES]
     for k in k_values:
-        for sign in signs:
+        for sign in ("+", "-"):
             reports.append(run_entry("four_k", k=k, sign=sign))
     return CorpusSummary(reports=reports)
 

@@ -217,9 +217,7 @@ def order_rows(k: int, shifts: Sequence[Exponents], gens: Sequence[Poly]
     the rational rows.  The order k must be below 2**FIELD_BITS.
     """
     _check_order(k)
-    if not gens:
-        return []
-    n = len(gens[0].vars)
+    n = len(gens[0].vars) if gens else 0
     weights, dshift = _weights(n), n * FIELD_BITS
     forms = [_integer_form(g) for g in gens]
     scale = math.lcm(*(den for _, den in forms))
@@ -293,8 +291,8 @@ def jet_solve(k: int, monos: Sequence[Exponents], rhs: Sequence[Poly],
     def place(column: int, shift: Exponents, polys: tuple[Poly, ...]) -> None:
         """Enter x^shift times each polynomial of polys, up to degree k, in
         column, scaled to integers by the lcm of their denominators."""
-        entry = columns.get(id(polys))
-        if entry is None:
+        cached = columns.get(id(polys))
+        if cached is None:
             # for each nonzero polynomial, its entry b, its terms by
             # ascending degree (stable) and its denominator
             tables = []
@@ -304,10 +302,8 @@ def jet_solve(k: int, monos: Sequence[Exponents], rhs: Sequence[Poly],
                     terms = sorted(((key >> dshift, key, num) for key, num in nums.items()),
                                    key=itemgetter(0))
                     tables.append((b, terms, den))
-            entry = columns[id(polys)] = (polys, tables, math.lcm(*(d for *_, d in tables)))
-        _, tables, lcm = entry
-        if not tables:
-            return
+            cached = columns[id(polys)] = (polys, tables, math.lcm(*(d for *_, d in tables)))
+        _, tables, lcm = cached
         if lcm != 1:
             scales[column] = lcm
         at = sum(map(mul, shift, weights))

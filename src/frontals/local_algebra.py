@@ -24,9 +24,10 @@ One solver for all orders.  The equation "coefficient of x^a in
 sum_(m,i) u_(m,i) x^m g_i" involves the unknowns with |m| < |a| (g has no
 constant term) and the degree-(|a| - |m|) parts of g, which are final once
 g is right to order |a|, so it does not depend on the order k >= |a|.
-Order k therefore adds only the rows of the degree-k monomials to one
-SparseSolver whose columns keep their numbers, and c_k is the count of
-monomials of degree <= k in c variables minus its rank.
+Order k therefore adds only the rows of the degree-k monomials
+(`linalg.order_rows`, each row scaled to integers, which changes no rank)
+to one SparseSolver whose columns keep their numbers, and c_k is the count
+of monomials of degree <= k in c variables minus its rank.
 
 When no two consecutive orders up to the cap agree, the result is reported
 as not stabilized.  So is a search that stops before an order k at which
@@ -104,8 +105,9 @@ def _codimensions(f: PolyMap, reduction: tuple[list[int], list[Poly], list[Poly]
     reduction of f by `_reduce_linear_part`.
 
     Unknown (m, i) of sum_(m,i) u_(m,i) x^m g_i is column |g| * index(m) + i
-    with m running over monomials_up_to(free, k - 1), a prefix of the next
-    order's list, so rows entered at lower orders keep their meaning.
+    (`linalg.order_rows`) with m running over monomials_up_to(free, k - 1),
+    a prefix of the next order's list, so rows entered at lower orders keep
+    their meaning.
     """
     vs = f.source_vars
     pivots, heads, others = reduction

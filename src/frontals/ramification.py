@@ -50,7 +50,9 @@ MEMBER = "MEMBER"
 NOT_MEMBER_MOD_JET = "NOT-MEMBER-MOD-JET"
 UNDECIDED = "UNDECIDED"
 
-DEFAULT_UNKNOWN_CAP = 20000
+# the most unknowns a membership system may have; a larger one is UNDECIDED
+# before any of it is built
+MAX_UNKNOWNS = 20000
 
 
 @dataclass(frozen=True)
@@ -136,15 +138,15 @@ def _target_vars(source_vars: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(f"X{i + 1}" for i in range(len(source_vars)))
 
 
-def _decide(k: int, unknown_count: int, unknown_cap: int,
+def _decide(k: int, unknown_count: int,
             solve: Callable[[], Certificate | None]) -> MembershipVerdict:
     """The steps both tests share: a system over the cap is UNDECIDED before
     any of it is built, an infeasible one proves NOT-MEMBER-MOD-JET, and a
     solution is MEMBER once its certificate rechecks."""
-    if unknown_count > unknown_cap:
+    if unknown_count > MAX_UNKNOWNS:
         return MembershipVerdict(
             status=UNDECIDED, jet_order=k,
-            reason=f"{unknown_count} unknowns exceed the cap {unknown_cap}")
+            reason=f"{unknown_count} unknowns exceed the cap {MAX_UNKNOWNS}")
     cert = solve()
     if cert is None:
         return MembershipVerdict(status=NOT_MEMBER_MOD_JET, jet_order=k)
@@ -168,10 +170,7 @@ def _block(values: dict[int, Scalar], offset: int,
                        if offset + t in values})
 
 
-def gradient_module_membership(
-    psi: Poly, f: PolyMap, k: int,
-    unknown_cap: int = DEFAULT_UNKNOWN_CAP,
-) -> MembershipVerdict:
+def gradient_module_membership(psi: Poly, f: PolyMap, k: int) -> MembershipVerdict:
     """Decide d(psi) in <df_1, ..., df_n> at jet order k."""
     _check_inputs(psi, f, k)
     n = f.source_dim
@@ -196,13 +195,10 @@ def gradient_module_membership(
         witnesses = tuple(_block(values, i * len(monos), vs, monos) for i in range(n))
         return GradientCertificate(jet_order=k, psi=psi, germ=f, witnesses=witnesses)
 
-    return _decide(k, n * comb(n + k, n), unknown_cap, solve)
+    return _decide(k, n * comb(n + k, n), solve)
 
 
-def jsq_plus_pullback_membership(
-    psi: Poly, f: PolyMap, k: int,
-    unknown_cap: int = DEFAULT_UNKNOWN_CAP,
-) -> MembershipVerdict:
+def jsq_plus_pullback_membership(psi: Poly, f: PolyMap, k: int) -> MembershipVerdict:
     """Decide psi in <det(Jf)^2>_{E_n} + f^*(E_n) at jet order k."""
     _check_inputs(psi, f, k)
     n = f.source_dim
@@ -248,7 +244,7 @@ def jsq_plus_pullback_membership(
         return PullbackCertificate(jet_order=k, psi=psi, germ=f, mu=_block(values, 0, vs, monos),
                                    eta=_block(values, len(monos), tvs, target_monos))
 
-    return _decide(k, 2 * comb(n + k, n), unknown_cap, solve)
+    return _decide(k, 2 * comb(n + k, n), solve)
 
 
 @dataclass(frozen=True)

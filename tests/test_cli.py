@@ -147,8 +147,18 @@ def test_corpus_four_k_with_range(capsys):
 
 
 def test_corpus_unknown_entry_exit_2(capsys):
-    code = main(["corpus", "lips"])
-    assert code == 2
+    # the message itself, not the repr that str() of its KeyError gives
+    message = _assert_input_error(capsys, "corpus", "lips")
+    assert message == ("error: unknown corpus entry 'lips' (have fold, cuspidal_edge,"
+                       " folded_umbrella, cuspidal_crosscap_alt, open_folded_umbrella,"
+                       " swallowtail, open_swallowtail, four_k)")
+
+
+@pytest.mark.parametrize("k", ["a", "2-", "2-x", "2,3-y", "1_0", "\u0663"])
+def test_corpus_k_piece_not_an_integer_exit_2(k, capsys):
+    piece = k.split(",")[-1]
+    message = _assert_input_error(capsys, "corpus", "--k", k)
+    assert message == f"error: --k takes integers and ranges lo-hi, not {piece!r}"
 
 
 def test_mesh_writes_obj(tmp_path, capsys):

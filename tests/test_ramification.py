@@ -69,8 +69,9 @@ def test_arity_mismatch_rejected():
         gradient_module_membership(parse_poly("x", XL), HALF_SQUARE, 3)
 
 
-def test_unknown_cap_gives_undecided():
-    verdict = gradient_module_membership(P("x^3"), HALF_SQUARE, 4, unknown_cap=2)
+def test_unknown_cap_gives_undecided(monkeypatch):
+    monkeypatch.setattr("frontals.ramification.MAX_UNKNOWNS", 2)
+    verdict = gradient_module_membership(P("x^3"), HALF_SQUARE, 4)
     assert verdict.status == UNDECIDED
     assert "cap" in verdict.reason
 

@@ -32,7 +32,7 @@ def test_order_rows_drop_a_shift_beyond_the_order():
 
 
 def test_order_rows_scale_every_row_by_one_lcm_of_the_denominators():
-    gens = [parse_poly("1/2*x + 1/3*y + 1/7*x^2", XY), parse_poly("2/5*x", XY)]
+    gens = [parse_poly("1/2*x + 1/3*y + 1/7*x^2", XY), parse_poly("2/15*x", XY)]
     shifts = monomials_up_to(XY, 2)
     # the rows of the coefficients as Fractions, built from the term tables
     rational: dict = {}
@@ -44,7 +44,7 @@ def test_order_rows_scale_every_row_by_one_lcm_of_the_denominators():
     solvers = SparseSolver(), SparseSolver()
     for k in range(4):
         rows = order_rows(k, shifts, gens)
-        # every row is the rational row times lcm(42, 5) = 210, in integers
+        # every row is the rational row times lcm(42, 15) = 210, in integers
         expected = [row for mono, row in rational.items() if sum(mono) == k]
         assert rows == [{c: v * 210 for c, v in row.items()} for row in expected]
         assert all(type(v) is int for row in rows for v in row.values())

@@ -303,8 +303,22 @@ def cmd_mesh(args) -> tuple[_Report, int]:
     return report, EXIT_OK
 
 
-# one end of a --k piece: an integer in ASCII digits, spaces around it
-_K_BOUND = re.compile(r" *-?[0-9]+ *")
+# one end of a --k piece: an integer in ASCII digits, spaces around it;
+# the groups are its sign and its digits after leading zeros
+_K_BOUND = re.compile(r" *(-?)0*([0-9]+) *")
+# the smallest k of the 4_k family
+MIN_K = 2
+
+
+def _k_bound(match: re.Match) -> int:
+    """The value of one end of a --k piece.  One with more digits than
+    MAX_EXT_ORDER is refused from its digit count, before int() reads it."""
+    sign, digits = match.groups()
+    if len(digits) > len(str(MAX_EXT_ORDER)):
+        side = f"below {MIN_K}" if sign else f"above {MAX_EXT_ORDER}"
+        raise ValueError(f"--k values {side} are not supported, got an integer of"
+                         f" {len(digits)} digits")
+    return int(sign + digits)
 
 
 def _parse_k_range(text: str) -> tuple[int, ...]:
@@ -314,9 +328,12 @@ def _parse_k_range(text: str) -> tuple[int, ...]:
         if not piece:
             continue
         bounds = piece.split("-", 1) if "-" in piece[1:] else [piece, piece]
-        if not all(map(_K_BOUND.fullmatch, bounds)):
+        matches = [_K_BOUND.fullmatch(bound) for bound in bounds]
+        if not all(matches):
             raise ValueError(f"--k takes integers and ranges lo-hi, not {piece!r}")
-        lo, hi = map(int, bounds)
+        lo, hi = map(_k_bound, matches)
+        if lo < MIN_K:
+            raise ValueError(f"--k values below {MIN_K} are not supported, got {lo}")
         if hi > MAX_EXT_ORDER:
             raise ValueError(f"--k values above {MAX_EXT_ORDER} are not supported, got {hi}")
         values.extend(range(lo, hi + 1))

@@ -16,12 +16,19 @@ block.  The map must parse to an origin-preserving PolyMap.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from .maps import PolyMap
 from .poly import Poly, PolyParseError, parse_poly
 from .scalars import MAX_EXT_ORDER, ExtField
+
+
+# the order of an ext: line: an integer in ASCII digits (int() also takes
+# other scripts' digits, such as the Arabic-Indic three, and '_' between
+# digits); the groups are its sign and its digits after leading zeros
+_ORDER = re.compile(r"([+-]?)0*([0-9]+)")
 
 
 class GermFileError(ValueError):
@@ -68,12 +75,16 @@ def parse_germ_file(text: str) -> GermFile:
         if lowered.startswith("ext:"):
             if ext_order is not None:
                 raise GermFileError("duplicate ext: line", lineno)
-            try:
-                ext_order = int(line[4:].strip())
-            except ValueError:
-                raise GermFileError("ext: expects an integer order", lineno) from None
-            if not 1 <= ext_order <= MAX_EXT_ORDER:
+            match = _ORDER.fullmatch(line[4:].strip())
+            if match is None:
+                raise GermFileError("ext: expects an integer order", lineno)
+            sign, digits = match.groups()
+            # an order with more digits than MAX_EXT_ORDER is refused from
+            # its digit count, before int() reads it
+            if (len(digits) > len(str(MAX_EXT_ORDER))
+                    or not 1 <= int(sign + digits) <= MAX_EXT_ORDER):
                 raise GermFileError(f"ext: order must be between 1 and {MAX_EXT_ORDER}", lineno)
+            ext_order = int(sign + digits)
             continue
         if lowered == "map:":
             block = "map"

@@ -171,7 +171,11 @@ def _entry(field: ExtField, nums: tuple[int, ...]) -> Entry:
 def _primitive(lead: int, work: dict[int, Entry], rhs: Entry
                ) -> tuple[dict[int, Entry], Entry, Entry]:
     """The stored form of a row: primitive, with an int leading entry
-    positive, and an ExtScalar with no power of c left turned into its int."""
+    positive, and an ExtScalar with no power of c left turned into its int.
+    A row with one entry and a zero right-hand side says that its column is
+    zero, whatever the entry, and is stored as ({}, 0, 1)."""
+    if not rhs and len(work) == 1:
+        return {}, 0, 1
     try:
         g = math.gcd(rhs, *work.values())
     except TypeError:  # an ExtScalar among them
@@ -255,18 +259,20 @@ def jet_solve(k: int, monos: Sequence[Exponents], rhs: Sequence[Poly],
               unknowns: Iterable[Streamed]) -> dict[int, Scalar] | None:
     """Solve jet_k(sum_c u_c * x^(m_c) * v_c) = rhs entrywise for the u_c.
 
-    Each unknown is streamed as (bound, c, m_c, v_c): its column c, and a
-    lower bound on the degree of every term of x^(m_c) * v_c, in
-    nondecreasing order of bound (an unknown of bound above k adds nothing
-    and may be left out); entry b of the sum is sum_c u_c * x^(m_c) *
-    v_c[b].  The equations enter in (entry, monomial) order, monomials in
-    the order of `monos`.  An unknown is pulled from the stream, and its
-    entries placed, when the first equation of degree >= its bound is
-    reached, which is enough: the equations of degree d involve only
-    unknowns of bound <= d.  Returns None at the first inconsistent
-    equation, so that the unknowns of higher bound are never pulled, else
-    the values of `solve()`.  Like k, every monomial must have a degree
-    below 2**FIELD_BITS.
+    Each unknown is streamed as (bound, c, m_c, v_c): its column c, a shift
+    m_c that is one of `monos`, and a lower bound on the degree of every
+    term of x^(m_c) * v_c, in nondecreasing order of bound (an unknown of
+    bound above k adds nothing and may be left out); entry b of the sum is
+    sum_c u_c * x^(m_c) * v_c[b], for b below len(rhs).  The equations
+    enter in (entry, monomial) order, monomials in the order of `monos`,
+    and an equation 0 = 0 is passed over.  An unknown is pulled from the
+    stream, and its entries placed, when the first equation of degree >=
+    its bound is reached, which is enough: the equations of degree d
+    involve only unknowns of bound <= d.  Placing reads the packed key of
+    m_c from the keys of `monos`, packed once per call.  Returns None at
+    the first inconsistent equation, so that the unknowns of higher bound
+    are never pulled, else the values of `solve()`.  Like k, every monomial
+    must have a degree below 2**FIELD_BITS.
 
     The equations are integer rows: column c is scaled by D_c, the lcm of
     the denominators of v_c, and the right-hand sides by L, the lcm of
@@ -278,9 +284,10 @@ def jet_solve(k: int, monos: Sequence[Exponents], rhs: Sequence[Poly],
     keys = [sum(map(mul, mono, weights)) for mono in monos]
     if keys and max(keys) >> dshift + FIELD_BITS:
         raise ValueError(f"a monomial is not of degree below 2**{FIELD_BITS}")
-    # (entry, packed monomial) -> row; every monomial of degree <= k has an
-    # exact key
-    rows: dict[tuple[int, int], dict[int, Entry]] = {}
+    key_of = dict(zip(monos, keys))
+    # for each entry, packed monomial -> row; every monomial of degree <= k
+    # has an exact key
+    rows: list[dict[int, dict[int, Entry]]] = [{} for _ in rhs]
     # column -> its scale D_c, where it is not 1
     scales: dict[int, int] = {}
     # the terms of a tuple of polynomials are worked out once and kept by
@@ -306,15 +313,15 @@ def jet_solve(k: int, monos: Sequence[Exponents], rhs: Sequence[Poly],
         _, tables, lcm = cached
         if lcm != 1:
             scales[column] = lcm
-        at = sum(map(mul, shift, weights))
-        # the degree field of a shift's key is at least its degree
+        at = key_of[shift]
         room = k - (at >> dshift)
         for b, terms, den in tables:
             factor = lcm // den
+            entry = rows[b]
             for degree, key, num in terms:
                 if degree > room:
                     break
-                rows.setdefault((b, at + key), {})[column] = num if factor == 1 else num * factor
+                entry.setdefault(at + key, {})[column] = num if factor == 1 else num * factor
 
     targets = [_integer_form(p) for p in rhs]
     lcm = math.lcm(*(den for _, den in targets))
@@ -322,14 +329,18 @@ def jet_solve(k: int, monos: Sequence[Exponents], rhs: Sequence[Poly],
     pending = next(stream, None)
     levels = [(key, min(key >> dshift, k)) for key in keys]
     solver = SparseSolver()
-    for b, (coeffs, den) in enumerate(targets):
+    for entry, (coeffs, den) in zip(rows, targets):
         factor = lcm // den
         for key, degree in levels:
             while pending is not None and pending[0] <= degree:
                 place(*pending[1:])
                 pending = next(stream, None)
+            row = entry.pop(key, None)
             value = coeffs.get(key, 0)
-            solver._eliminate(rows.pop((b, key), {}), value if factor == 1 else value * factor)
+            if row is None and not value:
+                # 0 = 0 adds nothing
+                continue
+            solver._eliminate(row or {}, value if factor == 1 else value * factor)
             if solver.inconsistent:
                 return None
     values = solver.solve()

@@ -364,8 +364,13 @@ class Poly:
     def substitute(self, images: Sequence["Poly"], jet: int | None = None) -> "Poly":
         """Exact composition p(images); a ring homomorphism into the images' ring.
 
-        With ``jet`` = k the result is the k-jet of the composition, and every
-        product is truncated at degree k as it is formed.
+        Each power of an image is formed once.  A monomial's image is the
+        product of its images' powers, each partial product cut at ``jet``
+        = k, when given, as it is formed.  A monomial is dropped before any
+        product when the image of one of its variables is zero, or when the
+        orders of its images sum to more than k.  One `sum_of_products` then
+        collects every (coefficient, image) pair, so with ``jet`` = k the
+        result is the k-jet of the composition.
         """
         images = list(images)
         if len(images) != len(self.vars):
@@ -378,34 +383,51 @@ class Poly:
         for g in images[1:]:
             if g.vars != target_vars:
                 raise VariableMismatchError("images must share one variable list")
+        if jet is not None and jet < 0:
+            raise PolyError(f"jet order must be >= 0, got {jet}")
 
         def cut(p: Poly) -> Poly:
             return p if jet is None else p.jet(jet)
 
-        result = Poly.zero(target_vars)
         # powers e >= 1 only: a zero exponent never reaches image_power
-        pow_cache: list[dict[int, Poly]] = [{1: g} for g in images]
+        pow_cache: list[dict[int, Poly]] = [{} for _ in images]
 
         def image_power(i: int, e: int) -> Poly:
             cache = pow_cache[i]
             if e not in cache:
-                half = image_power(i, e // 2)
-                sq = cut(half * half)
-                cache[e] = sq if e % 2 == 0 else cut(sq * images[i])
+                if e == 1:
+                    cache[e] = cut(images[i])
+                else:
+                    half = image_power(i, e // 2)
+                    sq = cut(half * half)
+                    cache[e] = sq if e % 2 == 0 else cut(sq * image_power(i, 1))
             return cache[e]
 
         den = self._ints[1]
         unpack = _unpacker(len(self.vars))
+        # math.inf for a zero image; the coefficients form a field, so the
+        # order of a product is the sum of its factors' orders
+        orders = [g.order() for g in images]
+        one = Poly._raw(target_vars, {0: 1}, 1)
         # one constant per monomial, its powers of c keyed over the targets
         step = 1 << _c_shift(len(target_vars))
+        pairs = []
         for key, cs in _by_monomial(self).items():
-            term = _lowest(target_vars, {j * step: n for j, n in enumerate(cs) if n}, den,
-                           self.field)
-            for i, e in enumerate(unpack(key)):
+            exponents = unpack(key)
+            reach = sum([o * e for o, e in zip(orders, exponents) if e])
+            if reach == math.inf or jet is not None and reach > jet:
+                # a zero factor, or an image with no term of degree <= jet
+                continue
+            # every power and partial product has an order <= reach: no cut
+            # leaves one zero
+            image = one
+            for i, e in enumerate(exponents):
                 if e:
-                    term = cut(term * image_power(i, e))
-            result = result + term
-        return result
+                    power = image_power(i, e)
+                    image = power if image is one else cut(image * power)
+            pairs.append((_lowest(target_vars, {j * step: n for j, n in enumerate(cs) if n},
+                                  den, self.field), image))
+        return sum_of_products(target_vars, pairs)
 
     def eval(self, point: Sequence[Union[int, Fraction, ExtScalar]]) -> Scalar:
         """Exact evaluation at a point of scalars."""
@@ -508,24 +530,32 @@ def _lowest(vars: tuple[str, ...], nums: dict[int, int], den: int,
 def sum_of_products(vars: Sequence[str], pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
     """Sum of a_i * b_i over the (a_i, b_i) pairs, collected in one table.
 
-    Each pair's numerators are brought to the common denominator D of all
-    pair products; the loop adds plain int products under the sum of two
-    packed keys, a fold maps c^j with j >= k to 6 * c^(j - k), and the
-    result is returned over D with the common factor divided out.  A pair
-    product of degree above MAX_DEGREE raises PolyError before any product
-    is formed, and operands over two different fields raise ScalarError.
+    One pass over the pairs checks their variables, finds the field and
+    keeps the pairs with two nonzero operands.  Each operand pair's
+    numerators are brought to the common denominator D of all pair
+    products (da * db for a single pair, else their lcm); the loop adds
+    plain int products under the sum of two packed keys, a fold maps c^j
+    with j >= k to 6 * c^(j - k), and the result is returned over D with
+    the common factor divided out.  Over Q an entry can be zero only where
+    two term pairs met under one key, so zero entries are looked for only
+    then.  A pair product of degree above MAX_DEGREE raises PolyError
+    before any product is formed, and operands over two different fields
+    raise ScalarError.
     """
     vs = tuple(vars)
-    pairs = list(pairs)
+    cshift = _c_shift(len(vs))
+    field = None
+    # (nums, den) of a and of b for each pair of nonzero operands, and the
+    # number of term pairs they form
+    operands = []
+    formed = 0
     for a, b in pairs:
         if a.vars != vs or b.vars != vs:
             raise VariableMismatchError(
                 f"mismatched variable lists {a.vars} * {b.vars}, expected {vs}")
-    field = _common_field({p.field for pair in pairs for p in pair})
-    cshift = _c_shift(len(vs))
-    operands = []
-    for a, b in pairs:
-        (ta, _), (tb, _) = ints = a._ints, b._ints
+        if a.field is not field or b.field is not field:
+            field = _common_field({field, a.field, b.field})
+        (ta, da), (tb, db) = a._ints, b._ints
         if ta and tb:
             # a masked key is at most the key, and the sum of two masked keys
             # is below 1 << cshift exactly when their degrees sum to at most
@@ -533,11 +563,16 @@ def sum_of_products(vars: Sequence[str], pairs: Iterable[tuple[Poly, Poly]]) -> 
             if max(ta) + max(tb) >> cshift and a.degree() + b.degree() > MAX_DEGREE:
                 raise PolyError(f"a product of degree {a.degree() + b.degree()} is above"
                                 f" MAX_DEGREE = {MAX_DEGREE}")
-            operands.append(ints)
-    den = math.lcm(*(da * db for (_, da), (_, db) in operands))
+            operands.append((ta, da, tb, db))
+            formed += len(ta) * len(tb)
+    if len(operands) == 1:
+        _, da, _, db = operands[0]
+        den = da * db
+    else:
+        den = math.lcm(*[da * db for _, da, _, db in operands])
     out: dict[int, int] = {}
     get = out.get
-    for (ta, da), (tb, db) in operands:
+    for ta, da, tb, db in operands:
         scale = den // (da * db)
         for ka, ca in ta.items():
             if scale != 1:
@@ -553,7 +588,9 @@ def sum_of_products(vars: Sequence[str], pairs: Iterable[tuple[Poly, Poly]]) -> 
         for key in [key for key in out if key >= top]:
             folded = key - top
             out[folded] = get(folded, 0) + 6 * out.pop(key)
-    return _lowest(vs, {m: v for m, v in out.items() if v}, den, field)
+    if field is not None or len(out) < formed:
+        out = {m: v for m, v in out.items() if v}
+    return _lowest(vs, out, den, field)
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,20 @@ def test_corpus_k_above_the_cap_exit_2(k, capsys):
     assert "--k values above" in message
 
 
+@pytest.mark.parametrize("k, message", [
+    ("9" * 5000, "--k values above 32 are not supported, got an integer of 5000 digits"),
+    ("2-" + "9" * 400, "--k values above 32 are not supported, got an integer of 400 digits"),
+    ("-" + "9" * 5000, "--k values below 2 are not supported, got an integer of 5000 digits"),
+    ("0" * 5000 + "33", "--k values above 32 are not supported, got 33"),
+    ("1-3", "--k values below 2 are not supported, got 1"),
+    ("-3", "--k values below 2 are not supported, got -3"),
+])
+def test_corpus_k_bound_out_of_range_exit_2(k, message, capsys):
+    # a long bound is refused from its digit count, with no echo of it,
+    # before int() reads it
+    assert _assert_input_error(capsys, "corpus", f"--k={k}") == f"error: {message}"
+
+
 def test_mesh_resolution_above_the_cap_exit_2(capsys):
     message = _assert_input_error(capsys, "mesh", GERMS / "fold.germ", "--range", "1",
                                   "--res", MAX_RESOLUTION + 1)

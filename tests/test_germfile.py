@@ -52,6 +52,28 @@ def test_ext_field_is_one_object_shared_with_psi():
     assert psi_coeff.field is gf.field
 
 
+@pytest.mark.parametrize("order", ["\u0663", "3\u0663", "1_0", "3.0", "three", ""])
+def test_ext_order_in_ascii_digits_only(order):
+    # int() would read the Arabic-Indic three as 3 and 1_0 as 10
+    with pytest.raises(GermFileError) as info:
+        parse_germ_file(f"vars: x y\next: {order}\nmap:\nf1 = x\nf2 = y\n")
+    assert str(info.value) == "ext: expects an integer order (line 2)"
+
+
+@pytest.mark.parametrize("order", ["9" * 5000, "-" + "9" * 5000, "100", "33", "0", "-3"])
+def test_ext_order_out_of_range(order):
+    # a long order is refused from its digit count: int() never reads it
+    with pytest.raises(GermFileError) as info:
+        parse_germ_file(f"vars: x y\next: {order}\nmap:\nf1 = x\nf2 = y\n")
+    assert str(info.value) == "ext: order must be between 1 and 32 (line 2)"
+
+
+@pytest.mark.parametrize("order, k", [("1", 1), ("032", 32), ("+3", 3), ("0" * 5000 + "7", 7)])
+def test_ext_order_accepted(order, k):
+    gf = parse_germ_file(f"vars: x y\next: {order}\nmap:\nf1 = x\nf2 = y\n")
+    assert gf.ext_order == k
+
+
 def test_missing_vars_rejected():
     with pytest.raises(GermFileError, match="vars"):
         parse_germ_file("map:\nf1 = 1\n")

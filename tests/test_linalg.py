@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frontals.linalg import SparseSolver, jet_solve, order_rows
+from frontals.linalg import SparseSolver, _primitive, jet_solve, order_rows
 from frontals.poly import FIELD_BITS, monomials_up_to, parse_poly
 from frontals.scalars import ExtField, ExtScalar
 
@@ -69,6 +69,25 @@ def test_order_rows_keep_a_power_of_c_as_an_ext_scalar_over_one():
     assert type(one) is int
     assert order_rows(2, [(0, 0)], [g]) == [{0: 6}]
     assert type(order_rows(2, [(0, 0)], [g])[0][0]) is int
+
+
+def test_primitive_form_of_a_one_entry_row():
+    c = ExtField(3).generator
+    # with a zero right-hand side the row says its column is zero, whatever
+    # the entry: it is stored as the unit row
+    for entry in (1, -4, 12, 2 * c, -c - c * c):
+        assert _primitive(3, {3: entry}, 0) == ({}, 0, 1)
+    # with a nonzero one the value is kept: primitive, int lead positive
+    assert _primitive(3, {3: -4}, 6) == ({}, -3, 2)
+    assert _primitive(3, {3: 5}, 7) == ({}, 7, 5)
+    assert _primitive(0, {0: 2 * c}, 4) == ({}, 2, c)
+    # a row with more entries keeps them, with a zero right-hand side too
+    assert _primitive(1, {1: -2, 4: 6}, 0) == ({4: -3}, 0, 1)
+    solver = SparseSolver()
+    solver.add_row({0: 5}, 3)
+    solver.add_row({1: Fraction(-2, 3)}, 0)
+    solver.add_row({0: 2, 1: 7, 2: 4}, 2)
+    assert solver.solve() == {0: Fraction(3, 5), 2: Fraction(1, 5)}
 
 
 def test_jet_solve_unscales_columns_and_right_hand_sides():

@@ -820,12 +820,70 @@ def test_substitute_forms_one_term_per_monomial(monkeypatch):
     p = parse_poly("(1 + c + c^2)*x^3 + c*y^2", XY, field)
     images = [P("x + y"), P("x*y")]
     expected = parse_poly("(1 + c + c^2)*(x + y)^3 + c*(x*y)^2", XY, field)
-    products = []
-    multiply = Poly.__mul__
+    products, kernel_calls = [], []
+    multiply, kernel = Poly.__mul__, poly_module.sum_of_products
     monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(1) or multiply(a, b))
+    monkeypatch.setattr(poly_module, "sum_of_products",
+                        lambda *args: kernel_calls.append(1) or kernel(*args))
     assert p.substitute(images) == expected
-    # (x + y)^2, (x + y)^3 and (x*y)^2, then one product per monomial
-    assert len(products) == 5
+    # the powers (x + y)^2, (x + y)^3 and (x*y)^2 are the only products:
+    # each monomial has one factor, so it is its power; then one
+    # sum_of_products collects both monomials with their coefficients
+    assert len(products) == 3
+    assert len(kernel_calls) == 3 + 1
+
+
+def test_products_whose_terms_cancel():
+    # one pair whose term pairs meet under one key and cancel there: x*y
+    # over Q, c*x*y over Q(6^(1/3)), and there also c^4*x*y, which folds to
+    # 6*c*x*y and meets -6*c*x*y
+    field = ExtField(3)
+    cases = [(P("x + y"), P("x - y"), P("x^2 - y^2"), True),
+             (P("1/2*x + y"), P("x - 1/2*y"), P("1/2*x^2 + 3/4*x*y - 1/2*y^2"), True),
+             (parse_poly("x + c*y", XY, field), parse_poly("x - c*y", XY, field),
+              parse_poly("x^2 - c^2*y^2", XY, field), False),
+             (parse_poly("c*x + c^2*y", XY, field), parse_poly("c^2*x - 6*y", XY, field),
+              parse_poly("6*x^2 - 6*c^2*y^2", XY, field), False)]
+    for a, b, expected, rational in cases:
+        for product in (a * b, sum_of_products(XY, [(a, b)])):
+            assert product == expected, (a, b)
+            assert_canonical(product, rational)
+    # and pairs whose products cancel one another, to zero
+    x, y = P("x"), P("y")
+    total = sum_of_products(XY, [(x, y), (-y, x)])
+    assert total.is_zero() and total._ints == ({}, 1)
+    c = parse_poly("c*x", XY, field)
+    total = sum_of_products(XY, [(c, c), (P("-1*x"), parse_poly("c^2*x", XY, field))])
+    assert total.is_zero() and total.field is None
+
+
+def test_substitute_with_a_zero_image_or_a_power_cut_to_zero():
+    # each result is the jet of the full composition
+    p = P("X^3*Y + 2*X*Y^2 - 3*Y + 1/2*X^2 + 5", ("X", "Y"))
+    cases = [[P("x^2 + x*y"), P("0")],
+             [P("0"), P("y - 2/3*x^2")],
+             # X^2 and Y^2 lie beyond low jets, and the image of Y has a constant
+             [P("x^3 - y^2"), P("1 + x^2*y")],
+             [P("x + 1"), P("y^4")]]
+    for images in cases:
+        full = p.substitute(images)
+        for k in range(9):
+            assert p.substitute(images, jet=k) == full.jet(k), (images, k)
+    assert p.substitute([P("0"), P("0")]) == P("5")
+    assert P("X^2*Y", ("X", "Y")).substitute([P("x"), P("0")]).is_zero()
+    # a monomial with a zero image, or whose images' orders sum past the
+    # jet, forms no product at all
+    products = []
+    kernel = poly_module.sum_of_products
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poly_module, "sum_of_products",
+                      lambda *args: products.append(args) or kernel(*args))
+        assert P("X^5*Y + X^4", ("X", "Y")).substitute([P("0"), P("y")], jet=6).is_zero()
+        assert P("X^5 + X*Y", ("X", "Y")).substitute([P("x + y^2"), P("y")], jet=1).is_zero()
+    assert [list(pairs) for _, pairs in products] == [[], []]
+    for q in (p, P("1", ("X", "Y"))):
+        with pytest.raises(PolyError, match="jet order must be >= 0"):
+            q.substitute(cases[0], jet=-1)
 
 
 def test_scale_substitute_and_degree_in_integer_form():

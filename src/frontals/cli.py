@@ -303,17 +303,17 @@ def cmd_mesh(args) -> tuple[_Report, int]:
     return report, EXIT_OK
 
 
-# one end of a --k piece: an integer in ASCII digits, spaces around it;
-# the groups are its sign and its digits after leading zeros
-_K_BOUND = re.compile(r" *(-?)0*([0-9]+) *")
+# a --k piece: an integer in ASCII digits, or a range lo-hi of two, spaces
+# around each; the groups are the sign and the digits after leading zeros
+# of lo, then of hi
+_K_PIECE = re.compile(r"(-?)0*([0-9]+) *(?:- *(-?)0*([0-9]+))?")
 # the smallest k of the 4_k family
 MIN_K = 2
 
 
-def _k_bound(match: re.Match) -> int:
+def _k_bound(sign: str, digits: str) -> int:
     """The value of one end of a --k piece.  One with more digits than
     MAX_EXT_ORDER is refused from its digit count, before int() reads it."""
-    sign, digits = match.groups()
     if len(digits) > len(str(MAX_EXT_ORDER)):
         side = f"below {MIN_K}" if sign else f"above {MAX_EXT_ORDER}"
         raise ValueError(f"--k values {side} are not supported, got an integer of"
@@ -327,18 +327,24 @@ def _parse_k_range(text: str) -> tuple[int, ...]:
         piece = piece.strip()
         if not piece:
             continue
-        bounds = piece.split("-", 1) if "-" in piece[1:] else [piece, piece]
-        matches = [_K_BOUND.fullmatch(bound) for bound in bounds]
-        if not all(matches):
-            raise ValueError(f"--k takes integers and ranges lo-hi, not {piece!r}")
-        lo, hi = map(_k_bound, matches)
+        match = _K_PIECE.fullmatch(piece)
+        if not match:
+            shown = repr(piece)
+            if len(shown) > 60:
+                shown = f"a piece of {len(piece)} characters"
+            raise ValueError(f"--k takes integers and ranges lo-hi, not {shown}")
+        lo_sign, lo_digits, hi_sign, hi_digits = match.groups()
+        lo = _k_bound(lo_sign, lo_digits)
+        hi = lo if hi_digits is None else _k_bound(hi_sign, hi_digits)
         if lo < MIN_K:
             raise ValueError(f"--k values below {MIN_K} are not supported, got {lo}")
         if hi > MAX_EXT_ORDER:
             raise ValueError(f"--k values above {MAX_EXT_ORDER} are not supported, got {hi}")
+        if lo > hi:
+            raise ValueError(f"--k range {lo}-{hi} is empty")
         values.extend(range(lo, hi + 1))
     if not values:
-        raise ValueError(f"empty k range {text!r}")
+        raise ValueError("--k names no value")
     return tuple(values)
 
 

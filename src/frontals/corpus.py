@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .frontal import FrontalPackage, build_certified
 from .local_algebra import MultiplicityResult, multiplicity
-from .maps import PolyMap, compose, jacobian_det, linear_part_invertible_at_zero
+from .maps import PolyMap, compose, corank_at_zero, jacobian_det
 from .poly import Poly, PolyError, parse_poly
 from .scalars import ExtField
 
@@ -384,7 +384,7 @@ def run_entry(name: str, **parameters) -> EntryReport:
     """Certify the entry's frontal, compose its chain, compare with the claim."""
     entry = get_entry(name, **parameters)
     for step in entry.chain:
-        if not linear_part_invertible_at_zero(step.transform):
+        if corank_at_zero(step.transform):
             raise PolyError(
                 f"{entry.name}: transform {step.name} is not a diffeomorphism germ"
                 " (singular linear part at 0)")

@@ -9,10 +9,11 @@ are reproducible.  Every row is eliminated fraction-free over Z[c], c the
 generator of Q(6^(1/k)), with no reciprocal; Fractions and ExtScalar
 quotients appear only in the values of `SparseSolver.solve()`.
 
-The jet systems are rows over Z[c] by construction: a polynomial enters as
-the numerators of its packed form (`frontals.poly`), an ExtScalar over 1
-where a power of c is left, scaled by a multiple of its denominator, which
-moves no pivot and changes no rank.  Each system has one scaling rule.
+The jet systems are rows over Z[c] by construction, keyed by the packed
+monomial keys of `frontals.poly`: `scaled_form` gives each polynomial as
+the numerators of its packed form, an ExtScalar over 1 where a power of c
+is left, over one common denominator, which moves no pivot and changes no
+rank.  Each system has one scaling rule.
 
 `order_rows` gives the equations that jet order k adds to the multiplicity
 system of `frontals.local_algebra`, those at the monomials of degree k.
@@ -35,19 +36,19 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import itemgetter, mul
 from typing import Iterable, Mapping, Sequence, Union
 
-from .poly import FIELD_BITS, Exponents, Poly, _by_monomial, _weights
+from .poly import FIELD_BITS, Poly, _by_monomial, _monomial_keys
 from .scalars import ExtField, ExtScalar, Scalar
 
-# one unknown of `jet_solve`: a bound on its degree, its column, a monomial
-# shift and the tuple of polynomials it multiplies
-Streamed = tuple[int, int, Exponents, tuple[Poly, ...]]
 # an element of Z[c]: an int, or an ExtScalar over 1 where a power of c is left
 Entry = Union[int, ExtScalar]
-# the terms of one polynomial as (degree, packed key, numerator), by degree
-Terms = list[tuple[int, int, Entry]]
+# polynomials over one denominator D (`scaled_form`): for each, its
+# numerators by packed monomial key, and D
+Form = tuple[list[dict[int, Entry]], int]
+# one unknown of `jet_solve`: a bound on its degree, its column, the packed
+# key of its monomial shift and the form of the polynomials it multiplies
+Streamed = tuple[int, int, int, Form]
 
 
 class SparseSolver:
@@ -206,133 +207,104 @@ def _check_order(k: int) -> None:
         raise ValueError(f"jet order {k} is not below 2**{FIELD_BITS}")
 
 
-def order_rows(k: int, shifts: Sequence[Exponents], gens: Sequence[Poly]
-               ) -> list[dict[int, Entry]]:
+def order_rows(k: int, gens: Sequence[Poly]) -> list[dict[int, Entry]]:
     """The equations that jet order k adds to the system of
-    sum_(t,i) u_(t,i) * x^(shifts[t]) * gens[i] over unknown scalars u_(t,i):
-    one row for each monomial of degree k that the sum reaches, in the
-    order the unknowns first reach them.
+    sum_(t,i) u_(t,i) * x^(m_t) * gens[i] over unknown scalars u_(t,i),
+    m_t the monomials of degree < k in `monomials_up_to` order: one row for
+    each monomial of degree k that the sum reaches, in the order the
+    unknowns first reach them.
 
     Unknown (t, i) is column len(gens) * t + i, and its entry in the row of
-    x^a is the coefficient of x^(a - shifts[t]) in gens[i], times L, the lcm
-    of the denominators of gens: an int, or an ExtScalar with integer
-    numerators where a power of c is left in it.  One L scales every row, so
-    the rows of every order share one solver, with the rank and pivots of
-    the rational rows.  The order k must be below 2**FIELD_BITS.
+    x^a is the coefficient of x^(a - m_t) in gens[i], times L, the lcm of
+    the denominators of gens (`scaled_form`).  The monomials of an order
+    are a prefix of those of the next and one L scales every row, so the
+    rows of every order share one solver, with the rank and pivots of the
+    rational rows.  The order k must be below 2**FIELD_BITS.
     """
     _check_order(k)
     n = len(gens[0].vars) if gens else 0
-    weights, dshift = _weights(n), n * FIELD_BITS
-    forms = [_integer_form(g) for g in gens]
-    scale = math.lcm(*(den for _, den in forms))
-    # each generator's terms as (packed key, numerator), by degree
-    levels = []
-    for nums, den in forms:
-        level: dict[int, list[tuple[int, Entry]]] = {}
-        for key, num in nums.items():
-            level.setdefault(key >> dshift, []).append((key, num))
-        levels.append((level, scale // den))
+    dshift = n * FIELD_BITS
+    forms, _ = scaled_form(gens)
     rows: dict[int, dict[int, Entry]] = {}
     width = len(gens)
-    for t, shift in enumerate(shifts):
-        at = sum(map(mul, shift, weights))
+    for t, at in enumerate(_monomial_keys(n, k - 1)):
         room = k - (at >> dshift)
-        for i, (level, factor) in enumerate(levels):
+        for i, nums in enumerate(forms):
             column = width * t + i
-            for key, num in level.get(room, ()):
-                rows.setdefault(at + key, {})[column] = num if factor == 1 else num * factor
+            for key, num in nums.items():
+                if key >> dshift == room:
+                    rows.setdefault(at + key, {})[column] = num
     return list(rows.values())
 
 
-def _integer_form(p: Poly) -> tuple[dict[int, Entry], int]:
-    """p's numerators over its denominator, by packed monomial key: the
-    ints of its form over Q; over Q(c), for each monomial the numerators
-    that its c field splits off, as an ExtScalar over 1 when a power of c
-    is left, else as the int."""
-    nums, den = p._ints
-    if p.field is None:
-        return nums, den
-    return {key: _entry(p.field, tuple(cs)) for key, cs in _by_monomial(p).items()}, den
+def scaled_form(polys: Sequence[Poly]) -> Form:
+    """The numerators of each of polys over D, the lcm of their
+    denominators, by packed monomial key, and D: ints, and over Q(c) an
+    ExtScalar over 1 for a monomial whose coefficient keeps a power of c.
+    A polynomial over Q with denominator D is given as its own numerator
+    dict, which no caller may change."""
+    lcm = math.lcm(*(p._ints[1] for p in polys))
+    forms = []
+    for p in polys:
+        nums, den = p._ints
+        factor = lcm // den
+        if p.field is not None:
+            nums = {key: _entry(p.field, tuple(n * factor for n in cs))
+                    for key, cs in _by_monomial(p).items()}
+        elif factor != 1:
+            nums = {key: num * factor for key, num in nums.items()}
+        forms.append(nums)
+    return forms, lcm
 
 
-def jet_solve(k: int, monos: Sequence[Exponents], rhs: Sequence[Poly],
+def jet_solve(k: int, keys: Sequence[int], rhs: Sequence[Poly],
               unknowns: Iterable[Streamed]) -> dict[int, Scalar] | None:
     """Solve jet_k(sum_c u_c * x^(m_c) * v_c) = rhs entrywise for the u_c.
 
-    Each unknown is streamed as (bound, c, m_c, v_c): its column c, a shift
-    m_c that is one of `monos`, and a lower bound on the degree of every
-    term of x^(m_c) * v_c, in nondecreasing order of bound (an unknown of
-    bound above k adds nothing and may be left out); entry b of the sum is
-    sum_c u_c * x^(m_c) * v_c[b], for b below len(rhs).  The equations
-    enter in (entry, monomial) order, monomials in the order of `monos`,
-    and an equation 0 = 0 is passed over.  An unknown is pulled from the
-    stream, and its entries placed, when the first equation of degree >=
-    its bound is reached, which is enough: the equations of degree d
-    involve only unknowns of bound <= d.  Placing reads the packed key of
-    m_c from the keys of `monos`, packed once per call.  Returns None at
-    the first inconsistent equation, so that the unknowns of higher bound
-    are never pulled, else the values of `solve()`.  Like k, every monomial
-    must have a degree below 2**FIELD_BITS.
+    `keys` are the packed keys of the monomials of degree <= k in the
+    variables of rhs, ascending (`poly._monomial_keys`).  Each unknown is
+    streamed as (bound, c, key of m_c, `scaled_form` of v_c), in
+    nondecreasing order of bound, a lower bound on the degree of every term
+    of x^(m_c) * v_c (an unknown of bound above k adds nothing and may be
+    left out); entry b of the sum is sum_c u_c * x^(m_c) * v_c[b], for b
+    below len(rhs).  The equations enter in (entry, monomial) order,
+    monomials in the order of `keys`, and an equation 0 = 0 is passed over.
+    An unknown is pulled from the stream, and its entries placed, when the
+    first equation of degree >= its bound is reached, which is enough: the
+    equations of degree d involve only unknowns of bound <= d.  Returns None
+    at the first inconsistent equation, so that the unknowns of higher bound
+    are never pulled, else the values of `solve()`.  The order k must be
+    below 2**FIELD_BITS.
 
-    The equations are integer rows: column c is scaled by D_c, the lcm of
-    the denominators of v_c, and the right-hand sides by L, the lcm of
-    theirs, so u_c = v_c * D_c / L for the solution v of the integer system.
+    The equations are integer rows: column c is scaled by D_c, the
+    denominator of the form of v_c, and the right-hand sides by L, that of
+    the form of rhs, so u_c = v_c * D_c / L for the solution v of the
+    integer system.
     """
     _check_order(k)
-    n = len(monos[0]) if monos else 0
-    weights, dshift = _weights(n), n * FIELD_BITS
-    keys = [sum(map(mul, mono, weights)) for mono in monos]
-    if keys and max(keys) >> dshift + FIELD_BITS:
-        raise ValueError(f"a monomial is not of degree below 2**{FIELD_BITS}")
-    key_of = dict(zip(monos, keys))
-    # for each entry, packed monomial -> row; every monomial of degree <= k
-    # has an exact key
+    dshift = len(rhs[0].vars) * FIELD_BITS if rhs else 0
+    # for each entry, packed monomial -> row
     rows: list[dict[int, dict[int, Entry]]] = [{} for _ in rhs]
-    # column -> its scale D_c, where it is not 1
+    # column -> its scale D_c
     scales: dict[int, int] = {}
-    # the terms of a tuple of polynomials are worked out once and kept by
-    # the tuple's id, with the tuple, so that no id is reused while the
-    # system is built: unknowns that share a tuple share the work
-    columns: dict[int, tuple[tuple[Poly, ...], list[tuple[int, Terms, int]], int]] = {}
 
-    def place(column: int, shift: Exponents, polys: tuple[Poly, ...]) -> None:
-        """Enter x^shift times each polynomial of polys, up to degree k, in
-        column, scaled to integers by the lcm of their denominators."""
-        cached = columns.get(id(polys))
-        if cached is None:
-            # for each nonzero polynomial, its entry b, its terms by
-            # ascending degree (stable) and its denominator
-            tables = []
-            for b, p in enumerate(polys):
-                nums, den = _integer_form(p)
-                if nums:
-                    terms = sorted(((key >> dshift, key, num) for key, num in nums.items()),
-                                   key=itemgetter(0))
-                    tables.append((b, terms, den))
-            cached = columns[id(polys)] = (polys, tables, math.lcm(*(d for *_, d in tables)))
-        _, tables, lcm = cached
-        if lcm != 1:
-            scales[column] = lcm
-        at = key_of[shift]
+    def place(column: int, at: int, form: Form) -> None:
+        """Enter x^m times each polynomial of a form, up to degree k, in
+        column, m the monomial of key at."""
+        tables, scales[column] = form
         room = k - (at >> dshift)
-        for b, terms, den in tables:
-            factor = lcm // den
-            entry = rows[b]
-            for degree, key, num in terms:
-                if degree > room:
-                    break
-                entry.setdefault(at + key, {})[column] = num if factor == 1 else num * factor
+        for entry, nums in zip(rows, tables):
+            for key, num in nums.items():
+                if key >> dshift <= room:
+                    entry.setdefault(at + key, {})[column] = num
 
-    targets = [_integer_form(p) for p in rhs]
-    lcm = math.lcm(*(den for _, den in targets))
+    targets, lcm = scaled_form(rhs)
     stream = iter(unknowns)
     pending = next(stream, None)
-    levels = [(key, min(key >> dshift, k)) for key in keys]
     solver = SparseSolver()
-    for entry, (coeffs, den) in zip(rows, targets):
-        factor = lcm // den
-        for key, degree in levels:
-            while pending is not None and pending[0] <= degree:
+    for entry, coeffs in zip(rows, targets):
+        for key in keys:
+            while pending is not None and pending[0] <= key >> dshift:
                 place(*pending[1:])
                 pending = next(stream, None)
             row = entry.pop(key, None)
@@ -340,12 +312,12 @@ def jet_solve(k: int, monos: Sequence[Exponents], rhs: Sequence[Poly],
             if row is None and not value:
                 # 0 = 0 adds nothing
                 continue
-            solver._eliminate(row or {}, value if factor == 1 else value * factor)
+            solver._eliminate(row or {}, value)
             if solver.inconsistent:
                 return None
     values = solver.solve()
     for c, v in values.items():
-        scale = scales.get(c, 1)
+        scale = scales[c]
         if scale != lcm:
             values[c] = v * Fraction(scale, lcm)
     return values

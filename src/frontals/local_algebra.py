@@ -46,7 +46,7 @@ from typing import Iterator
 
 from .linalg import SparseSolver, order_rows
 from .maps import PolyMap, _jacobian_at_zero
-from .poly import Poly, PolyError, monomials_up_to
+from .poly import Poly, PolyError
 
 MAX_UNKNOWNS = 100_000
 
@@ -105,9 +105,9 @@ def _codimensions(f: PolyMap, reduction: tuple[list[int], list[Poly], list[Poly]
     reduction of f by `_reduce_linear_part`.
 
     Unknown (m, i) of sum_(m,i) u_(m,i) x^m g_i is column |g| * index(m) + i
-    (`linalg.order_rows`) with m running over monomials_up_to(free, k - 1),
-    a prefix of the next order's list, so rows entered at lower orders keep
-    their meaning.
+    (`linalg.order_rows`), m running over the monomials of degree < k in
+    the free variables, a prefix of the next order's list, so rows entered
+    at lower orders keep their meaning.
     """
     vs = f.source_vars
     pivots, heads, others = reduction
@@ -125,7 +125,7 @@ def _codimensions(f: PolyMap, reduction: tuple[list[int], list[Poly], list[Poly]
             for p, image in zip(pivots, phi):
                 images[p] = image
             gs = [g.substitute(images, jet=k) for g in others]
-        for row in order_rows(k, monomials_up_to(free, k - 1) if k else (), gs):
+        for row in order_rows(k, gs):
             solver.add_row(row)
         yield comb(len(free) + k, k) - solver.rank
 

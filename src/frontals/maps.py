@@ -240,10 +240,3 @@ def corank_at_zero(f: PolyMap) -> int:
     if not f.is_equidimensional:
         raise PolyError("corank is defined here for equidimensional maps only")
     return f.source_dim - linalg.scalar_rank(_jacobian_at_zero(f))
-
-
-def linear_part_invertible_at_zero(f: PolyMap) -> bool:
-    """True when the differential at 0 is an isomorphism (diffeomorphism-germ witness)."""
-    if not f.is_equidimensional:
-        return False
-    return linalg.scalar_rank(_jacobian_at_zero(f)) == f.source_dim

@@ -907,3 +907,20 @@ def monomials_up_to(vars: Sequence[str], k: int) -> list[Exponents]:
         by_degree = [[(e,) + rest for e in range(d + 1) for rest in by_degree[d - e]]
                      for d in range(k + 1)]
     return [mono for level in by_degree for mono in level]
+
+
+def _monomial_keys(n: int, k: int) -> list[int]:
+    """The packed keys of all monomials of total degree <= k in n variables,
+    in ascending order, which is the order of `monomials_up_to`."""
+    if not n:
+        return [0] if k >= 0 else []
+    # by_degree[d] lists the keys of degree d over the last variables,
+    # without their degree field, ascending; each round puts one more
+    # variable in front
+    by_degree = [[d] for d in range(k + 1)]
+    for i in range(1, n):
+        shift = i * FIELD_BITS
+        by_degree = [[(e << shift) + rest for e in range(d + 1) for rest in by_degree[d - e]]
+                     for d in range(k + 1)]
+    dshift = n * FIELD_BITS
+    return [(d << dshift) + rest for d, level in enumerate(by_degree) for rest in level]

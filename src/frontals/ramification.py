@@ -40,10 +40,10 @@ from math import comb
 from operator import mul
 from typing import Callable, Sequence, Union
 
-from .linalg import jet_solve
+from .linalg import jet_solve, scaled_form
 from .maps import PolyMap, differential, jacobian_det, jacobian_matrix
-from .poly import (Exponents, Poly, PolyError, VariableMismatchError, monomials_up_to,
-                   sum_of_products)
+from .poly import (Poly, PolyError, VariableMismatchError, _monomial_keys, _unpacker,
+                   monomials_up_to, sum_of_products)
 from .scalars import Scalar
 
 MEMBER = "MEMBER"
@@ -157,16 +157,18 @@ def _decide(k: int, unknown_count: int,
 
 def _level(n: int, d: int) -> range:
     """The indices of the monomials of degree d in `monomials_up_to` of n
-    variables (empty for d < 0)."""
+    variables, and in their keys (empty for d < 0)."""
     if d < 0:
         return range(0)
     return range(comb(n + d - 1, n), comb(n + d, n))
 
 
 def _block(values: dict[int, Scalar], offset: int,
-           vars: tuple[str, ...], monos: Sequence[Exponents]) -> Poly:
-    """The polynomial whose coefficient at monos[t] is unknown offset + t."""
-    return Poly(vars, {m: values[offset + t] for t, m in enumerate(monos)
+           vars: tuple[str, ...], keys: Sequence[int]) -> Poly:
+    """The polynomial whose coefficient at the monomial of packed key
+    keys[t] is unknown offset + t."""
+    unpack = _unpacker(len(vars))
+    return Poly(vars, {unpack(key): values[offset + t] for t, key in enumerate(keys)
                        if offset + t in values})
 
 
@@ -177,22 +179,23 @@ def gradient_module_membership(psi: Poly, f: PolyMap, k: int) -> MembershipVerdi
     vs = f.source_vars
 
     def solve():
-        # unknown i*|monos| + t is the coefficient of monos[t] in a_i; its
-        # terms x^m * (row i of Jf) have degree >= |m| + ord(row i)
-        monos = monomials_up_to(vs, k)
+        # unknown i*|keys| + t is the coefficient in a_i of x^m, of key
+        # keys[t]; its terms x^m * (row i of Jf) have degree >= |m| + ord(row i)
+        keys = _monomial_keys(n, k)
         grads = [tuple(e.jet(k) for e in row) for row in jacobian_matrix(f).rows]
-        orders = [min(k + 1, *(e.order() for e in grad)) for grad in grads]
+        columns = [(scaled_form(grad), min(k + 1, *(e.order() for e in grad)))
+                   for grad in grads]
 
         def unknowns():
             for bound in range(k + 1):
-                for i, (grad, order) in enumerate(zip(grads, orders)):
+                for i, (form, order) in enumerate(columns):
                     for t in _level(n, bound - order):
-                        yield bound, i * len(monos) + t, monos[t], grad
+                        yield bound, i * len(keys) + t, keys[t], form
 
-        values = jet_solve(k, monos, [d.jet(k) for d in differential(psi)], unknowns())
+        values = jet_solve(k, keys, [d.jet(k) for d in differential(psi)], unknowns())
         if values is None:
             return None
-        witnesses = tuple(_block(values, i * len(monos), vs, monos) for i in range(n))
+        witnesses = tuple(_block(values, i * len(keys), vs, keys) for i in range(n))
         return GradientCertificate(jet_order=k, psi=psi, germ=f, witnesses=witnesses)
 
     return _decide(k, n * comb(n + k, n), solve)
@@ -206,12 +209,13 @@ def jsq_plus_pullback_membership(psi: Poly, f: PolyMap, k: int) -> MembershipVer
     tvs = _target_vars(vs)
 
     def solve():
-        # unknowns: mu's coefficients at monos, then eta's at target_monos.
-        # x^m * jsq has degree >= |m| + ord(jsq), and f^alpha has order
-        # sum alpha_i * ord(f_i) exactly, as the coefficients form a field;
-        # f^alpha = f^beta * f_i, with beta one lower in the first nonzero
-        # alpha_i, so bound(beta) <= bound(alpha) and beta is listed earlier
-        monos = monomials_up_to(vs, k)
+        # unknowns: mu's coefficients at keys, then eta's at target_monos,
+        # the same monomials.  x^m * jsq has degree >= |m| + ord(jsq), and
+        # f^alpha has order sum alpha_i * ord(f_i) exactly, as the
+        # coefficients form a field; f^alpha = f^beta * f_i, with beta one
+        # lower in the first nonzero alpha_i, so bound(beta) <= bound(alpha)
+        # and beta is listed earlier
+        keys = _monomial_keys(n, k)
         target_monos = monomials_up_to(tvs, k)
         jsq = (jacobian_det(f) ** 2).jet(k)
         comps = [comp.jet(k) for comp in f.components]
@@ -226,23 +230,23 @@ def jsq_plus_pullback_membership(psi: Poly, f: PolyMap, k: int) -> MembershipVer
 
         def unknowns():
             pulled = {origin: Poly.const(vs, 1)}
-            mu = (jsq,)
+            mu = scaled_form([jsq])
             for bound, etas in enumerate(by_bound):
                 for t in _level(n, bound - jsq_order):
-                    yield bound, t, monos[t], mu
+                    yield bound, t, keys[t], mu
                 for j in etas:
                     alpha = target_monos[j]
                     if j:
                         i = next(i for i, e in enumerate(alpha) if e)
                         beta = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
                         pulled[alpha] = (pulled[beta] * comps[i]).jet(k)
-                    yield bound, len(monos) + j, origin, (pulled[alpha],)
+                    yield bound, len(keys) + j, 0, scaled_form([pulled[alpha]])
 
-        values = jet_solve(k, monos, [psi.jet(k)], unknowns())
+        values = jet_solve(k, keys, [psi.jet(k)], unknowns())
         if values is None:
             return None
-        return PullbackCertificate(jet_order=k, psi=psi, germ=f, mu=_block(values, 0, vs, monos),
-                                   eta=_block(values, len(monos), tvs, target_monos))
+        return PullbackCertificate(jet_order=k, psi=psi, germ=f, mu=_block(values, 0, vs, keys),
+                                   eta=_block(values, len(keys), tvs, keys))
 
     return _decide(k, 2 * comb(n + k, n), solve)
 

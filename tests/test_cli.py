@@ -313,11 +313,27 @@ def test_corpus_k_above_the_cap_exit_2(k, capsys):
     ("0" * 5000 + "33", "--k values above 32 are not supported, got 33"),
     ("1-3", "--k values below 2 are not supported, got 1"),
     ("-3", "--k values below 2 are not supported, got -3"),
+    # each end of a range has its own sign
+    ("-3-5", "--k values below 2 are not supported, got -3"),
+    ("-" + "9" * 400 + "-3", "--k values below 2 are not supported, got an integer of 400 digits"),
 ])
 def test_corpus_k_bound_out_of_range_exit_2(k, message, capsys):
     # a long bound is refused from its digit count, with no echo of it,
     # before int() reads it
     assert _assert_input_error(capsys, "corpus", f"--k={k}") == f"error: {message}"
+
+
+@pytest.mark.parametrize("k, message", [
+    ("2-3,5-4", "--k range 5-4 is empty"),
+    ("5-2," * 100, "--k range 5-2 is empty"),
+    (" , ,", "--k names no value"),
+    ("x" * 400, "--k takes integers and ranges lo-hi, not a piece of 400 characters"),
+])
+def test_corpus_k_empty_range_or_long_piece_exit_2(k, message, capsys):
+    # a range lo-hi with lo > hi is refused, not run as no value, and no
+    # line echoes a long argument
+    line = _assert_input_error(capsys, "corpus", f"--k={k}")
+    assert line == f"error: {message}" and len(line) < 200
 
 
 def test_mesh_resolution_above_the_cap_exit_2(capsys):

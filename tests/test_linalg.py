@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frontals.linalg import SparseSolver, _primitive, jet_solve, order_rows
-from frontals.poly import FIELD_BITS, monomials_up_to, parse_poly
+from frontals.linalg import SparseSolver, _primitive, jet_solve, order_rows, scaled_form
+from frontals.poly import FIELD_BITS, Poly, _monomial_keys, _unpacker, monomials_up_to, parse_poly
 from frontals.scalars import ExtField, ExtScalar
 
 XY = ("x", "y")
@@ -16,19 +16,22 @@ XY = ("x", "y")
 
 def test_order_rows_select_degree_k_and_number_columns_by_shift_and_generator():
     g0, g1 = parse_poly("x + y + x^2", XY), parse_poly("x*y", XY)
-    # unknown (t, i) multiplies x^(shifts[t]) * g_i and is column 2*t + i
-    shifts = [(0, 0), (1, 0), (0, 1)]     # 1, x, y
-    # order 2 adds the rows of x^2, x*y and y^2, in the order the columns
-    # first reach them: u0*x^2 and u1*x*y, then x*(x + y), then y*(x + y);
-    # the degree-1 terms of g0 * 1 and the x^3 of g0 * x belong to other orders
-    assert order_rows(2, shifts, [g0, g1]) == [{0: 1, 2: 1}, {1: 1, 2: 1, 4: 1}, {4: 1}]
-    assert all(type(v) is int for row in order_rows(2, shifts, [g0, g1]) for v in row.values())
-    assert order_rows(0, (), [g0, g1]) == [] and order_rows(2, shifts, []) == []
+    # unknown (t, i) multiplies x^(m_t) * g_i and is column 2*t + i, m_t the
+    # monomials of degree < 2 in `monomials_up_to` order: 1, y, x.  Order 2
+    # adds the rows of x^2, x*y and y^2, in the order the columns first
+    # reach them: u0*x^2 and u1*x*y, then y*(x + y), then x*(x + y); the
+    # degree-1 terms of g0 * 1 and the x^3 of g0 * x belong to other orders
+    assert order_rows(2, [g0, g1]) == [{0: 1, 4: 1}, {1: 1, 2: 1, 4: 1}, {2: 1}]
+    assert all(type(v) is int for row in order_rows(2, [g0, g1]) for v in row.values())
+    assert order_rows(0, [g0, g1]) == [] and order_rows(2, []) == []
 
 
 def test_order_rows_drop_a_shift_beyond_the_order():
-    x = parse_poly("x", XY)
-    assert order_rows(1, [(2, 0), (0, 0)], [x]) == [{1: 1}]
+    # order k multiplies by the monomials of degree < k only: x times the
+    # constant of 1 + x would reach degree 1 too, but is not a column
+    one_plus_x = parse_poly("1 + x", ("x",))
+    assert order_rows(1, [one_plus_x]) == [{0: 1}]
+    assert order_rows(0, [one_plus_x]) == []
 
 
 def test_order_rows_scale_every_row_by_one_lcm_of_the_denominators():
@@ -43,7 +46,7 @@ def test_order_rows_scale_every_row_by_one_lcm_of_the_denominators():
                 rational.setdefault(target, {})[2 * t + i] = coeff
     solvers = SparseSolver(), SparseSolver()
     for k in range(4):
-        rows = order_rows(k, shifts, gens)
+        rows = order_rows(k, gens)
         # every row is the rational row times lcm(42, 15) = 210, in integers
         expected = [row for mono, row in rational.items() if sum(mono) == k]
         assert rows == [{c: v * 210 for c, v in row.items()} for row in expected]
@@ -60,15 +63,45 @@ def test_order_rows_scale_every_row_by_one_lcm_of_the_denominators():
 
 def test_order_rows_keep_a_power_of_c_as_an_ext_scalar_over_one():
     field = ExtField(2)
+    c = field.generator
     g = parse_poly("c*x + 1/2*y + 3*x^2", XY, field)
-    rows = order_rows(1, [(0, 0)], [g])
+    rows = order_rows(1, [g])
     # L = 2: c*x gives 2c, an ExtScalar over 1; y/2 gives the int 1
-    assert rows == [{0: 2 * field.generator}, {0: 1}]
+    assert rows == [{0: 2 * c}, {0: 1}]
     ext, one = rows[0][0], rows[1][0]
     assert type(ext) is ExtScalar and ext.den == 1 and ext.nums == (0, 2)
     assert type(one) is int
-    assert order_rows(2, [(0, 0)], [g]) == [{0: 6}]
-    assert type(order_rows(2, [(0, 0)], [g])[0][0]) is int
+    # order 2, rows x^2, x*y, y^2: 3*x^2 at the shift 1 gives the int 6,
+    # and the shifts y and x (columns 1 and 2) meet c*x and y/2
+    rows = order_rows(2, [g])
+    assert rows == [{0: 6, 2: 2 * c}, {1: 2 * c, 2: 1}, {1: 1}]
+    assert type(rows[0][0]) is int
+
+
+def test_scaled_form_matches_the_term_tables():
+    field = ExtField(3)
+    cases = [
+        [parse_poly("1/2*x + 1/3*y + 1/7*x^2", XY), parse_poly("2/15*x", XY), Poly.zero(XY)],
+        [parse_poly("x - y", XY)],
+        [Poly.zero(XY)],
+        [],
+        [parse_poly("1/6*c^2*x + 1/4*y + c*x*y", XY, field), parse_poly("3/10*x^2", XY),
+         parse_poly("c - 1/9*c^2*y^2 + 1/2*x", XY, field), Poly.zero(XY)],
+    ]
+    unpack = _unpacker(2)
+    for polys in cases:
+        forms, den = scaled_form(polys)
+        assert den == math.lcm(*(v.den if type(v) is ExtScalar else v.denominator
+                                 for p in polys for v in p.terms.values()))
+        assert len(forms) == len(polys)
+        for p, nums in zip(polys, forms):
+            # one numerator over den for each monomial of p: an int, or an
+            # ExtScalar over 1 where a power of c is left
+            assert {unpack(key): Fraction(num, den) if type(num) is int else num / den
+                    for key, num in nums.items()} == p.terms
+            for num in nums.values():
+                assert type(num) is int or (type(num) is ExtScalar and num.den == 1
+                                            and any(num.nums[1:]))
 
 
 def test_primitive_form_of_a_one_entry_row():
@@ -94,10 +127,11 @@ def test_jet_solve_unscales_columns_and_right_hand_sides():
     # column c is solved over D_c, the lcm of its denominators, and the
     # right-hand sides over theirs: u_c = v_c * D_c / L
     vs = ("x",)
-    unknowns = [(1, 0, (0,), (parse_poly("1/2*x + 1/3*x^2", vs),)),
-                (2, 1, (1,), (parse_poly("2/5*x", vs),))]
+    keys = _monomial_keys(1, 2)   # 1, x, x^2
+    unknowns = [(1, 0, keys[0], scaled_form([parse_poly("1/2*x + 1/3*x^2", vs)])),
+                (2, 1, keys[1], scaled_form([parse_poly("2/5*x", vs)]))]
     rhs = [parse_poly("3/7*x + 1/4*x^2", vs)]
-    x = jet_solve(2, monomials_up_to(vs, 2), rhs, unknowns)
+    x = jet_solve(2, keys, rhs, unknowns)
     # x/2 * u0 = 3x/7 and x^2 * (u0/3 + 2*u1/5) = x^2/4
     assert x == {0: Fraction(6, 7), 1: Fraction(-5, 56)}
     assert all(type(v) is Fraction for v in x.values())
@@ -105,14 +139,16 @@ def test_jet_solve_unscales_columns_and_right_hand_sides():
 
 def test_jet_solve_solution_inconsistency_and_truncated_rhs():
     vs = ("x",)
-    x = parse_poly("x", vs)
-    monos = monomials_up_to(vs, 2)
-    # (bound, column, shift, polynomials): x has degree >= 1
-    unknowns = [(1, 0, (0,), (x,))]
-    assert jet_solve(2, monos, [parse_poly("3*x", vs)], unknowns) == {0: Fraction(3)}
-    assert jet_solve(2, monos, [parse_poly("x^2", vs)], unknowns) is None
+    keys = _monomial_keys(1, 2)
+    # (bound, column, shift key, form): x has degree >= 1
+    unknowns = [(1, 0, keys[0], scaled_form([parse_poly("x", vs)]))]
+    assert jet_solve(2, keys, [parse_poly("3*x", vs)], unknowns) == {0: Fraction(3)}
+    assert jet_solve(2, keys, [parse_poly("x^2", vs)], unknowns) is None
     # the x^3 of the right-hand side lies beyond the 2-jet: zero solves it
-    assert jet_solve(2, monos, [parse_poly("x^3", vs)], unknowns) == {}
+    assert jet_solve(2, keys, [parse_poly("x^3", vs)], unknowns) == {}
+    # x^2 * x lies beyond it too, so a shift of degree 2 adds no entry
+    shifted = [(3, 0, keys[2], scaled_form([parse_poly("x", vs)]))]
+    assert jet_solve(2, keys, [parse_poly("x^3", vs)], shifted) == {}
 
 
 def test_jet_systems_refuse_degrees_past_the_packed_keys():
@@ -120,11 +156,11 @@ def test_jet_systems_refuse_degrees_past_the_packed_keys():
     vs = ("x",)
     x = parse_poly("x", vs)
     with pytest.raises(ValueError):
-        order_rows(2**FIELD_BITS, [(0,)], [x])
+        order_rows(2**FIELD_BITS, [x])
     with pytest.raises(ValueError):
-        jet_solve(2, [(0,), (2**FIELD_BITS,)], [x], [(1, 0, (0,), (x,))])
+        jet_solve(2**FIELD_BITS, [0], [x], [])
     # x^(2**FIELD_BITS - 2) * x, of the largest degree a key holds
-    assert order_rows(2**FIELD_BITS - 1, [(2**FIELD_BITS - 2,)], [x]) == [{0: 1}]
+    assert order_rows(2**FIELD_BITS - 1, [x]) == [{2**FIELD_BITS - 2: 1}]
 
 
 # -- SparseSolver ----------------------------------------------------------

@@ -27,8 +27,10 @@ from frontals.poly import (
     monomials_up_to,
     parse_poly,
     _height,
+    _monomial_keys,
     _Parser,
     _tokenize,
+    _weights,
     sum_of_products,
 )
 from frontals.scalars import ExtField, ExtScalar, ScalarError
@@ -540,6 +542,18 @@ def test_eval_after_substitute(p):
 def test_monomials_up_to():
     monos = monomials_up_to(XY, 2)
     assert monos == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+
+
+def test_monomial_keys_are_the_packed_monomials_up_to_k_in_ascending_order():
+    for n in range(5):
+        vs = ("x", "y", "z", "w")[:n]
+        for k in range(9):
+            packed = [sum(e * w for e, w in zip(mono, _weights(n)))
+                      for mono in monomials_up_to(vs, k)]
+            keys = _monomial_keys(n, k)
+            assert keys == packed == sorted(keys), (n, k)
+    # no monomial has a negative degree
+    assert _monomial_keys(0, -1) == _monomial_keys(2, -1) == []
 
 
 def test_arithmetic_cross_checked_against_sympy():

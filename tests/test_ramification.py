@@ -9,7 +9,7 @@ import pytest
 from frontals import linalg
 from frontals.linalg import SparseSolver
 from frontals.maps import PolyMap, differential, jacobian_det, jacobian_matrix
-from frontals.poly import Poly, VariableMismatchError, monomials_up_to, parse_poly
+from frontals.poly import Poly, VariableMismatchError, _unpacker, monomials_up_to, parse_poly
 from frontals.ramification import (
     NOT_MEMBER_MOD_JET,
     UNDECIDED,
@@ -297,25 +297,36 @@ def _lowest_degree(shift, polys):
     return sum(shift) + min(p.order() for p in polys)
 
 
+def _unpacked(n, key, form):
+    """A streamed unknown with its packed keys mapped back: its shift, and
+    the term table of each polynomial of its `linalg.scaled_form`."""
+    unpack = _unpacker(n)
+    tables, den = form
+    return unpack(key), [{unpack(m): Fraction(v, den) if type(v) is int else v / den
+                          for m, v in nums.items()} for nums in tables]
+
+
 def _compare_with_reference(monkeypatch, decide, reference, psi, f, k):
     """Run one test with its stream checked, and compare its solve with the
     eager reference; returns the obstruction degree, None for a member."""
-    seen: dict[int, int] = {}
+    # column -> its shift and term tables, as streamed
+    seen: dict[int, tuple] = {}
     solved: list = []
 
     def checked(stream):
         last = 0
-        for bound, column, shift, polys in stream:
+        for bound, column, key, form in stream:
+            shift, tables = _unpacked(len(psi.vars), key, form)
             # nondecreasing proven lower bounds, each column once, and no
             # unknown without an entry in the k-jet, such as a zero power
             assert last <= bound <= k and column not in seen
-            assert bound <= _lowest_degree(shift, polys) <= k
-            seen[column] = bound
+            assert bound <= sum(shift) + min(sum(m) for t in tables for m in t) <= k
+            seen[column] = shift, tables
             last = bound
-            yield bound, column, shift, polys
+            yield bound, column, key, form
 
-    def spy(k_, monos, rhs, unknowns):
-        solved.append(linalg.jet_solve(k_, monos, rhs, checked(unknowns)))
+    def spy(k_, keys, rhs, unknowns):
+        solved.append(linalg.jet_solve(k_, keys, rhs, checked(unknowns)))
         return solved[-1]
 
     monkeypatch.setattr("frontals.ramification.jet_solve", spy)
@@ -325,11 +336,14 @@ def _compare_with_reference(monkeypatch, decide, reference, psi, f, k):
     expected, obstruction = _eager_solve(k, monos, rhs, unknowns)
     assert solved == [expected], (psi, f, k)
     assert (verdict.status == NOT_MEMBER_MOD_JET) == (expected is None)
-    # an unknown left out of the stream has no entry in the equations that
-    # entered: all of them for a member, those up to the obstruction else
+    # a streamed unknown is the reference's unknown of its column; one left
+    # out of the stream has no entry in the equations that entered: all of
+    # them for a member, those up to the obstruction else
     reach = k if obstruction is None else obstruction
     for column, (shift, polys) in enumerate(unknowns):
-        if column not in seen:
+        if column in seen:
+            assert seen[column] == (shift, [p.terms for p in polys]), (psi, f, k, column)
+        else:
             assert _lowest_degree(shift, polys) > reach, (psi, f, k, column)
     return obstruction
 

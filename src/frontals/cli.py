@@ -305,8 +305,9 @@ def cmd_mesh(args) -> tuple[_Report, int]:
 
 # a --k piece: an integer in ASCII digits, or a range lo-hi of two, spaces
 # around each; the groups are the sign and the digits after leading zeros
-# of lo, then of hi
-_K_PIECE = re.compile(r"(-?)0*([0-9]+) *(?:- *(-?)0*([0-9]+))?")
+# of lo, then of hi.  The digits start with 1-9 unless they are one 0, so
+# that a failed match backtracks in linear time
+_K_PIECE = re.compile(r"(-?)0*([1-9][0-9]*|0) *(?:- *(-?)0*([1-9][0-9]*|0))?")
 # the smallest k of the 4_k family
 MIN_K = 2
 

@@ -328,6 +328,10 @@ def test_corpus_k_bound_out_of_range_exit_2(k, message, capsys):
     ("5-2," * 100, "--k range 5-2 is empty"),
     (" , ,", "--k names no value"),
     ("x" * 400, "--k takes integers and ranges lo-hi, not a piece of 400 characters"),
+    # a failed match backtracks in linear time, also over leading zeros
+    pytest.param("0" * 100000 + "x",
+                 "--k takes integers and ranges lo-hi, not a piece of 100001 characters",
+                 id="100000-zeros-then-x"),
 ])
 def test_corpus_k_empty_range_or_long_piece_exit_2(k, message, capsys):
     # a range lo-hi with lo > hi is refused, not run as no value, and no

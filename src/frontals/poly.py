@@ -241,11 +241,13 @@ class Poly:
         return self._coefficient(0)
 
     def coefficient(self, mono: Exponents) -> Scalar:
-        mono = tuple(mono)
+        mono, n = tuple(mono), len(self.vars)
+        if len(mono) != n:
+            raise VariableMismatchError(f"exponent tuple {mono} does not match {n} variables")
         try:
-            key = int.from_bytes(_fields(len(self.vars)).pack(sum(mono), *mono), "big")
+            key = int.from_bytes(_fields(n).pack(sum(mono), *mono), "big")
         except struct.error:
-            # only an exponent tuple of this arity and degree has a packed key
+            # a negative exponent or a degree above MAX_DEGREE has no packed key
             return Fraction(0)
         return self._coefficient(key)
 
@@ -899,19 +901,17 @@ def parse_poly(text: str, vars: Sequence[str], field: ExtField | None = None) ->
 
 
 def monomials_up_to(vars: Sequence[str], k: int) -> list[Exponents]:
-    """All exponent tuples of total degree <= k, ascending graded-lex order."""
-    # by_degree[d] lists the tuples of degree d over the variables added so
-    # far, in lex order; each round puts one more variable in front
-    by_degree: list[list[Exponents]] = [[()]] + [[] for _ in range(k)]
-    for _ in vars:
-        by_degree = [[(e,) + rest for e in range(d + 1) for rest in by_degree[d - e]]
-                     for d in range(k + 1)]
-    return [mono for level in by_degree for mono in level]
+    """All exponent tuples of total degree <= k, ascending graded-lex order:
+    the unpacked `_monomial_keys`.  A k above MAX_DEGREE raises PolyError, as
+    no packed key holds that degree."""
+    if k > MAX_DEGREE:
+        raise PolyError(f"monomials of degree up to {k} exceed MAX_DEGREE = {MAX_DEGREE}")
+    return list(map(_unpacker(len(vars)), _monomial_keys(len(vars), k)))
 
 
 def _monomial_keys(n: int, k: int) -> list[int]:
     """The packed keys of all monomials of total degree <= k in n variables,
-    in ascending order, which is the order of `monomials_up_to`."""
+    in ascending order, which is graded-lex order."""
     if not n:
         return [0] if k >= 0 else []
     # by_degree[d] lists the keys of degree d over the last variables,

@@ -37,13 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from operator import mul
 from typing import Callable, Sequence, Union
 
 from .linalg import jet_solve, scaled_form
 from .maps import PolyMap, differential, jacobian_det, jacobian_matrix
-from .poly import (Poly, PolyError, VariableMismatchError, _monomial_keys, _unpacker,
-                   monomials_up_to, sum_of_products)
+from .poly import (FIELD_BITS, Poly, PolyError, VariableMismatchError, _monomial_keys,
+                   _unpacker, _weights, sum_of_products)
 from .scalars import Scalar
 
 MEMBER = "MEMBER"
@@ -209,38 +208,37 @@ def jsq_plus_pullback_membership(psi: Poly, f: PolyMap, k: int) -> MembershipVer
     tvs = _target_vars(vs)
 
     def solve():
-        # unknowns: mu's coefficients at keys, then eta's at target_monos,
-        # the same monomials.  x^m * jsq has degree >= |m| + ord(jsq), and
-        # f^alpha has order sum alpha_i * ord(f_i) exactly, as the
-        # coefficients form a field; f^alpha = f^beta * f_i, with beta one
-        # lower in the first nonzero alpha_i, so bound(beta) <= bound(alpha)
-        # and beta is listed earlier
+        # unknowns: mu's coefficients at keys, then eta's at the same keys as
+        # target monomials y^alpha.  x^m * jsq has degree >= |m| + ord(jsq),
+        # and f^alpha has order sum alpha_i * ord(f_i) exactly, as the
+        # coefficients form a field.  f^alpha = f^beta * f_i, where i is the
+        # first nonzero alpha_i, whose field is the highest nonzero exponent
+        # field of alpha's key, and beta's key is alpha's minus w_i; so
+        # bound(alpha) = bound(beta) + ord(f_i), and beta is listed earlier
         keys = _monomial_keys(n, k)
-        target_monos = monomials_up_to(tvs, k)
         jsq = (jacobian_det(f) ** 2).jet(k)
         comps = [comp.jet(k) for comp in f.components]
         jsq_order = min(jsq.order(), k + 1)
-        origin = (0,) * n
         orders = [min(comp.order(), k + 1) for comp in comps]
-        by_bound: list[list[int]] = [[] for _ in range(k + 1)]
-        for j, alpha in enumerate(target_monos):
-            bound = sum(map(mul, alpha, orders))
+        weights, exponents = _weights(n), (1 << n * FIELD_BITS) - 1
+        bounds = {0: 0}
+        by_bound: list[list[tuple[int, int, int]]] = [[(0, 0, 0)]] + [[] for _ in range(k)]
+        for j, key in enumerate(keys[1:], 1):
+            i = n - 1 - ((key & exponents).bit_length() - 1) // FIELD_BITS
+            bound = bounds[key] = bounds[key - weights[i]] + orders[i]
             if bound <= k:
-                by_bound[bound].append(j)
+                by_bound[bound].append((j, key, i))
 
         def unknowns():
-            pulled = {origin: Poly.const(vs, 1)}
+            pulled = {0: Poly.const(vs, 1)}
             mu = scaled_form([jsq])
             for bound, etas in enumerate(by_bound):
                 for t in _level(n, bound - jsq_order):
                     yield bound, t, keys[t], mu
-                for j in etas:
-                    alpha = target_monos[j]
-                    if j:
-                        i = next(i for i, e in enumerate(alpha) if e)
-                        beta = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-                        pulled[alpha] = (pulled[beta] * comps[i]).jet(k)
-                    yield bound, len(keys) + j, 0, scaled_form([pulled[alpha]])
+                for j, key, i in etas:
+                    if key:
+                        pulled[key] = (pulled[key - weights[i]] * comps[i]).jet(k)
+                    yield bound, len(keys) + j, 0, scaled_form([pulled[key]])
 
         values = jet_solve(k, keys, [psi.jet(k)], unknowns())
         if values is None:

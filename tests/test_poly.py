@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import random
+import time
 from datetime import timedelta
 from fractions import Fraction
 
@@ -401,6 +403,16 @@ def test_eval_arity_checked():
         P("x").eval([1])
 
 
+def test_coefficient_arity_checked():
+    p = P("x + 2*y")
+    for mono in ((), (1,), (1, 0, 0)):
+        with pytest.raises(VariableMismatchError):
+            p.coefficient(mono)
+    assert p.coefficient((0, 1)) == 2 and p.coefficient([1, 0]) == 1
+    # a tuple of the right arity that no monomial has reads 0
+    assert p.coefficient((-1, 2)) == p.coefficient((MAX_DEGREE, 1)) == 0
+
+
 def test_jet():
     assert P("x^4 + 2*x^2*y + y^2").jet(2) == P("y^2")
     p = P("1/2*x^2 + x*y")
@@ -548,12 +560,28 @@ def test_monomial_keys_are_the_packed_monomials_up_to_k_in_ascending_order():
     for n in range(5):
         vs = ("x", "y", "z", "w")[:n]
         for k in range(9):
-            packed = [sum(e * w for e, w in zip(mono, _weights(n)))
-                      for mono in monomials_up_to(vs, k)]
-            keys = _monomial_keys(n, k)
-            assert keys == packed == sorted(keys), (n, k)
+            # every exponent tuple of degree <= k, by degree and then lex
+            reference = sorted((m for m in itertools.product(range(k + 1), repeat=n)
+                                if sum(m) <= k), key=lambda m: (sum(m), m))
+            packed = [sum(e * w for e, w in zip(mono, _weights(n))) for mono in reference]
+            assert _monomial_keys(n, k) == packed == sorted(packed), (n, k)
+            assert monomials_up_to(vs, k) == reference, (n, k)
     # no monomial has a negative degree
     assert _monomial_keys(0, -1) == _monomial_keys(2, -1) == []
+
+
+def test_monomials_up_to_at_its_edges():
+    assert monomials_up_to((), -1) == monomials_up_to(XY, -1) == []
+    assert monomials_up_to((), 0) == [()]
+    # linear in k for one variable
+    start = time.perf_counter()
+    line = monomials_up_to(("x",), 20000)
+    assert time.perf_counter() - start < 1
+    assert len(line) == 20001 and line[0] == (0,) and line[-1] == (20000,)
+    # no packed key holds a degree above MAX_DEGREE
+    for vs in ((), ("x",)):
+        with pytest.raises(PolyError, match="MAX_DEGREE"):
+            monomials_up_to(vs, MAX_DEGREE + 1)
 
 
 def test_arithmetic_cross_checked_against_sympy():

@@ -87,6 +87,14 @@ def test_constant_is_member_via_eta():
             - cert.eta.substitute(list(HALF_SQUARE.components))).jet(3).is_zero()
 
 
+def test_a_high_jet_order_in_one_variable():
+    # 8,002 unknowns; the eta side is listed in linear time
+    verdict = jsq_plus_pullback_membership(P("x^3"), PolyMap.from_exprs(["x^2"], X), 4000)
+    assert verdict.is_member
+    assert verdict.certificate.mu == P("1/4*x")
+    assert verdict.certificate.eta.is_zero()
+
+
 def test_jacobian_squared_is_member_via_mu():
     f = PolyMap.from_exprs(["1/2*x^2 + x*y", "y"], ("x", "y"))
     jsq = jacobian_det(f) ** 2

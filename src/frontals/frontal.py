@@ -119,6 +119,7 @@ def conormals(f: PolyMap, mus: Sequence[Poly]) -> tuple[Conormal, ...]:
     vs = f.source_vars
     _, adj, det = jacobian_adjugate(f)
     ddet = differential(det)
+    zero, minus_one = Fraction(0), Fraction(-1)
     out = []
     for i, mu in enumerate(mus):
         dmu = differential(mu)
@@ -128,10 +129,8 @@ def conormals(f: PolyMap, mus: Sequence[Poly]) -> tuple[Conormal, ...]:
             sum_of_products(vs, ((row[r], adj.entry(r, j)) for r in range(n)))
             for j in range(n)
         )
-        tail = tuple(
-            Fraction(-1) if t == i else Fraction(0) for t in range(len(mus))
-        )
-        out.append(Conormal(head=head, tail=tail))
+        out.append(Conormal(head=head, tail=tuple(
+            minus_one if t == i else zero for t in range(len(mus)))))
     return tuple(out)
 
 
@@ -154,12 +153,16 @@ def certify_frontal(F: PolyMap, phis: Sequence[Conormal]) -> CertifyReport:
                 f"conormal has {len(phi.head)}+{len(phi.tail)} entries, expected "
                 f"{n}+{p - n} for a map {n} -> {p}")
 
+    vs = F.source_vars
     jac = jacobian_matrix(F)  # p x n
     cond1_failures = []
     for i, phi in enumerate(phis, start=1):
-        entries = phi.entries()
+        # (entry, row of JF) for each entry of phi; a zero tail entry adds
+        # nothing to a pairing, so it is not lifted to a polynomial
+        terms = tuple(zip(phi.head, jac.rows)) + tuple(
+            (Poly.const(vs, t), jac.rows[n + s]) for s, t in enumerate(phi.tail) if t)
         for j in range(1, n + 1):
-            residual = sum_of_products(F.source_vars, zip(entries, jac.column(j - 1)))
+            residual = sum_of_products(vs, ((e, row[j - 1]) for e, row in terms))
             if not residual.is_zero():
                 cond1_failures.append((i, j, residual))
 

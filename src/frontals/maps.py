@@ -2,8 +2,9 @@
 
 A ``PolyMap`` is a tuple of polynomials sharing one source variable list; it
 represents a map-germ based at the origin when every component has zero
-constant term.  All determinants are expanded by exact cofactors (source
-dimensions here never exceed a handful), and the chain rule, adjugate
+constant term.  All determinants are expanded by exact cofactors, each
+minor once per call: an n x n determinant forms at most n * 2^(n-1)
+products and an adjugate at most n times that.  The chain rule, adjugate
 identity and composition associativity hold as exact polynomial statements.
 
 Callers that need both det(Jf) and adj(Jf) take them, with Jf, from
@@ -144,43 +145,61 @@ class PolyMatrix:
         r, c = self.shape
         if r != c:
             raise PolyError(f"determinant of a non-square {self.shape} matrix")
-        return _det(self.rows, self.vars)
+        full = tuple(range(r))
+        return _minors(self.rows, self.vars)(full, full)
 
     def __str__(self) -> str:
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.rows)
 
 
-def _det(rows: tuple[tuple[Poly, ...], ...], vars: tuple[str, ...]) -> Poly:
-    """Cofactor expansion along the first row; the empty matrix has determinant 1."""
-    if len(rows) <= 1:
-        return rows[0][0] if rows else Poly.const(vars, 1)
-    acc = Poly.zero(vars)
-    for j, entry in enumerate(rows[0]):
-        if not entry.is_zero():
-            acc = acc + entry * _cofactor(rows, 0, j, vars)
-    return acc
+def _minors(rows: tuple[tuple[Poly, ...], ...], vars: tuple[str, ...]):
+    """The determinant of rows restricted to a row tuple and a column tuple,
+    by cofactor expansion along the first row.  Each (rows, columns) minor
+    is expanded once and kept for the life of the returned function, so an
+    n x n determinant forms at most n * 2^(n-1) products.  Expansions skip
+    zero entries and start from the first nonzero term.  The empty minor
+    is 1."""
+    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], Poly] = {}
 
+    def minor(rs: tuple[int, ...], cs: tuple[int, ...]) -> Poly:
+        if len(rs) <= 1:
+            return rows[rs[0]][cs[0]] if rs else Poly.const(vars, 1)
+        got = memo.get((rs, cs))
+        if got is None:
+            top, below = rows[rs[0]], rs[1:]
+            for t, c in enumerate(cs):
+                if not top[c].is_zero():
+                    term = top[c] * minor(below, cs[:t] + cs[t + 1:])
+                    if t % 2:
+                        term = -term
+                    got = term if got is None else got + term
+            if got is None:
+                got = Poly.zero(vars)
+            memo[(rs, cs)] = got
+        return got
 
-def _cofactor(rows: tuple[tuple[Poly, ...], ...], i: int, j: int,
-              vars: tuple[str, ...]) -> Poly:
-    """(-1)^(i+j) times the determinant of rows without row i and column j."""
-    minor = tuple(row[:j] + row[j + 1:] for r, row in enumerate(rows) if r != i)
-    det = _det(minor, vars)
-    return -det if (i + j) % 2 else det
+    return minor
 
 
 def adjugate(matrix: PolyMatrix) -> PolyMatrix:
     """Adjugate (transposed cofactor matrix): adj(M)*M = M*adj(M) = det(M)*I.
 
-    The 1x1 adjugate is [[1]], the determinant of the empty minor, which
-    keeps the identity det(M)*I = adj(M)*M valid in every dimension.
+    The n^2 cofactors share one table of minors, so each minor below them
+    is expanded once per call.  The 1x1 adjugate is [[1]], the determinant
+    of the empty minor, which keeps the identity det(M)*I = adj(M)*M valid
+    in every dimension.
     """
     r, c = matrix.shape
     if r != c:
         raise PolyError(f"adjugate of a non-square {matrix.shape} matrix")
-    return PolyMatrix(tuple(
-        tuple(_cofactor(matrix.rows, i, j, matrix.vars) for i in range(r))
-        for j in range(r)))
+    minor = _minors(matrix.rows, matrix.vars)
+    full = tuple(range(r))
+
+    def cofactor(i: int, j: int) -> Poly:
+        det = minor(full[:i] + full[i + 1:], full[:j] + full[j + 1:])
+        return -det if (i + j) % 2 else det
+
+    return PolyMatrix(tuple(tuple(cofactor(i, j) for i in range(r)) for j in range(r)))
 
 
 def jacobian_matrix(f: PolyMap) -> PolyMatrix:

@@ -536,13 +536,15 @@ def sum_of_products(vars: Sequence[str], pairs: Iterable[tuple[Poly, Poly]]) -> 
     keeps the pairs with two nonzero operands.  Each operand pair's
     numerators are brought to the common denominator D of all pair
     products (da * db for a single pair, else their lcm); the loop adds
-    plain int products under the sum of two packed keys, a fold maps c^j
-    with j >= k to 6 * c^(j - k), and the result is returned over D with
-    the common factor divided out.  Over Q an entry can be zero only where
-    two term pairs met under one key, so zero entries are looked for only
-    then.  A pair product of degree above MAX_DEGREE raises PolyError
-    before any product is formed, and operands over two different fields
-    raise ScalarError.
+    plain int products under the sum of two packed keys.  The operand with
+    fewer terms is the outer loop and the other's items are taken once per
+    pair, so a long factor times a one-term factor costs one outer step,
+    not one per long term.  A fold maps c^j with j >= k to 6 * c^(j - k),
+    and the result is returned over D with the common factor divided out.
+    Over Q an entry can be zero only where two term pairs met under one
+    key, so zero entries are looked for only then.  A pair product of
+    degree above MAX_DEGREE raises PolyError before any product is formed,
+    and operands over two different fields raise ScalarError.
     """
     vs = tuple(vars)
     cshift = _c_shift(len(vs))
@@ -576,10 +578,13 @@ def sum_of_products(vars: Sequence[str], pairs: Iterable[tuple[Poly, Poly]]) -> 
     get = out.get
     for ta, da, tb, db in operands:
         scale = den // (da * db)
+        if len(ta) > len(tb):
+            ta, tb = tb, ta
+        inner = tb.items()
         for ka, ca in ta.items():
             if scale != 1:
                 ca *= scale
-            for kb, cb in tb.items():
+            for kb, cb in inner:
                 key = ka + kb
                 prev = get(key)
                 out[key] = ca * cb if prev is None else prev + ca * cb

@@ -16,6 +16,7 @@ from frontals.maps import (
     jacobian_det,
     jacobian_matrix,
 )
+import frontals.poly as poly_module
 from frontals.poly import Poly, PolyError, parse_poly
 from frontals.scalars import ExtField
 
@@ -98,7 +99,7 @@ def _leibniz_det(rows, vars):
 
 def test_det_and_adjugate_match_the_leibniz_formula():
     rng = random.Random(606)
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5, 6):
         for _ in range(5):
             rows = tuple(
                 tuple(Poly.zero(XY) if rng.random() < 0.3 else random_poly(rng, XY, 2)
@@ -110,6 +111,40 @@ def test_det_and_adjugate_match_the_leibniz_formula():
             for i, j in itertools.product(range(n), repeat=2):
                 minor = tuple(row[:j] + row[j + 1:] for r, row in enumerate(rows) if r != i)
                 assert adj.entry(j, i) == _leibniz_det(minor, XY).scale((-1) ** (i + j))
+
+
+def dense_germ(n: int) -> PolyMap:
+    """f_i = x_i + i * (sum of x_j*x_l over j <= l): every entry of Jf is
+    nonzero, so no cofactor expansion skips a term."""
+    vs = tuple(f"x{i}" for i in range(1, n + 1))
+    quad = " + ".join(f"{a}*{b}" for a, b in itertools.combinations_with_replacement(vs, 2))
+    return PolyMap.from_exprs([f"{v} + {i}*({quad})" for i, v in enumerate(vs, 1)], vs)
+
+
+def test_dense_det_and_adjugate_expand_each_minor_once(monkeypatch):
+    n = 7
+    jac = jacobian_matrix(dense_germ(n))
+    products = []
+    kernel = poly_module.sum_of_products
+
+    def counted(vars, pairs):
+        pairs = list(pairs)
+        products.append(len(pairs))
+        return kernel(vars, pairs)
+
+    monkeypatch.setattr(poly_module, "sum_of_products", counted)
+    det = jac.det()
+    det_products, products[:] = sum(products), []
+    adj = adjugate(jac)
+    adj_products = sum(products)
+    monkeypatch.undo()
+    # a determinant expands each minor on its last m rows once, m products
+    # each: the sum of m * C(n, m) over 2 <= m < n, plus n, is below
+    # n * 2^(n-1).  The n rows of cofactors each need no more minors than a
+    # determinant; cofactor expansion without a memo forms over 60,000.
+    assert det_products <= n * 2 ** (n - 1)
+    assert adj_products <= n * n * 2 ** (n - 1)
+    assert adj.matmul(jac) == jac.matmul(adj) == PolyMatrix.identity(jac.vars, n).scale(det)
 
 
 def test_jacobian_adjugate_matches_its_parts():

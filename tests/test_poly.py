@@ -10,7 +10,7 @@ from datetime import timedelta
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import frontals.poly as poly_module
@@ -960,6 +960,49 @@ def test_sum_of_products_of_nothing_is_zero():
 def test_sum_of_products_over_mixed_denominators():
     pairs = [(P("1/2*x"), P("y")), (P("1/3*x"), P("1/5*y + 1")), (P("x"), P("y"))]
     assert sum_of_products(XY, pairs) == P("47/30*x*y + 1/3*x")
+
+
+@st.composite
+def ordered_pairs(draw):
+    """Pairs over one coefficient ring: a one-term factor against five to ten
+    terms, or two factors of up to six terms; denominators 1, 2, 3 and 5."""
+    k = draw(st.sampled_from([None, 2, 3, 4, -2, -3]))
+    monos = monomials_up_to(KERNEL_VARS, 3)
+
+    def poly(least, most):
+        return st.dictionaries(st.sampled_from(monos), coefficients(k), min_size=least,
+                               max_size=most).map(lambda table: Poly(KERNEL_VARS, table))
+
+    pair = st.one_of(st.tuples(poly(1, 1), poly(5, 10)), st.tuples(poly(0, 6), poly(0, 6)))
+    return draw(st.lists(pair, min_size=1, max_size=4))
+
+
+def reinserted(p: Poly) -> Poly:
+    """p built again from its term table in reversed insertion order."""
+    return Poly(p.vars, dict(reversed(list(p.terms.items()))))
+
+
+FOLD_FIELD = ExtField(3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ordered_pairs(), st.randoms(use_true_random=False))
+@example([(parse_poly("c^2*x", KERNEL_VARS, FOLD_FIELD),
+           parse_poly("1/2*c*y + 2/3*c^2*x^2 + 1/5*c*x*y + x + 3", KERNEL_VARS, FOLD_FIELD)),
+          (parse_poly("1/3*c*y^2", KERNEL_VARS, FOLD_FIELD),
+           parse_poly("c^2 + 2*c*x", KERNEL_VARS, FOLD_FIELD))], random.Random(0))
+def test_kernel_result_does_not_depend_on_operand_order(pairs, rnd):
+    # the kernel loops over the factor with fewer terms; swapping the two
+    # factors of a pair, reordering the pairs or rebuilding the operands'
+    # tables in another insertion order gives an equal result, printed alike
+    total = sum_of_products(KERNEL_VARS, pairs)
+    shuffled = list(pairs)
+    rnd.shuffle(shuffled)
+    for other in ([(b, a) for a, b in pairs], shuffled,
+                  [(reinserted(b), reinserted(a)) for a, b in reversed(pairs)]):
+        result = sum_of_products(KERNEL_VARS, other)
+        assert result == total
+        assert str(result) == str(total)
 
 
 # -- packed keys at the field width ----------------------------------------

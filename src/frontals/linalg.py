@@ -220,20 +220,46 @@ def order_rows(k: int, gens: Sequence[Poly]) -> list[dict[int, Entry]]:
     are a prefix of those of the next and one L scales every row, so the
     rows of every order share one solver, with the rank and pivots of the
     rational rows.  The order k must be below 2**FIELD_BITS.
+
+    A shift of degree d reaches degree k only through the terms of degree
+    k - d, so with the generators' terms of degrees lo..hi only the shifts
+    of degree k - hi .. k - lo (and below k) add entries.  The monomial list
+    is graded, so these are one index range of it, visited in order, and
+    each generator's terms are grouped by degree once, keeping their order:
+    the rows and their order are those of a pass over every shift.
     """
     _check_order(k)
     n = len(gens[0].vars) if gens else 0
     dshift = n * FIELD_BITS
     forms, _ = scaled_form(gens)
+    # for each generator, its (key, numerator) pairs by degree
+    parts: list[dict[int, list[tuple[int, Entry]]]] = []
+    for nums in forms:
+        by_degree: dict[int, list[tuple[int, Entry]]] = {}
+        for key, num in nums.items():
+            by_degree.setdefault(key >> dshift, []).append((key, num))
+        parts.append(by_degree)
+    degrees = [d for part in parts for d in part]
+    if not degrees:
+        return []
+    first, last = max(0, k - max(degrees)), min(k - 1, k - min(degrees))
+    if first > last:
+        return []
+    shifts = _monomial_keys(n, last)
     rows: dict[int, dict[int, Entry]] = {}
     width = len(gens)
-    for t, at in enumerate(_monomial_keys(n, k - 1)):
-        room = k - (at >> dshift)
-        for i, nums in enumerate(forms):
-            column = width * t + i
-            for key, num in nums.items():
-                if key >> dshift == room:
+    # the index of the first monomial of degree d is C(n + d - 1, n)
+    start = math.comb(n + first - 1, n) if first else 0
+    for d in range(first, last + 1):
+        end = math.comb(n + d, n)
+        reach = [(i, part[k - d]) for i, part in enumerate(parts) if k - d in part]
+        for t in range(start, end):
+            at = shifts[t]
+            for i, terms in reach:
+                column = width * t + i
+                for key, num in terms:
                     rows.setdefault(at + key, {})[column] = num
+        start = end
     return list(rows.values())
 
 

@@ -27,7 +27,10 @@ g is right to order |a|, so it does not depend on the order k >= |a|.
 Order k therefore adds only the rows of the degree-k monomials
 (`linalg.order_rows`, each row scaled to integers, which changes no rank)
 to one SparseSolver whose columns keep their numbers, and c_k is the count
-of monomials of degree <= k in c variables minus its rank.
+of monomials of degree <= k in c variables minus its rank.  A shift x^m
+enters these rows only through the terms of g of degree k - |m|, so with
+the terms of g of degrees lo..hi order k visits only the shifts of degree
+k - hi .. k - lo, one index range of the graded monomial list.
 
 When no two consecutive orders up to the cap agree, the result is reported
 as not stabilized.  So is a search that stops before an order k at which
@@ -87,8 +90,9 @@ def _reduce_linear_part(f: PolyMap) -> tuple[list[int], list[Poly], list[Poly]]:
         if i is None:
             continue
         lin, comp = rows[i]
-        inv = 1 / lin[col]
-        lin, comp = [v * inv for v in lin], comp.scale(inv)
+        if lin[col] != 1:
+            inv = 1 / lin[col]
+            lin, comp = [v * inv for v in lin], comp.scale(inv)
         rows[i], rows[r] = rows[r], (lin, comp)
         for o, (olin, ocomp) in enumerate(rows):
             a = olin[col]
@@ -113,7 +117,8 @@ def _codimensions(f: PolyMap, reduction: tuple[list[int], list[Poly], list[Poly]
     pivots, heads, others = reduction
     free = tuple(v for j, v in enumerate(vs) if j not in pivots)
     zero = Poly.zero(free)
-    # x_(p_j) = psi_j on the zero set of h_j
+    # x_(p_j) = psi_j on the zero set of h_j; psi_j = 0 when h_j is x_(p_j)
+    # itself, and its substitution then forms nothing
     psis = [Poly.variable(vs, vs[p]) - h for p, h in zip(pivots, heads)]
     # x_p -> phi (0 at order 0), x_free -> x_free
     images = [zero if j in pivots else Poly.variable(free, v) for j, v in enumerate(vs)]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import linalg
-from .poly import Poly, PolyError, VariableMismatchError, sum_of_products
+from .poly import Poly, PolyError, VariableMismatchError, _weights, sum_of_products
 from .scalars import ExtField, Scalar
 
 Covector = tuple[Poly, ...]
@@ -248,10 +248,10 @@ def compose(g: PolyMap, f: PolyMap) -> PolyMap:
 
 
 def _jacobian_at_zero(f: PolyMap) -> list[list[Scalar]]:
-    """Jf(0): entry (i, j) is the coefficient of x_j in f_i."""
-    n = f.source_dim
-    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    return [[comp.coefficient(u) for u in units] for comp in f.components]
+    """Jf(0): entry (i, j) is the coefficient of x_j in f_i, read at the
+    packed key of x_j."""
+    keys = _weights(f.source_dim)
+    return [[comp._coefficient(key) for key in keys] for comp in f.components]
 
 
 def corank_at_zero(f: PolyMap) -> int:

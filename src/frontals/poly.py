@@ -366,7 +366,8 @@ class Poly:
     def substitute(self, images: Sequence["Poly"], jet: int | None = None) -> "Poly":
         """Exact composition p(images); a ring homomorphism into the images' ring.
 
-        Each power of an image is formed once.  A monomial's image is the
+        The zero polynomial maps to zero over the images' variables, with
+        no power or order formed.  Each power of an image is formed once.  A monomial's image is the
         product of its images' powers, each partial product cut at ``jet``
         = k, when given, as it is formed.  A monomial is dropped before any
         product when the image of one of its variables is zero, or when the
@@ -387,6 +388,8 @@ class Poly:
                 raise VariableMismatchError("images must share one variable list")
         if jet is not None and jet < 0:
             raise PolyError(f"jet order must be >= 0, got {jet}")
+        if not self._ints[0]:
+            return Poly.zero(target_vars)
 
         def cut(p: Poly) -> Poly:
             return p if jet is None else p.jet(jet)

@@ -62,6 +62,25 @@ def random_linear_iso(rng: random.Random, n: int) -> PolyMap:
     return PolyMap(tuple(comps))
 
 
+def reference_order_rows(k: int, gens: list[Poly]) -> list[dict]:
+    """`linalg.order_rows` as a pass over every monomial shift of degree < k,
+    each meeting every term of every generator: the rows it adds at order
+    k, in the order the unknowns first reach them."""
+    from frontals.linalg import scaled_form
+
+    n = len(gens[0].vars) if gens else 0
+    dshift = n * poly.FIELD_BITS
+    forms, _ = scaled_form(gens)
+    rows: dict = {}
+    for t, at in enumerate(poly._monomial_keys(n, k - 1)):
+        room = k - (at >> dshift)
+        for i, nums in enumerate(forms):
+            for key, num in nums.items():
+                if key >> dshift == room:
+                    rows.setdefault(at + key, {})[len(gens) * t + i] = num
+    return list(rows.values())
+
+
 # -- expression strings for the fuzz tests --------------------------------
 
 GRAMMAR_TOKENS = st.one_of(st.sampled_from([*"+-*^()/", "x", "y", "c", " "]),

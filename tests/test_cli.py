@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import tempfile
@@ -13,7 +14,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from frontals.cli import main
+from frontals.frontal import build_certified
 from frontals.mesh import MAX_DEGREE, MAX_RANGE_BITS, MAX_RESOLUTION
+from frontals.poly import parse_poly
 from frontals.scalars import MAX_EXT_ORDER
 
 from helpers import GRAMMAR_EXPRS, GRAMMAR_STRINGS
@@ -67,6 +70,28 @@ def test_frontal_pass_and_conormal(capsys):
     assert code == 0
     assert "phi1 = (2, 2*y, -1)" in out
     assert "frontal certification: PASS" in out
+
+
+@pytest.mark.parametrize("failing", [
+    {"condition1_failures": ((1, 1, parse_poly("x", ("x", "y"))),)},
+    {"condition2_failures": (1,)},
+    {"condition3_rank": 0},
+])
+def test_frontal_fails_when_one_condition_fails(failing, monkeypatch, capsys):
+    # fold.germ certifies; the report is changed so that one condition fails
+    def one_failing(f, mus):
+        package = build_certified(f, mus)
+        return dataclasses.replace(package, report=dataclasses.replace(package.report, **failing))
+
+    monkeypatch.setattr("frontals.cli.build_certified", one_failing)
+    code, out = run_cli(capsys, "frontal", GERMS / "fold.germ")
+    assert code == 1
+    assert "frontal certification: FAIL" in out.splitlines()
+    code, out = run_cli(capsys, "frontal", GERMS / "fold.germ", "--format", "json")
+    payload = json.loads(out)
+    assert code == 1
+    assert payload["certification"]["pass"] is False
+    assert payload["status"] == "fail"
 
 
 def test_frontal_degenerate_multiplier(tmp_path, capsys):

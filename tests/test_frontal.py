@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from frontals.frontal import (
+    CertifyReport,
     Conormal,
     build_certified,
     build_frontal,
@@ -137,8 +138,10 @@ def test_certify_failure_records_residual():
     i, j, residual = report.condition1_failures[0]
     assert (i, j) == (1, 1)
     assert residual == P("x")
-    # condition 2 fails too: phi(0) = (1,0,0) is nonzero, so only cond1 fails here
-    assert report.condition2_ok
+    # phi(0) = (1, 0, 0) is nonzero and alone, so conditions 2 and 3 hold and
+    # only condition 1 fails
+    assert report.condition2_ok and report.condition3_ok
+    assert not report.ok
 
 
 def test_certify_condition2_and_3():
@@ -152,6 +155,18 @@ def test_certify_condition2_and_3():
     assert report2.condition1_ok and report2.condition2_ok
     assert not report2.condition3_ok
     assert report2.condition3_rank == 1
+    assert not report2.ok
+
+
+def test_report_fails_when_only_condition2_fails():
+    # certify_frontal cannot fail condition 2 alone: a conormal with
+    # phi_i(0) = 0 gives a zero row at the origin, which lowers the rank of
+    # condition 3 too.  So the report is stated directly
+    report = CertifyReport(condition1_failures=(), condition2_values=((Fraction(0),),),
+                           condition2_failures=(1,), condition3_rank=1, conormal_count=1)
+    assert report.condition1_ok and report.condition3_ok
+    assert not report.condition2_ok
+    assert not report.ok
 
 
 def test_certify_dimension_mismatch_is_an_error():

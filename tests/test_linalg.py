@@ -4,12 +4,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frontals.linalg import SparseSolver, _primitive, jet_solve, order_rows, scaled_form
 from frontals.poly import FIELD_BITS, Poly, _monomial_keys, _unpacker, monomials_up_to, parse_poly
 from frontals.scalars import ExtField, ExtScalar
+
+from helpers import reference_order_rows
 
 XY = ("x", "y")
 
@@ -76,6 +78,35 @@ def test_order_rows_keep_a_power_of_c_as_an_ext_scalar_over_one():
     rows = order_rows(2, [g])
     assert rows == [{0: 6, 2: 2 * c}, {1: 2 * c, 2: 1}, {1: 1}]
     assert type(rows[0][0]) is int
+
+
+@st.composite
+def _generator_lists(draw):
+    """(k, gens): 1..3 generators in n = 1..3 variables over Q or
+    Q(6^(1/3)), their terms of degrees drawn from a set that may have gaps
+    and hold 0, and an order k = 0..10."""
+    n = draw(st.integers(1, 3))
+    vs = ("x", "y", "z")[:n]
+    field = draw(st.sampled_from((None, ExtField(3))))
+    degrees = draw(st.sets(st.integers(0, 6), min_size=1, max_size=3))
+    monos = [m for m in monomials_up_to(vs, max(degrees)) if sum(m) in degrees]
+    rational = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+    coeff = rational if field is None else st.one_of(
+        rational, st.builds(lambda a, b: field.element([a, b, 0]), rational, rational))
+    gens = draw(st.lists(st.dictionaries(st.sampled_from(monos), coeff, max_size=4),
+                         min_size=1, max_size=3))
+    return draw(st.integers(0, 10)), [Poly(vs, g) for g in gens]
+
+
+@settings(max_examples=200, deadline=None)
+@example((5, [parse_poly("x^2*y + 3*y^5 - 1/2*x^5", XY), parse_poly("2 + x*y - y^2", XY)]))
+@example((7, [parse_poly("c*x^2 + 1/3*y^5", XY, ExtField(3)), parse_poly("1 + c^2*y^2", XY, ExtField(3))]))
+@given(_generator_lists())
+def test_order_rows_match_a_pass_over_every_shift(case):
+    # the same rows, each with its columns in the same order
+    k, gens = case
+    assert ([list(row.items()) for row in order_rows(k, gens)]
+            == [list(row.items()) for row in reference_order_rows(k, gens)])
 
 
 def test_scaled_form_matches_the_term_tables():

@@ -7,6 +7,7 @@ import pytest
 
 from frontals.maps import (
     PolyMap,
+    _jacobian_at_zero,
     PolyMatrix,
     adjugate,
     compose,
@@ -204,6 +205,17 @@ def test_corank_at_zero():
     assert corank_at_zero(FOLD) == 1
     assert corank_at_zero(PolyMap.identity(XY)) == 0
     assert corank_at_zero(PolyMap.from_exprs(["x^2", "y^2"], XY)) == 2
+
+
+def test_jacobian_at_zero_reads_the_linear_coefficients():
+    ext = ExtField(3)
+    f = PolyMap.from_exprs(["c*x + 1/2*y + x^2", "c^2*x*y - 3*y", "x + c*z^2"],
+                           ("x", "y", "z"), ext)
+    n = f.source_dim
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    at_zero = _jacobian_at_zero(f)
+    assert at_zero == [[comp.coefficient(u) for u in units] for comp in f.components]
+    assert at_zero[0][0] == ext.generator and at_zero[1] == [0, -3, 0]
 
 
 def test_linear_part_invertibility():

@@ -927,6 +927,21 @@ def test_substitute_with_a_zero_image_or_a_power_cut_to_zero():
             q.substitute(cases[0], jet=-1)
 
 
+def test_substitute_of_zero_is_zero_over_the_images_variables():
+    images = [P("x + y"), parse_poly("c*y^2", XY, ExtField(2))]
+    zero = P("0", ("X", "Y"))
+    for jet in (None, 0, 3):
+        result = zero.substitute(images, jet=jet)
+        assert result == Poly.zero(XY) and result.field is None
+    # the checks of the arguments come first
+    with pytest.raises(VariableMismatchError, match="expected 2 images"):
+        zero.substitute(images[:1])
+    with pytest.raises(VariableMismatchError, match="share one variable list"):
+        zero.substitute([P("x"), P("x", ("x",))])
+    with pytest.raises(PolyError, match="jet order must be >= 0"):
+        zero.substitute(images, jet=-1)
+
+
 def test_scale_substitute_and_degree_in_integer_form():
     scale = Fraction(-7, 4)
     # each result is computed in integer form, with no Fraction built

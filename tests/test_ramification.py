@@ -95,6 +95,17 @@ def test_a_high_jet_order_in_one_variable():
     assert verdict.certificate.eta.is_zero()
 
 
+def test_jsq_decides_at_exactly_the_unknown_cap():
+    # f = (x^2), one variable: order k has 2*(k + 1) unknowns, so k = 9999
+    # sits at the cap of 20,000 and is decided; k = 10000 is one order over it
+    f, psi = PolyMap.from_exprs(["x^2"], X), P("x^3")
+    at_cap = jsq_plus_pullback_membership(psi, f, 9999)
+    assert at_cap.is_member and at_cap.reason is None
+    over = jsq_plus_pullback_membership(psi, f, 10000)
+    assert over.status == UNDECIDED
+    assert over.reason == "20002 unknowns exceed the cap 20000"
+
+
 def test_jacobian_squared_is_member_via_mu():
     f = PolyMap.from_exprs(["1/2*x^2 + x*y", "y"], ("x", "y"))
     jsq = jacobian_det(f) ** 2
@@ -178,6 +189,19 @@ def test_univariate_delta3_generators():
     for check in report.checks:
         assert check.gradient.certificate.recheck()
         assert check.jsq_plus_pullback.certificate.recheck()
+
+
+def test_a_generator_in_one_module_only_is_not_both_member():
+    # psi = x^5/5 + x^2*y/2 over f = (x^4/4 + x*y, y) is x * d(f_1)/dx +
+    # (x^2/2) * d(f_1)/dy at order 5, but not in <|Jf|^2> + f^*(E_2)
+    xy = ("x", "y")
+    f = PolyMap.from_exprs(["1/4*x^4 + x*y", "y"], xy)
+    report = check_generator_list(f, [parse_poly("1/5*x^5 + 1/2*x^2*y", xy)], 5)
+    (check,) = report.checks
+    assert check.gradient.is_member
+    assert check.jsq_plus_pullback.status == NOT_MEMBER_MOD_JET
+    assert not check.both_member
+    assert not report.all_member
 
 
 def test_empty_generator_list_is_vacuous():

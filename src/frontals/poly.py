@@ -366,14 +366,15 @@ class Poly:
     def substitute(self, images: Sequence["Poly"], jet: int | None = None) -> "Poly":
         """Exact composition p(images); a ring homomorphism into the images' ring.
 
-        The zero polynomial maps to zero over the images' variables, with
-        no power or order formed.  Each power of an image is formed once.  A monomial's image is the
+        Each power of an image is formed once.  A monomial's image is the
         product of its images' powers, each partial product cut at ``jet``
         = k, when given, as it is formed.  A monomial is dropped before any
         product when the image of one of its variables is zero, or when the
         orders of its images sum to more than k.  One `sum_of_products` then
         collects every (coefficient, image) pair, so with ``jet`` = k the
-        result is the k-jet of the composition.
+        result is the k-jet of the composition.  The zero polynomial maps to
+        zero over the images' variables once the arguments are checked, with
+        no power or order formed.
         """
         images = list(images)
         if len(images) != len(self.vars):

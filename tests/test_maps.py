@@ -7,7 +7,6 @@ import pytest
 
 from frontals.maps import (
     PolyMap,
-    _jacobian_at_zero,
     PolyMatrix,
     adjugate,
     compose,
@@ -16,6 +15,7 @@ from frontals.maps import (
     jacobian_adjugate,
     jacobian_det,
     jacobian_matrix,
+    _jacobian_at_zero,
 )
 import frontals.poly as poly_module
 from frontals.poly import Poly, PolyError, parse_poly

@@ -15,7 +15,6 @@ from .poly import (
     PolyError,
     PolyParseError,
     VariableMismatchError,
-    monomials_up_to,
     parse_poly,
     sum_of_products,
 )
@@ -42,11 +41,9 @@ from .frontal import (
 )
 from .local_algebra import MultiplicityResult, multiplicity
 from .ramification import (
-    GeneratorListReport,
     GradientCertificate,
     MembershipVerdict,
     PullbackCertificate,
-    check_generator_list,
     gradient_module_membership,
     jsq_plus_pullback_membership,
 )
@@ -59,15 +56,14 @@ __version__ = "0.1.0"
 __all__ = [
     "ExtField", "ExtScalar", "Scalar",
     "Poly", "PolyError", "PolyParseError", "VariableMismatchError",
-    "monomials_up_to", "parse_poly", "sum_of_products",
+    "parse_poly", "sum_of_products",
     "Covector", "PolyMap", "PolyMatrix", "adjugate", "compose",
     "corank_at_zero", "differential", "jacobian_adjugate", "jacobian_det",
     "jacobian_matrix",
     "CertifyReport", "Conormal", "FrontalPackage", "build_certified",
     "build_frontal", "certify_frontal", "conormals",
     "MultiplicityResult", "multiplicity",
-    "GeneratorListReport", "GradientCertificate", "MembershipVerdict",
-    "PullbackCertificate", "check_generator_list",
+    "GradientCertificate", "MembershipVerdict", "PullbackCertificate",
     "gradient_module_membership", "jsq_plus_pullback_membership",
     "corpus",
     "GermFile", "GermFileError", "load_germ_file", "parse_germ_file",

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .frontal import FrontalPackage, build_certified
-from .local_algebra import MultiplicityResult, multiplicity
-from .maps import PolyMap, compose, corank_at_zero, jacobian_det
+from .maps import PolyMap, compose, corank_at_zero
 from .poly import Poly, PolyError, parse_poly
 from .scalars import ExtField
 
@@ -62,7 +61,6 @@ class CorpusEntry:
 
 @dataclass
 class CompositionOutcome:
-    label: str                 # "literal" | "corrected"
     result: PolyMap            # over Q where no power of c is left
     matches: bool
     rational: bool             # all final coefficients rational
@@ -368,7 +366,7 @@ def compose_chain(F: PolyMap, chain: tuple[ChainStep, ...],
     return result
 
 
-def _outcome(label: str, result: PolyMap, claimed: PolyMap) -> CompositionOutcome:
+def _outcome(result: PolyMap, claimed: PolyMap) -> CompositionOutcome:
     rational = result.is_rational()
     matches = rational and result == claimed
     residual = None
@@ -376,8 +374,8 @@ def _outcome(label: str, result: PolyMap, claimed: PolyMap) -> CompositionOutcom
         residual = PolyMap(tuple(
             a - b for a, b in zip(claimed.components, result.components)
         )) if rational else None
-    return CompositionOutcome(label=label, result=result, matches=matches,
-                              rational=rational, residual=residual)
+    return CompositionOutcome(result=result, matches=matches, rational=rational,
+                              residual=residual)
 
 
 def run_entry(name: str, **parameters) -> EntryReport:
@@ -394,16 +392,13 @@ def run_entry(name: str, **parameters) -> EntryReport:
         raise PolyError(f"{entry.name}: claimed normal form does not fix the origin")
 
     package = build_certified(entry.base, entry.multipliers)
-    literal = _outcome("literal", compose_chain(package.frontal_map, entry.chain),
-                       entry.claimed)
+    literal = _outcome(compose_chain(package.frontal_map, entry.chain), entry.claimed)
     corrected = None
     notes = tuple(c.note for c in entry.corrections)
     if entry.corrections:
         replacements = {c.step_name: c.transform for c in entry.corrections}
         corrected = _outcome(
-            "corrected",
-            compose_chain(package.frontal_map, entry.chain, replacements),
-            entry.claimed)
+            compose_chain(package.frontal_map, entry.chain, replacements), entry.claimed)
     return EntryReport(entry=entry, package=package, literal=literal,
                        corrected=corrected, notes=notes)
 
@@ -418,21 +413,8 @@ def run_all(k_values: tuple[int, ...] = (2, 3)) -> CorpusSummary:
 
 
 # ---------------------------------------------------------------------------
-# A_k front checks
+# A_k fronts
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AkFrontReport:
-    k: int
-    multiplicity: MultiplicityResult
-    restricted_jacobian: Poly         # det(Jf_k) on the x1-axis, univariate
-    restricted_order: int
-    restricted_square_order: int
-    inequality_lhs: int               # 2k - (k+1)
-    inequality_applicable: bool       # k >= 3
-    inequality_holds: bool            # 2k - (k+1) > 1
-    note: str
 
 
 def a_k_front(k: int) -> PolyMap:
@@ -450,33 +432,3 @@ def a_k_front(k: int) -> PolyMap:
         first = first + Poly(vs, {tuple(mono): Fraction(1, k + 1 - j)})
     components = [first] + [Poly.variable(vs, v) for v in vs[1:]]
     return PolyMap(tuple(components))
-
-
-def a_k_front_checks(k: int, k_max: int = 12) -> AkFrontReport:
-    """Multiplicity and the order-of-vanishing arithmetic for the A_k front germ."""
-    f = a_k_front(k)
-    mult = multiplicity(f, k_max)
-    det = jacobian_det(f)
-    axis = ("x1",)
-    images = [Poly.variable(axis, "x1")] + [Poly.zero(axis)] * (k - 1)
-    restricted = det.substitute(images)
-    r_order = restricted.order()
-    if r_order == float("inf"):
-        raise PolyError("restricted Jacobian vanished identically")
-    sq_order = (restricted * restricted).order()
-    lhs = 2 * k - (k + 1)
-    note = (
-        f"det(Jf_{k}) on the x1-axis is x1^{r_order}, so its square has order "
-        f"{sq_order}; x1^{k} is the order of the determinant itself, not of its square"
-    )
-    return AkFrontReport(
-        k=k,
-        multiplicity=mult,
-        restricted_jacobian=restricted,
-        restricted_order=int(r_order),
-        restricted_square_order=int(sq_order),
-        inequality_lhs=lhs,
-        inequality_applicable=k >= 3,
-        inequality_holds=lhs > 1,
-        note=note,
-    )

@@ -43,11 +43,6 @@ class Conormal:
     def value_at_zero(self) -> tuple[Scalar, ...]:
         return tuple(h.constant_term() for h in self.head) + self.tail
 
-    def entries(self) -> tuple[Poly, ...]:
-        """The full vector with the constant tail lifted to polynomials."""
-        vs = self.head[0].vars
-        return self.head + tuple(Poly.const(vs, t) for t in self.tail)
-
     def __str__(self) -> str:
         return "(" + ", ".join(map(str, self.head + self.tail)) + ")"
 

@@ -10,8 +10,9 @@ Format ('#' starts a comment, blank lines ignored):
     mu:               # optional block
     m1 = 1
 
-Component lines are taken in file order; names must be unique within their
-block.  The map must parse to an origin-preserving PolyMap.
+Each of vars:, ext:, map: and mu: appears at most once.  Component lines
+are taken in file order; names must be unique within their block.  The map
+must parse to an origin-preserving PolyMap.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ def parse_germ_file(text: str) -> GermFile:
     map_items: list[tuple[str, str, int]] = []
     mu_items: list[tuple[str, str, int]] = []
     block: str | None = None
+    opened: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -86,11 +88,11 @@ def parse_germ_file(text: str) -> GermFile:
                 raise GermFileError(f"ext: order must be between 1 and {MAX_EXT_ORDER}", lineno)
             ext_order = int(sign + digits)
             continue
-        if lowered == "map:":
-            block = "map"
-            continue
-        if lowered == "mu:":
-            block = "mu"
+        if lowered in ("map:", "mu:"):
+            if lowered[:-1] in opened:
+                raise GermFileError(f"duplicate {lowered} block", lineno)
+            block = lowered[:-1]
+            opened.add(block)
             continue
         if "=" in line:
             if block is None:

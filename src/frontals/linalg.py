@@ -210,7 +210,7 @@ def _check_order(k: int) -> None:
 def order_rows(k: int, gens: Sequence[Poly]) -> list[dict[int, Entry]]:
     """The equations that jet order k adds to the system of
     sum_(t,i) u_(t,i) * x^(m_t) * gens[i] over unknown scalars u_(t,i),
-    m_t the monomials of degree < k in `monomials_up_to` order: one row for
+    m_t the monomials of degree < k in `_monomial_keys` order: one row for
     each monomial of degree k that the sum reaches, in the order the
     unknowns first reach them.
 

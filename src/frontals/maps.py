@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import linalg
-from .poly import Poly, PolyError, VariableMismatchError, _weights, sum_of_products
+from .poly import Poly, PolyError, VariableMismatchError, _weights, parse_poly, sum_of_products
 from .scalars import ExtField, Scalar
 
 Covector = tuple[Poly, ...]
@@ -41,14 +41,7 @@ class PolyMap:
     @classmethod
     def from_exprs(cls, exprs: Sequence[str], vars: Sequence[str],
                    field: ExtField | None = None) -> "PolyMap":
-        from .poly import parse_poly
-
         return cls(tuple(parse_poly(e, vars, field) for e in exprs))
-
-    @classmethod
-    def identity(cls, vars: Sequence[str]) -> "PolyMap":
-        vs = tuple(vars)
-        return cls(tuple(Poly.variable(vs, v) for v in vs))
 
     @property
     def source_vars(self) -> tuple[str, ...]:
@@ -100,15 +93,6 @@ class PolyMatrix:
                     raise VariableMismatchError("matrix entries must share one variable list")
         object.__setattr__(self, "rows", rows)
 
-    @classmethod
-    def identity(cls, vars: Sequence[str], n: int) -> "PolyMatrix":
-        vs = tuple(vars)
-        one = Poly.const(vs, 1)
-        zero = Poly.zero(vs)
-        return cls(tuple(
-            tuple(one if i == j else zero for j in range(n)) for i in range(n)
-        ))
-
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.rows), len(self.rows[0])
@@ -122,24 +106,6 @@ class PolyMatrix:
 
     def column(self, j: int) -> tuple[Poly, ...]:
         return tuple(row[j] for row in self.rows)
-
-    def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
-        _, k = self.shape
-        k2, c = other.shape
-        if k != k2:
-            raise PolyError(f"cannot multiply {self.shape} by {other.shape}")
-        return PolyMatrix(tuple(
-            tuple(sum_of_products(self.vars, ((row[t], other.rows[t][j]) for t in range(k)))
-                  for j in range(c))
-            for row in self.rows))
-
-    def scale(self, p: Poly) -> "PolyMatrix":
-        return PolyMatrix(tuple(tuple(p * e for e in row) for row in self.rows))
-
-    def substitute(self, images: Sequence[Poly]) -> "PolyMatrix":
-        return PolyMatrix(tuple(
-            tuple(e.substitute(images) for e in row) for row in self.rows
-        ))
 
     def det(self) -> Poly:
         r, c = self.shape

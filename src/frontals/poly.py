@@ -909,15 +909,6 @@ def parse_poly(text: str, vars: Sequence[str], field: ExtField | None = None) ->
     return result
 
 
-def monomials_up_to(vars: Sequence[str], k: int) -> list[Exponents]:
-    """All exponent tuples of total degree <= k, ascending graded-lex order:
-    the unpacked `_monomial_keys`.  A k above MAX_DEGREE raises PolyError, as
-    no packed key holds that degree."""
-    if k > MAX_DEGREE:
-        raise PolyError(f"monomials of degree up to {k} exceed MAX_DEGREE = {MAX_DEGREE}")
-    return list(map(_unpacker(len(vars)), _monomial_keys(len(vars), k)))
-
-
 def _monomial_keys(n: int, k: int) -> list[int]:
     """The packed keys of all monomials of total degree <= k in n variables,
     in ascending order, which is graded-lex order."""

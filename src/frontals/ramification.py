@@ -155,8 +155,8 @@ def _decide(k: int, unknown_count: int,
 
 
 def _level(n: int, d: int) -> range:
-    """The indices of the monomials of degree d in `monomials_up_to` of n
-    variables, and in their keys (empty for d < 0)."""
+    """The indices of the monomials of degree d in `_monomial_keys` order
+    of n variables (empty for d < 0)."""
     if d < 0:
         return range(0)
     return range(comb(n + d - 1, n), comb(n + d, n))
@@ -247,38 +247,3 @@ def jsq_plus_pullback_membership(psi: Poly, f: PolyMap, k: int) -> MembershipVer
                                    eta=_block(values, len(keys), tvs, keys))
 
     return _decide(k, 2 * comb(n + k, n), solve)
-
-
-@dataclass(frozen=True)
-class GeneratorCheck:
-    generator: Poly
-    gradient: MembershipVerdict
-    jsq_plus_pullback: MembershipVerdict
-
-    @property
-    def both_member(self) -> bool:
-        return self.gradient.is_member and self.jsq_plus_pullback.is_member
-
-
-@dataclass(frozen=True)
-class GeneratorListReport:
-    germ: PolyMap
-    jet_order: int
-    checks: tuple[GeneratorCheck, ...]
-
-    @property
-    def all_member(self) -> bool:
-        return all(c.both_member for c in self.checks)
-
-
-def check_generator_list(f: PolyMap, generators: Sequence[Poly], k: int) -> GeneratorListReport:
-    """Run both membership tests on each listed generator of the ramification module."""
-    checks = tuple(
-        GeneratorCheck(
-            generator=g,
-            gradient=gradient_module_membership(g, f, k),
-            jsq_plus_pullback=jsq_plus_pullback_membership(g, f, k),
-        )
-        for g in generators
-    )
-    return GeneratorListReport(germ=f, jet_order=k, checks=checks)

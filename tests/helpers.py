@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -11,16 +13,50 @@ from hypothesis import HealthCheck, Phase, given, seed, settings
 from hypothesis import strategies as st
 
 from frontals import corpus, germfile, poly
-from frontals.maps import PolyMap
-from frontals.poly import Poly, monomials_up_to, parse_poly
+from frontals.maps import PolyMap, PolyMatrix, jacobian_det
+from frontals.poly import Poly, parse_poly, sum_of_products
 from frontals.scalars import ExtField, ExtScalar
 
 VARSETS = {1: ("x",), 2: ("x", "y"), 3: ("x", "y", "z")}
 
 
+@functools.cache
+def monomials(vars: tuple[str, ...], k: int) -> tuple[tuple[int, ...], ...]:
+    """Every exponent tuple of total degree <= k, by brute force, sorted by
+    (degree, exponents): graded-lex ascending, the order of the library's
+    `poly._monomial_keys`."""
+    return tuple(sorted((m for m in itertools.product(range(k + 1), repeat=len(vars))
+                         if sum(m) <= k), key=lambda m: (sum(m), m)))
+
+
+def matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """The matrix product a*b, one `sum_of_products` per entry."""
+    return PolyMatrix(tuple(tuple(sum_of_products(a.vars, zip(row, col)) for col in zip(*b.rows))
+                            for row in a.rows))
+
+
+def times_identity(p: Poly, n: int) -> PolyMatrix:
+    """p*I, the n x n matrix with p on the diagonal and 0 elsewhere."""
+    return PolyMatrix(tuple(tuple(p if i == j else Poly.zero(p.vars) for j in range(n))
+                            for i in range(n)))
+
+
+def substituted(m: PolyMatrix, images: list[Poly]) -> PolyMatrix:
+    """m with every entry substituted at images."""
+    return PolyMatrix(tuple(tuple(e.substitute(images) for e in row) for row in m.rows))
+
+
+def a_k_axis_jacobian(k: int) -> Poly:
+    """det(Jf) of the A_k front germ `corpus.a_k_front(k)` restricted to the
+    x1-axis, x2 = ... = xk = 0, as a polynomial in x1."""
+    axis = ("x1",)
+    images = [Poly.variable(axis, "x1")] + [Poly.zero(axis)] * (k - 1)
+    return jacobian_det(corpus.a_k_front(k)).substitute(images)
+
+
 def random_poly(rng: random.Random, vars: tuple[str, ...], max_degree: int,
                 min_degree: int = 0, max_terms: int = 4) -> Poly:
-    monos = [m for m in monomials_up_to(vars, max_degree) if sum(m) >= min_degree]
+    monos = [m for m in monomials(vars, max_degree) if sum(m) >= min_degree]
     terms: dict = {}
     for _ in range(rng.randint(1, max_terms)):
         m = rng.choice(monos)

@@ -82,7 +82,7 @@ def test_conormal_fold_mu_one():
 
 
 def test_conormal_identity_base():
-    ident = PolyMap.identity(XY)
+    ident = PolyMap.from_exprs(XY, XY)
     mu = P("x*y + x^2")
     (phi,) = conormals(ident, [mu])
     assert phi.head == differential(mu)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from frontals.cli import main
 from frontals.germfile import GermFileError, load_germ_file, parse_germ_file
 from frontals.poly import parse_poly
 
@@ -87,6 +88,21 @@ def test_component_outside_block_rejected():
 def test_duplicate_component_rejected():
     with pytest.raises(GermFileError, match="duplicate"):
         parse_germ_file("vars: x\nmap:\nf1 = x\nf1 = x^2\n")
+
+
+@pytest.mark.parametrize("header", ["map", "mu"])
+def test_repeated_block_header_rejected(header, tmp_path, capsys):
+    # a second header used to append its lines to the first block: a second
+    # map: made the germ 2 -> 3, a second mu: added multipliers silently
+    text = "vars: x y\nmap:\nf1 = x^2\nf2 = y\nmu:\nm1 = 1\n" + f"{header}:\nf3 = x\n"
+    with pytest.raises(GermFileError) as info:
+        parse_germ_file(text)
+    assert str(info.value) == f"duplicate {header}: block (line 7)"
+    path = tmp_path / "twice.germ"
+    path.write_text(text, encoding="utf-8")
+    assert main(["frontal", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: duplicate {header}: block (line 7)\n"
 
 
 def test_parse_error_carries_line_number():

@@ -8,10 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frontals.linalg import SparseSolver, _primitive, jet_solve, order_rows, scaled_form
-from frontals.poly import FIELD_BITS, Poly, _monomial_keys, _unpacker, monomials_up_to, parse_poly
+from frontals.poly import FIELD_BITS, Poly, _monomial_keys, _unpacker, parse_poly
 from frontals.scalars import ExtField, ExtScalar
 
-from helpers import reference_order_rows
+from helpers import monomials, reference_order_rows
 
 XY = ("x", "y")
 
@@ -19,7 +19,7 @@ XY = ("x", "y")
 def test_order_rows_select_degree_k_and_number_columns_by_shift_and_generator():
     g0, g1 = parse_poly("x + y + x^2", XY), parse_poly("x*y", XY)
     # unknown (t, i) multiplies x^(m_t) * g_i and is column 2*t + i, m_t the
-    # monomials of degree < 2 in `monomials_up_to` order: 1, y, x.  Order 2
+    # monomials of degree < 2 in graded-lex order: 1, y, x.  Order 2
     # adds the rows of x^2, x*y and y^2, in the order the columns first
     # reach them: u0*x^2 and u1*x*y, then y*(x + y), then x*(x + y); the
     # degree-1 terms of g0 * 1 and the x^3 of g0 * x belong to other orders
@@ -38,7 +38,7 @@ def test_order_rows_drop_a_shift_beyond_the_order():
 
 def test_order_rows_scale_every_row_by_one_lcm_of_the_denominators():
     gens = [parse_poly("1/2*x + 1/3*y + 1/7*x^2", XY), parse_poly("2/15*x", XY)]
-    shifts = monomials_up_to(XY, 2)
+    shifts = monomials(XY, 2)
     # the rows of the coefficients as Fractions, built from the term tables
     rational: dict = {}
     for t, shift in enumerate(shifts):
@@ -89,7 +89,7 @@ def _generator_lists(draw):
     vs = ("x", "y", "z")[:n]
     field = draw(st.sampled_from((None, ExtField(3))))
     degrees = draw(st.sets(st.integers(0, 6), min_size=1, max_size=3))
-    monos = [m for m in monomials_up_to(vs, max(degrees)) if sum(m) in degrees]
+    monos = [m for m in monomials(vs, max(degrees)) if sum(m) in degrees]
     rational = st.builds(lambda a, neg, d: Fraction(-a if neg else a, d),
                          st.integers(1, 5), st.booleans(), st.integers(1, 4))
     coeff = rational if field is None else st.one_of(

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from frontals.corpus import a_k_front_checks
+from frontals.corpus import a_k_front
 from frontals.local_algebra import MAX_UNKNOWNS, multiplicity
 from frontals.maps import PolyMap, compose, corank_at_zero
 from frontals.poly import Poly, PolyError
@@ -29,7 +29,7 @@ def test_swallowtail_multiplicity():
 
 
 def test_identity_multiplicity():
-    assert multiplicity(PolyMap.identity(XY)).value == 1
+    assert multiplicity(PolyMap.from_exprs(XY, XY)).value == 1
 
 
 def test_four_k_multiplicity_is_three_for_all_k():
@@ -154,12 +154,12 @@ def test_jet_cap_reached_first_has_no_reason():
 def test_unknown_cap_admits_a_7_front():
     # order 8 in the one corank variable builds 2 * C(9, 2) = 72 monomials
     # and unknowns over orders 0..8
-    assert a_k_front_checks(7).multiplicity.value == 8
+    assert multiplicity(a_k_front(7)).value == 8
 
 
 @pytest.mark.parametrize("k", [8, 9])
 def test_unknown_cap_admits_larger_a_k_fronts(k):
     # the cap counts the reduced search, in x1 alone, so the A_k front
     # stabilizes at order k + 1, in k variables
-    result = a_k_front_checks(k).multiplicity
+    result = multiplicity(a_k_front(k))
     assert result.value == k + 1 and result.jet_order == k + 1

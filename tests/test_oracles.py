@@ -20,7 +20,7 @@ from frontals.corpus import a_k_front
 from frontals.linalg import SparseSolver
 from frontals.local_algebra import _codimensions, _reduce_linear_part, multiplicity
 from frontals.maps import PolyMap
-from frontals.poly import Poly, monomials_up_to, parse_poly
+from frontals.poly import Poly, parse_poly
 from frontals.ramification import (
     NOT_MEMBER_MOD_JET,
     gradient_module_membership,
@@ -28,7 +28,7 @@ from frontals.ramification import (
 )
 from frontals.scalars import ExtField
 
-from helpers import VARSETS, random_origin_germ, random_poly
+from helpers import VARSETS, monomials, random_origin_germ, random_poly
 
 
 def _to_sympy(sympy, p: Poly, xs):
@@ -45,7 +45,7 @@ def _quasi_homogeneous_germ(rng: random.Random) -> PolyMap:
     comps = []
     for _ in range(n):
         d = rng.choice([2, 3, 4])
-        monos = [m for m in monomials_up_to(vs, d)
+        monos = [m for m in monomials(vs, d)
                  if sum(w * e for w, e in zip(weights, m)) == d]
         picked = rng.sample(monos, min(len(monos), rng.randint(2, 4)))
         comps.append(Poly(vs, {m: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
@@ -98,7 +98,7 @@ def _feasible(sympy, equations, unknowns) -> bool:
 
 def _gradient_feasible(sympy, psi: Poly, f: PolyMap, k: int) -> bool:
     xs = sympy.symbols(f.source_vars)
-    monos = monomials_up_to(f.source_vars, k)
+    monos = monomials(f.source_vars, k)
     unknowns, a = [], []
     for i in range(f.source_dim):
         coeffs = sympy.symbols(f"a{i}_0:{len(monos)}")
@@ -115,7 +115,7 @@ def _gradient_feasible(sympy, psi: Poly, f: PolyMap, k: int) -> bool:
 
 def _jsq_feasible(sympy, psi: Poly, f: PolyMap, k: int) -> bool:
     xs = sympy.symbols(f.source_vars)
-    monos = monomials_up_to(f.source_vars, k)
+    monos = monomials(f.source_vars, k)
     comps = [_to_sympy(sympy, c, xs) for c in f.components]
     mu = sympy.symbols(f"mu0:{len(monos)}")
     eta = sympy.symbols(f"eta0:{len(monos)}")  # target monomials: same exponents
@@ -162,7 +162,7 @@ def test_membership_matches_a_sympy_linear_solve(decide, oracle):
 
 def _generator_row_codimension(f: PolyMap, k: int) -> int:
     """len(P_k) minus the rank of the rows jet_k(m * f_i), deg(m) <= k."""
-    monos = monomials_up_to(f.source_vars, k)
+    monos = monomials(f.source_vars, k)
     index = {m: i for i, m in enumerate(monos)}
     solver = SparseSolver()
     for comp in f.components:

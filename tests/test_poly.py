@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import math
 import random
@@ -26,12 +25,12 @@ from frontals.poly import (
     PolyError,
     PolyParseError,
     VariableMismatchError,
-    monomials_up_to,
     parse_poly,
     _height,
     _monomial_keys,
     _Parser,
     _tokenize,
+    _unpacker,
     _weights,
     sum_of_products,
 )
@@ -40,6 +39,7 @@ from frontals.scalars import ExtField, ExtScalar, ScalarError
 from helpers import (
     GRAMMAR_STRINGS,
     PARSER_REFERENCE,
+    monomials,
     parse_outcome,
     random_poly,
     reference_scalar_str,
@@ -472,7 +472,7 @@ def printable_polys(draw):
     and coefficients that keep one or several powers of c."""
     k = draw(st.sampled_from([None, 1, 2, 3, 4, 5]))
     vars = draw(st.sampled_from([("x",), XY, ("x", "y", "z")]))
-    table = draw(st.dictionaries(st.sampled_from(monomials_up_to(vars, 3)),
+    table = draw(st.dictionaries(st.sampled_from(monomials(vars, 3)),
                                  coefficients(k), max_size=5))
     scale = draw(st.sampled_from([1, -1, Fraction(-7, 6), Fraction(12, 35)]))
     return Poly(vars, table).scale(scale)
@@ -509,7 +509,7 @@ def test_print_parse_roundtrip_extension():
 
 @st.composite
 def polys(draw, vars=("x", "y", "z"), max_degree=4):
-    monos = monomials_up_to(vars, max_degree)
+    monos = monomials(vars, max_degree)
     table = draw(st.dictionaries(
         st.sampled_from(monos),
         st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
@@ -551,37 +551,32 @@ def test_eval_after_substitute(p):
     assert p.substitute(images).eval(point) == p.eval(image_point)
 
 
-def test_monomials_up_to():
-    monos = monomials_up_to(XY, 2)
-    assert monos == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+def test_monomial_keys_unpack_in_graded_lex_order():
+    unpack = _unpacker(2)
+    assert [unpack(key) for key in _monomial_keys(2, 2)] == [
+        (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
 
 
 def test_monomial_keys_are_the_packed_monomials_up_to_k_in_ascending_order():
     for n in range(5):
         vs = ("x", "y", "z", "w")[:n]
-        for k in range(9):
+        for k in range(-1, 9):
             # every exponent tuple of degree <= k, by degree and then lex
-            reference = sorted((m for m in itertools.product(range(k + 1), repeat=n)
-                                if sum(m) <= k), key=lambda m: (sum(m), m))
+            reference = monomials(vs, k)
             packed = [sum(e * w for e, w in zip(mono, _weights(n))) for mono in reference]
             assert _monomial_keys(n, k) == packed == sorted(packed), (n, k)
-            assert monomials_up_to(vs, k) == reference, (n, k)
-    # no monomial has a negative degree
+            assert tuple(map(_unpacker(n), _monomial_keys(n, k))) == reference, (n, k)
+
+
+def test_monomial_keys_at_their_edges():
+    # no monomial has a negative degree; with no variable, 1 is the only one
     assert _monomial_keys(0, -1) == _monomial_keys(2, -1) == []
-
-
-def test_monomials_up_to_at_its_edges():
-    assert monomials_up_to((), -1) == monomials_up_to(XY, -1) == []
-    assert monomials_up_to((), 0) == [()]
+    assert _monomial_keys(0, 0) == [0]
     # linear in k for one variable
     start = time.perf_counter()
-    line = monomials_up_to(("x",), 20000)
+    line = _monomial_keys(1, 20000)
     assert time.perf_counter() - start < 1
-    assert len(line) == 20001 and line[0] == (0,) and line[-1] == (20000,)
-    # no packed key holds a degree above MAX_DEGREE
-    for vs in ((), ("x",)):
-        with pytest.raises(PolyError, match="MAX_DEGREE"):
-            monomials_up_to(vs, MAX_DEGREE + 1)
+    assert tuple(map(_unpacker(1), line)) == monomials(("x",), 20000)
 
 
 def test_arithmetic_cross_checked_against_sympy():
@@ -660,7 +655,7 @@ def coefficients(k: int | None):
 def kernel_operands(draw):
     """(k for the reference, pairs of polys over one coefficient ring)."""
     k = draw(st.sampled_from([None, 1, 2, 3, 4, -1, -2, -3]))
-    monos = monomials_up_to(KERNEL_VARS, 3)
+    monos = monomials(KERNEL_VARS, 3)
     poly = st.dictionaries(st.sampled_from(monos), coefficients(k), max_size=4).map(
         lambda table: Poly(KERNEL_VARS, table))
     pairs = draw(st.lists(st.tuples(poly, poly), min_size=2, max_size=3))
@@ -766,7 +761,7 @@ def test_kernel_matches_reference(operands):
     assert total.field == (fields.pop() if any(j for _, j in expected) else None)
     zero = (0,) * len(KERNEL_VARS)
     assert ab.constant_term() == from_reference(rab, k).get(zero, 0)
-    for mono in monomials_up_to(KERNEL_VARS, 2):
+    for mono in monomials(KERNEL_VARS, 2):
         assert total.coefficient(mono) == from_reference(expected, k).get(mono, 0)
     assert (ab - ab).is_zero() and ab.is_zero() == (not rab)
     for result, reference in zip(results, references):
@@ -982,7 +977,7 @@ def ordered_pairs(draw):
     """Pairs over one coefficient ring: a one-term factor against five to ten
     terms, or two factors of up to six terms; denominators 1, 2, 3 and 5."""
     k = draw(st.sampled_from([None, 2, 3, 4, -2, -3]))
-    monos = monomials_up_to(KERNEL_VARS, 3)
+    monos = monomials(KERNEL_VARS, 3)
 
     def poly(least, most):
         return st.dictionaries(st.sampled_from(monos), coefficients(k), min_size=least,

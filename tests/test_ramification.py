@@ -9,19 +9,18 @@ import pytest
 from frontals import linalg
 from frontals.linalg import SparseSolver
 from frontals.maps import PolyMap, differential, jacobian_det, jacobian_matrix
-from frontals.poly import Poly, VariableMismatchError, _unpacker, monomials_up_to, parse_poly
+from frontals.poly import Poly, VariableMismatchError, _unpacker, parse_poly
 from frontals.ramification import (
     NOT_MEMBER_MOD_JET,
     UNDECIDED,
     GradientCertificate,
     PullbackCertificate,
-    check_generator_list,
     gradient_module_membership,
     jsq_plus_pullback_membership,
 )
 from frontals.scalars import ExtField
 
-from helpers import VARSETS, random_origin_germ, random_poly
+from helpers import VARSETS, monomials, random_origin_germ, random_poly
 
 X = ("x",)
 XL = ("x", "lam")
@@ -180,15 +179,14 @@ def test_verify_identity_negative():
     assert PA("x^2") != PA("x^3")
 
 
-# -- generator lists ---------------------------------------------------------------
+# -- generators, both tests each ---------------------------------------------------
 
 
 def test_univariate_delta3_generators():
-    report = check_generator_list(THIRD_CUBE, [P("x^4"), P("x^5")], 6)
-    assert report.all_member
-    for check in report.checks:
-        assert check.gradient.certificate.recheck()
-        assert check.jsq_plus_pullback.certificate.recheck()
+    for g in (P("x^4"), P("x^5")):
+        for verdict in (gradient_module_membership(g, THIRD_CUBE, 6),
+                        jsq_plus_pullback_membership(g, THIRD_CUBE, 6)):
+            assert verdict.is_member and verdict.certificate.recheck()
 
 
 def test_a_generator_in_one_module_only_is_not_both_member():
@@ -196,18 +194,9 @@ def test_a_generator_in_one_module_only_is_not_both_member():
     # (x^2/2) * d(f_1)/dy at order 5, but not in <|Jf|^2> + f^*(E_2)
     xy = ("x", "y")
     f = PolyMap.from_exprs(["1/4*x^4 + x*y", "y"], xy)
-    report = check_generator_list(f, [parse_poly("1/5*x^5 + 1/2*x^2*y", xy)], 5)
-    (check,) = report.checks
-    assert check.gradient.is_member
-    assert check.jsq_plus_pullback.status == NOT_MEMBER_MOD_JET
-    assert not check.both_member
-    assert not report.all_member
-
-
-def test_empty_generator_list_is_vacuous():
-    report = check_generator_list(PolyMap.identity(("x",)), [], 2)
-    assert report.all_member
-    assert report.checks == ()
+    psi = parse_poly("1/5*x^5 + 1/2*x^2*y", xy)
+    assert gradient_module_membership(psi, f, 5).is_member
+    assert jsq_plus_pullback_membership(psi, f, 5).status == NOT_MEMBER_MOD_JET
 
 
 def test_unfolding_delta3_generators_both_ways():
@@ -215,8 +204,9 @@ def test_unfolding_delta3_generators_both_ways():
         parse_poly("1/4*x^4 + 1/2*lam*x^2", XL),
         parse_poly("1/5*x^5 + 1/3*lam*x^3", XL),
     ]
-    report = check_generator_list(UNFOLD3, gens, 6)
-    assert report.all_member
+    for g in gens:
+        assert gradient_module_membership(g, UNFOLD3, 6).is_member
+        assert jsq_plus_pullback_membership(g, UNFOLD3, 6).is_member
 
 
 def test_univariate_jacobian_squared_orders():
@@ -305,7 +295,7 @@ def _eager_solve(k, monos, rhs, unknowns):
 
 
 def _gradient_reference(psi, f, k):
-    monos = monomials_up_to(f.source_vars, k)
+    monos = monomials(f.source_vars, k)
     grads = [tuple(e.jet(k) for e in row) for row in jacobian_matrix(f).rows]
     unknowns = [(m, grad) for grad in grads for m in monos]
     return monos, [d.jet(k) for d in differential(psi)], unknowns
@@ -313,7 +303,7 @@ def _gradient_reference(psi, f, k):
 
 def _jsq_reference(psi, f, k):
     vs = f.source_vars
-    monos = monomials_up_to(vs, k)
+    monos = monomials(vs, k)
     jsq = (jacobian_det(f) ** 2).jet(k)
     comps = [comp.jet(k) for comp in f.components]
     unknowns = [(m, (jsq,)) for m in monos]

@@ -138,8 +138,6 @@ def cmd_jacobian(args) -> tuple[_Report, int]:
 
 def cmd_frontal(args) -> tuple[_Report, int]:
     gf = load_germ_file(args.file)
-    if not gf.multipliers:
-        raise GermFileError("frontal construction needs a mu: block")
     report = _Report("frontal")
     _germ_summary(report, gf)
     package = build_certified(gf.germ, gf.multipliers)

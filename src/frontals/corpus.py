@@ -6,7 +6,10 @@ entry certifies the constructed frontal, composes the chain exactly as
 recorded, and compares with the claim.  Entries never patch a recorded
 transform silently: where the literal chain does not compose to the stated
 result, a corrected transform is stored alongside with a note, and the
-report shows both outcomes and the exact residual.
+report shows both outcomes and the exact residual.  That every recorded
+transform is a diffeomorphism germ fixing the origin, and every claimed form
+fixes it, is a fact about this built-in data: the tests check it, a run
+does not.
 
 Known corrections (confirmed here by running both variants):
 
@@ -25,8 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .frontal import FrontalPackage, build_certified
-from .maps import PolyMap, compose, corank_at_zero
-from .poly import Poly, PolyError, parse_poly
+from .maps import PolyMap, compose
+from .poly import Poly, parse_poly
 from .scalars import ExtField
 
 SOURCE = "source"
@@ -56,7 +59,6 @@ class CorpusEntry:
     chain: tuple[ChainStep, ...]
     claimed: PolyMap
     corrections: tuple[Correction, ...] = ()
-    ext_field: ExtField | None = None
 
 
 @dataclass
@@ -293,15 +295,11 @@ def four_k_entry(k: int, sign: str) -> CorpusEntry:
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     ext = ExtField(k)
-    c = ext.generator
     s = "+" if sign == "+" else "-"
     base = _pmap([f"1/3*x^3 {s} x*y^{k}", "y"], _XY)
-    x_of = Poly.variable(_XY, "x")
-    y_of = Poly.variable(_XY, "y")
-    X, Y, Z = (Poly.variable(_XYZ, v) for v in _XYZ)
     # h1 scales y by 6^(-1/k) = c^(k-1)/6; H3 scales Y by 6^(1/k)/6 = c/6
-    h1 = PolyMap((x_of, y_of.scale(c ** (k - 1) / 6)))
-    H3 = PolyMap((X, Y.scale(c / 6), Z))
+    h1 = _pmap(["x", f"1/6*c^{k - 1}*y"], _XY, ext)
+    H3 = _pmap(["X", "1/6*c*Y", "Z"], _XYZ, ext)
     return CorpusEntry(
         name="four_k",
         parameters={"k": k, "sign": sign},
@@ -315,7 +313,6 @@ def four_k_entry(k: int, sign: str) -> CorpusEntry:
         ),
         claimed=_pmap(
             [f"2*x^3 {s} x*y^{k}", "y", f"3*x^4 {s} x^2*y^{k}"], _XY),
-        ext_field=ext,
     )
 
 
@@ -379,18 +376,9 @@ def _outcome(result: PolyMap, claimed: PolyMap) -> CompositionOutcome:
 
 
 def run_entry(name: str, **parameters) -> EntryReport:
-    """Certify the entry's frontal, compose its chain, compare with the claim."""
+    """Certify the entry's frontal, compose its chain, compare with the claim.
+    The built-in transforms themselves are checked by the tests, not here."""
     entry = get_entry(name, **parameters)
-    for step in entry.chain:
-        if corank_at_zero(step.transform):
-            raise PolyError(
-                f"{entry.name}: transform {step.name} is not a diffeomorphism germ"
-                " (singular linear part at 0)")
-        if not step.transform.is_origin_preserving:
-            raise PolyError(f"{entry.name}: transform {step.name} does not fix the origin")
-    if not entry.claimed.is_origin_preserving:
-        raise PolyError(f"{entry.name}: claimed normal form does not fix the origin")
-
     package = build_certified(entry.base, entry.multipliers)
     literal = _outcome(compose_chain(package.frontal_map, entry.chain), entry.claimed)
     corrected = None

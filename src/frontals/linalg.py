@@ -38,7 +38,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .poly import FIELD_BITS, Poly, _by_monomial, _monomial_keys
+from .poly import FIELD_BITS, Poly, _by_monomial, _level, _monomial_keys
 from .scalars import ExtField, ExtScalar, Scalar
 
 # an element of Z[c]: an int, or an ExtScalar over 1 where a power of c is left
@@ -248,18 +248,14 @@ def order_rows(k: int, gens: Sequence[Poly]) -> list[dict[int, Entry]]:
     shifts = _monomial_keys(n, last)
     rows: dict[int, dict[int, Entry]] = {}
     width = len(gens)
-    # the index of the first monomial of degree d is C(n + d - 1, n)
-    start = math.comb(n + first - 1, n) if first else 0
     for d in range(first, last + 1):
-        end = math.comb(n + d, n)
         reach = [(i, part[k - d]) for i, part in enumerate(parts) if k - d in part]
-        for t in range(start, end):
+        for t in _level(n, d):
             at = shifts[t]
             for i, terms in reach:
                 column = width * t + i
                 for key, num in terms:
                     rows.setdefault(at + key, {})[column] = num
-        start = end
     return list(rows.values())
 
 

@@ -924,3 +924,11 @@ def _monomial_keys(n: int, k: int) -> list[int]:
                      for d in range(k + 1)]
     dshift = n * FIELD_BITS
     return [(d << dshift) + rest for d, level in enumerate(by_degree) for rest in level]
+
+
+def _level(n: int, d: int) -> range:
+    """The indices of the monomials of degree d in `_monomial_keys` order
+    of n variables (empty for d < 0)."""
+    if d < 0:
+        return range(0)
+    return range(math.comb(n + d - 1, n), math.comb(n + d, n))

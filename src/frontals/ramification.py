@@ -41,8 +41,8 @@ from typing import Callable, Sequence, Union
 
 from .linalg import jet_solve, scaled_form
 from .maps import PolyMap, differential, jacobian_det, jacobian_matrix
-from .poly import (FIELD_BITS, Poly, PolyError, VariableMismatchError, _monomial_keys,
-                   _unpacker, _weights, sum_of_products)
+from .poly import (FIELD_BITS, Poly, PolyError, VariableMismatchError, _level,
+                   _monomial_keys, _unpacker, _weights, sum_of_products)
 from .scalars import Scalar
 
 MEMBER = "MEMBER"
@@ -152,14 +152,6 @@ def _decide(k: int, unknown_count: int,
     if not cert.recheck():
         raise AssertionError("solver produced a witness that fails its recheck")
     return MembershipVerdict(status=MEMBER, jet_order=k, certificate=cert)
-
-
-def _level(n: int, d: int) -> range:
-    """The indices of the monomials of degree d in `_monomial_keys` order
-    of n variables (empty for d < 0)."""
-    if d < 0:
-        return range(0)
-    return range(comb(n + d - 1, n), comb(n + d, n))
 
 
 def _block(values: dict[int, Scalar], offset: int,

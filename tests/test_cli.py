@@ -103,6 +103,15 @@ def test_frontal_degenerate_multiplier(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("mu", ["", "mu:\n"])
+def test_frontal_without_multipliers_exit_2(mu, tmp_path, capsys):
+    # a missing mu: block and an empty one are refused alike
+    germ = tmp_path / "no_mu.germ"
+    germ.write_text(f"vars: x y\nmap:\nf1 = x^2\nf2 = y\n{mu}", encoding="utf-8")
+    message = _assert_input_error(capsys, "frontal", germ)
+    assert message == "error: at least one multiplier is required"
+
+
 def test_frontal_swallowtail(capsys):
     code, out = run_cli(capsys, "frontal", GERMS / "swallowtail.germ")
     assert code == 0

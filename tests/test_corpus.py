@@ -14,11 +14,13 @@ from frontals.corpus import (
 )
 from frontals.local_algebra import multiplicity
 from frontals.maps import PolyMap, corank_at_zero, jacobian_det
-from frontals.poly import parse_poly
+from frontals.poly import Poly, parse_poly
+from frontals.scalars import MAX_EXT_ORDER, ExtField
 
 from helpers import a_k_axis_jacobian
 
 XY = ("x", "y")
+XYZ = ("X", "Y", "Z")
 
 
 def test_every_entry_is_certified_before_composition():
@@ -28,13 +30,30 @@ def test_every_entry_is_certified_before_composition():
 
 
 def test_every_transform_is_a_diffeomorphism_witness():
+    # run_entry trusts its built-in data: every chain step and correction is a
+    # diffeomorphism germ fixing the origin, and every claimed form fixes it
     entries = [get_entry(name) for name in FIXED_ENTRY_NAMES]
-    entries.append(four_k_entry(2, "-"))
+    for k in range(2, MAX_EXT_ORDER + 1):
+        entries += [four_k_entry(k, "+"), four_k_entry(k, "-")]
     for entry in entries:
-        for step in entry.chain:
-            assert step.transform.is_origin_preserving, (entry.name, step.name)
-            assert corank_at_zero(step.transform) == 0, (entry.name, step.name)
-        assert entry.claimed.is_origin_preserving
+        label = (entry.name, tuple(entry.parameters.values()))
+        steps = [(s.name, s.transform) for s in entry.chain]
+        steps += [(c.step_name, c.transform) for c in entry.corrections]
+        for name, transform in steps:
+            assert transform.is_origin_preserving, (label, name)
+            assert corank_at_zero(transform) == 0, (label, name)
+        assert entry.claimed.is_origin_preserving, label
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_four_k_scalings_are_the_generator_powers(sign):
+    X, Y, Z = (Poly.variable(XYZ, v) for v in XYZ)
+    x, y = (Poly.variable(XY, v) for v in XY)
+    for k in range(2, MAX_EXT_ORDER + 1):
+        c = ExtField(k).generator
+        steps = {s.name: s.transform for s in four_k_entry(k, sign).chain}
+        assert steps["h1"] == PolyMap((x, y.scale(c ** (k - 1) / 6))), k
+        assert steps["H3"] == PolyMap((X, Y.scale(c / 6), Z)), k
 
 
 def test_fold_needs_the_sign_correction():

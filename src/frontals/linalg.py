@@ -6,8 +6,9 @@ ramification modules, built by `order_rows` and `jet_solve`.  Rows are dicts
 keyed by integer column indices; column order is the integer order, which
 callers fix deterministically, so elimination and the extracted solutions
 are reproducible.  Every row is eliminated fraction-free over Z[c], c the
-generator of Q(6^(1/k)), with no reciprocal; Fractions and ExtScalar
-quotients appear only in the values of `SparseSolver.solve()`.
+generator of Q(6^(1/k)), with no reciprocal, through `SparseSolver.add_row`;
+a row of scalars is brought into Z[c] by `scaled_row`.  Fractions and
+ExtScalar quotients appear only in the values of `SparseSolver.solve()`.
 
 The jet systems are rows over Z[c] by construction, keyed by the packed
 monomial keys of `frontals.poly`: `scaled_form` gives each polynomial as
@@ -20,16 +21,15 @@ system of `frontals.local_algebra`, those at the monomials of degree k.
 Every row is scaled by one L, the lcm of the generators' denominators, so
 that the rows of all orders share one solver.
 
-`jet_solve` scales each column by the lcm of its own denominators, hands
-its rows to the elimination loop of `SparseSolver` without the input pass
-of `add_row`, and builds its system one degree at a time.  Its unknowns
-arrive in nondecreasing order of a lower bound on the degree of their
-terms, and each is placed when the equations reach its bound: the
-equations of degree d involve only unknowns of bound <= d.  The
-equations enter in the order of the whole order-k system, so a solve that
-stops at an inconsistent equation of degree d makes the same solver calls
-and proves the same: the equations entered are rows of the whole system,
-which has no solution then.
+`jet_solve` scales each column by the lcm of its own denominators and
+builds its system one degree at a time.  Its unknowns arrive in
+nondecreasing order of a lower bound on the degree of their terms, and
+each is placed when the equations reach its bound: the equations of
+degree d involve only unknowns of bound <= d.  The equations enter in the
+order of the whole order-k system, so a solve that stops at an
+inconsistent equation of degree d makes the same solver calls and proves
+the same: the equations entered are rows of the whole system, which has
+no solution then.
 """
 
 from __future__ import annotations
@@ -56,20 +56,19 @@ class SparseSolver:
 
     Each inserted row is reduced against the stored pivot rows (pivot = its
     smallest column index); a row that vanishes against a nonzero right-hand
-    side marks the system inconsistent.  Entries and right-hand sides are
-    ints, Fractions or ExtScalars; a float raises TypeError.
+    side marks the system inconsistent.  Rows and right-hand sides are over
+    Z[c], c the generator of Q(6^(1/k)): their entries are Entries, and a
+    row of scalars is brought there by `scaled_row`.
 
-    Elimination is fraction-free over Z[c], c the generator of Q(6^(1/k)),
-    and takes no reciprocal.  A row and its right-hand side are scaled by the
-    lcm of all their denominators, so that each entry is an Entry.  A row
-    with entry a in the column of a pivot row with leading entry p is
-    reduced to p*row - a*pivot.  A new pivot row is stored primitive: the
-    gcd of its integers (ints and the numerators of ExtScalars, right-hand
-    side included) is divided out, and an int leading entry is made
-    positive.  Scaling a row never moves its smallest column, and the
-    solution with every free column at zero is unique, so the pivot set and
-    the values of `solve()` are those of plain Gaussian elimination.
-    `solve()` divides by a leading entry only where it produces a value.
+    Elimination is fraction-free and takes no reciprocal.  A row with entry
+    a in the column of a pivot row with leading entry p is reduced to
+    p*row - a*pivot.  A new pivot row is stored primitive: the gcd of its
+    integers (ints and the numerators of ExtScalars, right-hand side
+    included) is divided out, and an int leading entry is made positive.
+    Scaling a row never moves its smallest column, and the solution with
+    every free column at zero is unique, so the pivot set and the values of
+    `solve()` are those of plain Gaussian elimination.  `solve()` divides
+    by a leading entry only where it produces a value.
     """
 
     def __init__(self) -> None:
@@ -81,32 +80,29 @@ class SparseSolver:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def add_row(self, row: Mapping[int, Scalar], rhs: Scalar = 0) -> None:
-        self._eliminate(*_in_z_c(row, rhs))
-
-    def _eliminate(self, work: dict[int, Entry], rhs: Entry) -> None:
+    def add_row(self, row: dict[int, Entry], rhs: Entry = 0) -> None:
         """Reduce a row of Entries, none of them zero, which the solver then
         owns; store it as a pivot row or mark the system inconsistent."""
         pivots = self.pivots
-        while work:
-            lead = min(work)
+        while row:
+            lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
-                pivots[lead] = _primitive(lead, work, rhs)
+                pivots[lead] = _primitive(lead, row, rhs)
                 return
             prow, prhs, p = pivot
-            factor = work.pop(lead)
+            factor = row.pop(lead)
             if p != 1:
-                for c in work:
-                    work[c] *= p
+                for c in row:
+                    row[c] *= p
                 rhs = p * rhs
             for c, v in prow.items():
-                prev = work.get(c)
+                prev = row.get(c)
                 nv = -(factor * v) if prev is None else prev - factor * v
                 if nv:
-                    work[c] = nv
+                    row[c] = nv
                 else:
-                    del work[c]
+                    del row[c]
             rhs = rhs - factor * prhs
         if rhs:
             self.inconsistent = True
@@ -133,9 +129,10 @@ _INT = frozenset((int,))
 _SCALARS = frozenset((int, Fraction, ExtScalar))
 
 
-def _in_z_c(row: Mapping[int, Scalar], rhs: Scalar) -> tuple[dict[int, Entry], Entry]:
+def scaled_row(row: Mapping[int, Scalar], rhs: Scalar = 0) -> tuple[dict[int, Entry], Entry]:
     """A row of scalars without its zero entries, and its rhs, times the lcm
-    of their denominators."""
+    of their denominators: the arguments of `SparseSolver.add_row`.  Entries
+    are ints, Fractions and ExtScalars; a float raises TypeError."""
     work = {c: v for c, v in row.items() if v}
     kinds = set(map(type, work.values()))
     kinds.add(type(rhs))
@@ -143,7 +140,7 @@ def _in_z_c(row: Mapping[int, Scalar], rhs: Scalar) -> tuple[dict[int, Entry], E
         return work, rhs
     if not kinds <= _SCALARS:
         bad = ", ".join(sorted(k.__name__ for k in kinds - _SCALARS))
-        raise TypeError(f"SparseSolver takes ints, Fractions and ExtScalars, not {bad}")
+        raise TypeError(f"scaled_row takes ints, Fractions and ExtScalars, not {bad}")
     den = math.lcm(*(v.den if type(v) is ExtScalar else v.denominator
                      for v in (rhs, *work.values())))
     return {c: _times(v, den) for c, v in work.items()}, _times(rhs, den)
@@ -196,9 +193,10 @@ def _primitive(lead: int, work: dict[int, Entry], rhs: Entry
 
 
 def scalar_rank(rows: Sequence[Sequence[Scalar]]) -> int:
+    """The rank of rows of scalars, each brought into Z[c] by `scaled_row`."""
     solver = SparseSolver()
     for row in rows:
-        solver.add_row({j: v for j, v in enumerate(row)})
+        solver.add_row(*scaled_row(dict(enumerate(row))))
     return solver.rank
 
 
@@ -334,7 +332,7 @@ def jet_solve(k: int, keys: Sequence[int], rhs: Sequence[Poly],
             if row is None and not value:
                 # 0 = 0 adds nothing
                 continue
-            solver._eliminate(row or {}, value)
+            solver.add_row(row or {}, value)
             if solver.inconsistent:
                 return None
     values = solver.solve()

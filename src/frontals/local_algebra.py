@@ -118,14 +118,16 @@ def _codimensions(f: PolyMap, reduction: tuple[list[int], list[Poly], list[Poly]
     free = tuple(v for j, v in enumerate(vs) if j not in pivots)
     zero = Poly.zero(free)
     # x_(p_j) = psi_j on the zero set of h_j; psi_j = 0 when h_j is x_(p_j)
-    # itself, and its substitution then forms nothing
+    # itself, and when every psi_j is, so is every phi at every order
     psis = [Poly.variable(vs, vs[p]) - h for p, h in zip(pivots, heads)]
     # x_p -> phi (0 at order 0), x_free -> x_free
     images = [zero if j in pivots else Poly.variable(free, v) for j, v in enumerate(vs)]
-    gs = others
+    lifts = others and any(not psi.is_zero() for psi in psis)
+    # order k reads the terms of degree <= k: without lifts, one substitution serves all
+    gs = [g.substitute(images) for g in others] if pivots and not lifts else others
     solver = SparseSolver()
     for k in count():
-        if k and pivots and others:
+        if k and lifts:
             phi = [psi.substitute(images, jet=k) for psi in psis]
             for p, image in zip(pivots, phi):
                 images[p] = image

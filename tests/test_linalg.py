@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frontals.linalg import SparseSolver, _primitive, jet_solve, order_rows, scaled_form
+from frontals.linalg import (SparseSolver, _primitive, jet_solve, order_rows, scalar_rank,
+                             scaled_form, scaled_row)
 from frontals.poly import FIELD_BITS, Poly, _monomial_keys, _unpacker, parse_poly
 from frontals.scalars import ExtField, ExtScalar
 
@@ -55,7 +56,7 @@ def test_order_rows_scale_every_row_by_one_lcm_of_the_denominators():
         assert all(type(v) is int for row in rows for v in row.values())
         for solver, system in zip(solvers, (rows, expected)):
             for row in system:
-                solver.add_row(row)
+                solver.add_row(*scaled_row(row))
     # one solver over all orders has the rank of the rational rows
     ncols = 2 * len(shifts)
     kept = [(row, 0) for mono, row in rational.items() if sum(mono) <= 3]
@@ -152,9 +153,9 @@ def test_primitive_form_of_a_one_entry_row():
     # a row with more entries keeps them, with a zero right-hand side too
     assert _primitive(1, {1: -2, 4: 6}, 0) == ({4: -3}, 0, 1)
     solver = SparseSolver()
-    solver.add_row({0: 5}, 3)
-    solver.add_row({1: Fraction(-2, 3)}, 0)
-    solver.add_row({0: 2, 1: 7, 2: 4}, 2)
+    solver.add_row(*scaled_row({0: 5}, 3))
+    solver.add_row(*scaled_row({1: Fraction(-2, 3)}, 0))
+    solver.add_row(*scaled_row({0: 2, 1: 7, 2: 4}, 2))
     assert solver.solve() == {0: Fraction(3, 5), 2: Fraction(1, 5)}
 
 
@@ -207,26 +208,30 @@ def _dot(row, x):
 
 def test_int_rows_solve_to_fractions():
     solver = SparseSolver()
-    solver.add_row({0: 2, 1: 1}, 1)
-    solver.add_row({0: 1, 1: 3}, 2)
+    solver.add_row(*scaled_row({0: 2, 1: 1}, 1))
+    solver.add_row(*scaled_row({0: 1, 1: 3}, 2))
     x = solver.solve()
     assert x == {0: Fraction(1, 5), 1: Fraction(3, 5)}
     assert all(type(v) is Fraction for v in x.values())
     # an int right-hand side alone is exact too
     solver = SparseSolver()
-    solver.add_row({0: Fraction(2)}, 3)
+    solver.add_row(*scaled_row({0: Fraction(2)}, 3))
     assert solver.solve() == {0: Fraction(3, 2)}
     assert type(solver.solve()[0]) is Fraction
 
 
 def test_float_entries_are_refused():
     with pytest.raises(TypeError, match="float"):
-        SparseSolver().add_row({0: 1, 1: 0.5})
+        scaled_row({0: 1, 1: 0.5})
     with pytest.raises(TypeError, match="float"):
-        SparseSolver().add_row({0: Fraction(1)}, 0.5)
+        scalar_rank([[1, 0.5]])
+    with pytest.raises(TypeError, match="float"):
+        scaled_row({0: Fraction(1)}, 0.5)
     c = ExtField(2).generator
     with pytest.raises(TypeError, match="float"):
-        SparseSolver().add_row({0: c, 1: 2.0})
+        scaled_row({0: c, 1: 2.0})
+    with pytest.raises(TypeError, match="float"):
+        scalar_rank([[c, 2.0]])
 
 
 def test_mixed_rational_and_extension_rows_in_either_order():
@@ -248,15 +253,15 @@ def test_mixed_rational_and_extension_rows_in_either_order():
     for order in (rows, rows[::-1]):
         solver = SparseSolver()
         for row, rhs in order:
-            solver.add_row(row, rhs)
-        solver.add_row(combo, combo_rhs)
+            solver.add_row(*scaled_row(row, rhs))
+        solver.add_row(*scaled_row(combo, combo_rhs))
         assert solver.rank == 4 and not solver.inconsistent
         x = solver.solve()
         assert 4 not in x  # the free column is set to zero
         for row, rhs in rows + [(combo, combo_rhs)]:
             assert _dot(row, x) == rhs
         solutions.append(x)
-        solver.add_row(combo, combo_rhs + 1)
+        solver.add_row(*scaled_row(combo, combo_rhs + 1))
         assert solver.inconsistent and solver.rank == 4
     assert solutions[0] == solutions[1]
 
@@ -345,7 +350,7 @@ def test_sparse_solver_matches_dense_gauss_jordan(system):
     field, ncols, rows = system
     solver = SparseSolver()
     for row, rhs in rows:
-        solver.add_row(row, rhs)
+        solver.add_row(*scaled_row(row, rhs))
     rank, inconsistent, solution = _dense_reference(rows, ncols, field)
     assert solver.rank == rank
     assert solver.inconsistent == inconsistent

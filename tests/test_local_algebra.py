@@ -7,9 +7,9 @@ from math import comb
 import pytest
 
 from frontals.corpus import a_k_front
-from frontals.local_algebra import MAX_UNKNOWNS, multiplicity
+from frontals.local_algebra import MAX_UNKNOWNS, _reduce_linear_part, multiplicity
 from frontals.maps import PolyMap, compose, corank_at_zero
-from frontals.poly import Poly, PolyError
+from frontals.poly import Poly, PolyError, parse_poly
 
 from helpers import random_linear_iso, random_origin_germ
 
@@ -163,3 +163,33 @@ def test_unknown_cap_admits_larger_a_k_fronts(k):
     # stabilizes at order k + 1, in k variables
     result = multiplicity(a_k_front(k))
     assert result.value == k + 1 and result.jet_order == k + 1
+
+
+def test_a_reduction_that_scales_clears_and_lifts():
+    # Jf(0) has rows (2, 0) and (1, 0): the pivot row is scaled by 1/2, the
+    # other row loses it, and psi = x - h keeps the pivot variable x
+    f = PolyMap.from_exprs(["2*x + 2*x^2 + 2*y^2", "x + x^2 + y^2 + x*y + y^3"], XY)
+    pivots, heads, others = _reduce_linear_part(f)
+    assert pivots == [0]
+    assert heads == [parse_poly("x + x^2 + y^2", XY)]
+    assert others == [parse_poly("x*y + y^3", XY)]
+    result = multiplicity(f)
+    assert result.value == 5
+    assert result.dimension_sequence == (1, 2, 3, 4, 5, 5)
+
+
+def test_zero_pivot_images_substitute_each_component_once(monkeypatch):
+    # the A_k front's pivot components x_2, ..., x_k are their own
+    # variables, so x_p = 0 at every order and each other component is
+    # substituted once for the whole search
+    calls = []
+    substitute = Poly.substitute
+
+    def counted(p, images, jet=None):
+        calls.append(p)
+        return substitute(p, images, jet)
+
+    monkeypatch.setattr(Poly, "substitute", counted)
+    f = a_k_front(6)
+    assert multiplicity(f).value == 7
+    assert calls == [f.components[0]]

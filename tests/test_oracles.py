@@ -17,7 +17,7 @@ from math import prod
 import pytest
 
 from frontals.corpus import a_k_front
-from frontals.linalg import SparseSolver
+from frontals.linalg import SparseSolver, scaled_row
 from frontals.local_algebra import _codimensions, _reduce_linear_part, multiplicity
 from frontals.maps import PolyMap
 from frontals.poly import Poly, parse_poly
@@ -174,7 +174,7 @@ def _generator_row_codimension(f: PolyMap, k: int) -> int:
                 if sum(shifted) <= k:
                     row[index[shifted]] = row.get(index[shifted], 0) + coeff
             if row:
-                solver.add_row(row)
+                solver.add_row(*scaled_row(row))
     return len(monos) - solver.rank
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from frontals import linalg
-from frontals.linalg import SparseSolver
+from frontals.linalg import SparseSolver, scaled_row
 from frontals.maps import PolyMap, differential, jacobian_det, jacobian_matrix
 from frontals.poly import Poly, VariableMismatchError, _unpacker, parse_poly
 from frontals.ramification import (
@@ -288,7 +288,7 @@ def _eager_solve(k, monos, rhs, unknowns):
     solver = SparseSolver()
     for b, target in enumerate(rhs):
         for mono in monos:
-            solver.add_row(rows.get((b, mono), {}), target.coefficient(mono))
+            solver.add_row(*scaled_row(rows.get((b, mono), {}), target.coefficient(mono)))
             if solver.inconsistent:
                 return None, sum(mono)
     return solver.solve(), None
@@ -421,6 +421,38 @@ def test_streamed_systems_match_an_eager_reference(monkeypatch, decide, referenc
     for psi, f in _streamed_cases(k):
         obstructions.add(_compare_with_reference(monkeypatch, decide, reference, psi, f, k))
     assert obstructions >= set(range(first, k + 1)) | {None}, obstructions
+
+
+def _rows_entered(monkeypatch, run):
+    """For each row that run() enters through `SparseSolver.add_row` into the
+    first solver it fills, whether it is an equation other than 0 = 0; the
+    later solvers are those of the inverses of extension leads that
+    `solve()` divides by."""
+    calls: list = []
+    add_row = SparseSolver.add_row
+
+    def counted(solver, row, rhs=0):
+        calls.append((solver, bool(row) or bool(rhs)))
+        return add_row(solver, row, rhs)
+
+    monkeypatch.setattr(SparseSolver, "add_row", counted)
+    run()
+    monkeypatch.undo()
+    return [nonzero for solver, nonzero in calls if solver is calls[0][0]]
+
+
+@pytest.mark.parametrize("decide, reference", [
+    (gradient_module_membership, _gradient_reference),
+    (jsq_plus_pullback_membership, _jsq_reference),
+])
+def test_streamed_systems_enter_every_equation_through_add_row(monkeypatch, decide, reference):
+    # one call for each equation the eager reference enters, up to the same
+    # stop, that is not 0 = 0
+    k = 4
+    for psi, f in _streamed_cases(k):
+        streamed = _rows_entered(monkeypatch, lambda: decide(psi, f, k))
+        eager = _rows_entered(monkeypatch, lambda: _eager_solve(k, *reference(psi, f, k)))
+        assert len(streamed) == sum(eager), (psi, f)
 
 
 def test_a_low_obstruction_stops_the_system_early(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frontals.linalg import SparseSolver
+from frontals.linalg import SparseSolver, scaled_row
 from frontals.poly import parse_poly
 from frontals.scalars import ExtField, ExtScalar, ScalarError
 
@@ -224,13 +224,13 @@ def test_sparse_solver_over_extension_rows(k, qs):
     rows = [r1, r2, r3]
     solver = SparseSolver()
     for row in rows:
-        solver.add_row(row, _dot(row, x0))
+        solver.add_row(*scaled_row(row, _dot(row, x0)))
     assert solver.rank == 2 and not solver.inconsistent
     x = solver.solve()
     assert 2 not in x  # the free column is set to zero
     for row in rows:
         assert _dot(row, x) == _dot(row, x0)
-    solver.add_row(r3, _dot(r3, x0) + c)
+    solver.add_row(*scaled_row(r3, _dot(r3, x0) + c))
     assert solver.inconsistent and solver.rank == 2
     with pytest.raises(ValueError):
         solver.solve()

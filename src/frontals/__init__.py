@@ -24,7 +24,6 @@ from .maps import (
     PolyMatrix,
     adjugate,
     compose,
-    corank_at_zero,
     differential,
     jacobian_adjugate,
     jacobian_det,
@@ -49,7 +48,7 @@ from .ramification import (
 )
 from . import corpus
 from .germfile import GermFile, GermFileError, load_germ_file, parse_germ_file
-from .mesh import build_obj, decimal12, frontal_surface
+from .mesh import build_obj, frontal_surface
 
 __version__ = "0.1.0"
 
@@ -58,7 +57,7 @@ __all__ = [
     "Poly", "PolyError", "PolyParseError", "VariableMismatchError",
     "parse_poly", "sum_of_products",
     "Covector", "PolyMap", "PolyMatrix", "adjugate", "compose",
-    "corank_at_zero", "differential", "jacobian_adjugate", "jacobian_det",
+    "differential", "jacobian_adjugate", "jacobian_det",
     "jacobian_matrix",
     "CertifyReport", "Conormal", "FrontalPackage", "build_certified",
     "build_frontal", "certify_frontal", "conormals",
@@ -67,5 +66,5 @@ __all__ = [
     "gradient_module_membership", "jsq_plus_pullback_membership",
     "corpus",
     "GermFile", "GermFileError", "load_germ_file", "parse_germ_file",
-    "build_obj", "decimal12", "frontal_surface",
+    "build_obj", "frontal_surface",
 ]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -413,7 +414,15 @@ def main(argv=None) -> int:
         print(f"error: {message}", file=sys.stderr)
         return EXIT_INPUT
     timing_ms = int((time.perf_counter() - start) * 1000)
-    print(report.render(args.format, timing_ms))
+    try:
+        print(report.render(args.format, timing_ms))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes to devnull,
+        # so the flush at interpreter exit fails quietly too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import linalg
 from .poly import Poly, PolyError, VariableMismatchError, _weights, parse_poly, sum_of_products
 from .scalars import ExtField, Scalar
 
@@ -62,9 +61,6 @@ class PolyMap:
     @property
     def is_origin_preserving(self) -> bool:
         return not any(c.constant_term() for c in self.components)
-
-    def eval(self, point: Sequence) -> tuple[Scalar, ...]:
-        return tuple(c.eval(point) for c in self.components)
 
     def is_rational(self) -> bool:
         return all(c.is_rational() for c in self.components)
@@ -113,9 +109,6 @@ class PolyMatrix:
             raise PolyError(f"determinant of a non-square {self.shape} matrix")
         full = tuple(range(r))
         return _minors(self.rows, self.vars)(full, full)
-
-    def __str__(self) -> str:
-        return "\n".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.rows)
 
 
 def _minors(rows: tuple[tuple[Poly, ...], ...], vars: tuple[str, ...]):
@@ -219,9 +212,3 @@ def _jacobian_at_zero(f: PolyMap) -> list[list[Scalar]]:
     keys = _weights(f.source_dim)
     return [[comp._coefficient(key) for key in keys] for comp in f.components]
 
-
-def corank_at_zero(f: PolyMap) -> int:
-    """n minus the rank of the differential at the origin."""
-    if not f.is_equidimensional:
-        raise PolyError("corank is defined here for equidimensional maps only")
-    return f.source_dim - linalg.scalar_rank(_jacobian_at_zero(f))

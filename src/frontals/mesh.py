@@ -20,7 +20,6 @@ from fractions import Fraction
 from .frontal import build_frontal
 from .maps import PolyMap
 from .poly import Poly, PolyError, _unpacker
-from .scalars import ExtScalar, Scalar
 
 # largest grid resolution m accepted: the OBJ text grows as m^2
 MAX_RESOLUTION = 256
@@ -43,16 +42,10 @@ _RANGE_TEXT = re.compile(r"\s*[-+]?(?=\d|\.\d)(?:(?P<num>[\d_]+)\s*/\s*(?P<den>[
 CTX = Context(prec=12, rounding=ROUND_HALF_EVEN)
 
 
-def decimal12(value: Scalar) -> str:
-    """Render an exact rational with 12 significant digits, round-half-even."""
-    if isinstance(value, ExtScalar):
-        value = value.to_fraction()
-    return _decimal12(value.numerator, value.denominator)
-
-
 def _decimal12(num: int, den: int) -> str:
-    """num / den, den > 0 and not necessarily in lowest terms, as decimal12
-    renders it: the quotient is rounded once, from the exact integers."""
+    """num / den, den > 0 and not necessarily in lowest terms, with 12
+    significant digits, round-half-even: the quotient is rounded once, from
+    the exact integers."""
     if not num:
         return "0"
     return format(CTX.divide(num, den).normalize(CTX), "f")

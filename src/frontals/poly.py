@@ -240,17 +240,6 @@ class Poly:
     def constant_term(self) -> Scalar:
         return self._coefficient(0)
 
-    def coefficient(self, mono: Exponents) -> Scalar:
-        mono, n = tuple(mono), len(self.vars)
-        if len(mono) != n:
-            raise VariableMismatchError(f"exponent tuple {mono} does not match {n} variables")
-        try:
-            key = int.from_bytes(_fields(n).pack(sum(mono), *mono), "big")
-        except struct.error:
-            # a negative exponent or a degree above MAX_DEGREE has no packed key
-            return Fraction(0)
-        return self._coefficient(key)
-
     def degree(self) -> int:
         """Maximal total degree; -1 for the zero polynomial."""
         keys = self._monomials()
@@ -434,22 +423,6 @@ class Poly:
             pairs.append((_lowest(target_vars, {j * step: n for j, n in enumerate(cs) if n},
                                   den, self.field), image))
         return sum_of_products(target_vars, pairs)
-
-    def eval(self, point: Sequence[Union[int, Fraction, ExtScalar]]) -> Scalar:
-        """Exact evaluation at a point of scalars."""
-        values = [_coerce_coeff(v) for v in point]
-        if len(values) != len(self.vars):
-            raise VariableMismatchError(
-                f"expected {len(self.vars)} coordinates, got {len(values)}"
-            )
-        total: Scalar = Fraction(0)
-        for mono, coeff in self.terms.items():
-            term: Scalar = coeff
-            for v, e in zip(values, mono):
-                if e:
-                    term = term * v**e
-            total = total + term
-        return total
 
     def jet(self, k: int) -> "Poly":
         """Truncate to total degree <= k (the k-jet at the origin)."""

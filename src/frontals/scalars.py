@@ -53,22 +53,6 @@ class ExtField:
     def __repr__(self) -> str:
         return f"ExtField({self.k})"
 
-    def element(self, coeffs: Sequence[Union[int, Fraction]]) -> "ExtScalar":
-        """Residue with the given coefficients of 1, c, ..., c^(k-1)."""
-        return ExtScalar(self, coeffs)
-
-    @property
-    def generator(self) -> "ExtScalar":
-        return self.element([0, 1] if self.k > 1 else [6])
-
-    @property
-    def zero(self) -> "ExtScalar":
-        return self.element([])
-
-    @property
-    def one(self) -> "ExtScalar":
-        return self.element([1])
-
 
 class ExtScalar:
     """Element of an ExtField: the reduced residue
@@ -106,18 +90,8 @@ class ExtScalar:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The rational coefficients of 1, c, ..., c^(k-1)."""
-        return tuple(Fraction(n, self.den) for n in self.nums)
-
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
-
-    def to_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ScalarError(f"{self} is not rational")
-        return Fraction(self.nums[0], self.den)
 
     def __bool__(self) -> bool:
         return any(self.nums)
@@ -235,21 +209,6 @@ class ExtScalar:
         if isinstance(other, (int, Fraction)):
             return self.inverse() * other
         return NotImplemented
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        if not n:
-            return self.field.one
-        # left to right over the bits of the exponent, from the base itself
-        result = self
-        for bit in bin(n)[3:]:
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
 
     # -- printing ----------------------------------------------------------
 

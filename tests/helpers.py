@@ -13,9 +13,10 @@ from hypothesis import HealthCheck, Phase, given, seed, settings
 from hypothesis import strategies as st
 
 from frontals import corpus, germfile, poly
-from frontals.maps import PolyMap, PolyMatrix, jacobian_det
+from frontals.linalg import scalar_rank
+from frontals.maps import PolyMap, PolyMatrix, _jacobian_at_zero, jacobian_det
 from frontals.poly import Poly, parse_poly, sum_of_products
-from frontals.scalars import ExtField, ExtScalar
+from frontals.scalars import ExtField, ExtScalar, Scalar
 
 VARSETS = {1: ("x",), 2: ("x", "y"), 3: ("x", "y", "z")}
 
@@ -82,8 +83,6 @@ def random_origin_germ(rng: random.Random, n: int, max_degree: int) -> PolyMap:
 
 def random_linear_iso(rng: random.Random, n: int) -> PolyMap:
     """Random invertible linear map, by rejection on the exact rank."""
-    from frontals.linalg import scalar_rank
-
     vars = VARSETS[n]
     while True:
         entries = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
@@ -96,6 +95,34 @@ def random_linear_iso(rng: random.Random, n: int) -> PolyMap:
             p = p + Poly.variable(vars, v).scale(entries[i][j])
         comps.append(p)
     return PolyMap(tuple(comps))
+
+
+def corank(f: PolyMap) -> int:
+    """n minus the rank of the differential Jf(0) of an equidimensional germ."""
+    return f.source_dim - scalar_rank(_jacobian_at_zero(f))
+
+
+def evaluate(p: Poly, point) -> Scalar:
+    """p at a point of scalars, summed term by term over p.terms, each power
+    of a coordinate a repeated product."""
+    assert len(point) == len(p.vars)
+    total = Fraction(0)
+    for mono, term in p.terms.items():
+        for v, e in zip(point, mono):
+            for _ in range(e):
+                term = term * v
+        total = total + term
+    return total
+
+
+def generator(k: int) -> ExtScalar:
+    """c, the real k-th root of 6, in ExtField(k): the residue c, or 6 when k = 1."""
+    return ExtScalar(ExtField(k), [0, 1] if k > 1 else [6])
+
+
+def coeffs(x: ExtScalar) -> tuple[Fraction, ...]:
+    """The rational coefficients of 1, c, ..., c^(k-1) of x."""
+    return tuple(Fraction(n, x.den) for n in x.nums)
 
 
 def reference_order_rows(k: int, gens: list[Poly]) -> list[dict]:
@@ -243,8 +270,9 @@ def reference_scalar_str(q) -> str:
     if not q:
         return "0"
     parts: list[str] = []
+    qs = coeffs(q)
     for i in range(q.field.k - 1, -1, -1):
-        a = q.coeffs[i]
+        a = qs[i]
         if a == 0:
             continue
         if i == 0:
@@ -263,7 +291,7 @@ def reference_term_str(vars: tuple[str, ...], mono: tuple[int, ...], coeff) -> t
     """One term as (is_negative, body); the sign is the caller's."""
     factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(vars, mono) if e > 0]
     if isinstance(coeff, ExtScalar) and not coeff.is_rational():
-        nonzero = [(i, q) for i, q in enumerate(coeff.coeffs) if q]
+        nonzero = [(i, q) for i, q in enumerate(coeffs(coeff)) if q]
         if len(nonzero) == 1:
             # a single power of c: its rational sign is pulled out
             i, q = nonzero[0]
@@ -271,7 +299,7 @@ def reference_term_str(vars: tuple[str, ...], mono: tuple[int, ...], coeff) -> t
             head = [] if abs(q) == 1 else [str(abs(q))]
             return q < 0, "*".join(head + [cpow] + factors)
         return False, "*".join([f"({reference_scalar_str(coeff)})"] + factors)
-    q = coeff.to_fraction() if isinstance(coeff, ExtScalar) else coeff
+    q = coeffs(coeff)[0] if isinstance(coeff, ExtScalar) else coeff
     if not factors:
         return q < 0, str(abs(q))
     if abs(q) == 1:

@@ -4,6 +4,9 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from datetime import timedelta
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from frontals import cli
 from frontals.cli import main
 from frontals.frontal import build_certified
 from frontals.mesh import MAX_DEGREE, MAX_RANGE_BITS, MAX_RESOLUTION
@@ -28,6 +32,20 @@ def run_cli(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def test_a_closed_stdout_ends_the_run_quietly():
+    # the 285 KB report is more than a pipe holds, so its write meets the
+    # closed read end however the child is scheduled
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    child = subprocess.Popen([sys.executable, "-m", "frontals.cli", "mesh",
+                              str(GERMS / "cuspidal_edge.germ"), "--range", "1", "--res", "64"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 0
+    assert stderr == b""
 
 
 def test_jacobian_fold(capsys):

@@ -66,7 +66,7 @@ def test_order_rows_scale_every_row_by_one_lcm_of_the_denominators():
 
 def test_order_rows_keep_a_power_of_c_as_an_ext_scalar_over_one():
     field = ExtField(2)
-    c = field.generator
+    c = ExtScalar(field, [0, 1])
     g = parse_poly("c*x + 1/2*y + 3*x^2", XY, field)
     rows = order_rows(1, [g])
     # L = 2: c*x gives 2c, an ExtScalar over 1; y/2 gives the int 1
@@ -94,7 +94,7 @@ def _generator_lists(draw):
     rational = st.builds(lambda a, neg, d: Fraction(-a if neg else a, d),
                          st.integers(1, 5), st.booleans(), st.integers(1, 4))
     coeff = rational if field is None else st.one_of(
-        rational, st.builds(lambda a, b: field.element([a, b, 0]), rational, rational))
+        rational, st.builds(lambda a, b: ExtScalar(field, [a, b, 0]), rational, rational))
     gens = draw(st.lists(st.dictionaries(st.sampled_from(monos), coeff, max_size=4),
                          min_size=1, max_size=3))
     return draw(st.integers(0, 10)), [Poly(vs, g) for g in gens]
@@ -141,7 +141,7 @@ def test_scaled_form_matches_the_term_tables():
 
 
 def test_primitive_form_of_a_one_entry_row():
-    c = ExtField(3).generator
+    c = ExtScalar(ExtField(3), [0, 1])
     # with a zero right-hand side the row says its column is zero, whatever
     # the entry: it is stored as the unit row
     for entry in (1, -4, 12, 2 * c, -c - c * c):
@@ -227,7 +227,7 @@ def test_float_entries_are_refused():
         scalar_rank([[1, 0.5]])
     with pytest.raises(TypeError, match="float"):
         scaled_row({0: Fraction(1)}, 0.5)
-    c = ExtField(2).generator
+    c = ExtScalar(ExtField(2), [0, 1])
     with pytest.raises(TypeError, match="float"):
         scaled_row({0: c, 1: 2.0})
     with pytest.raises(TypeError, match="float"):
@@ -238,7 +238,7 @@ def test_mixed_rational_and_extension_rows_in_either_order():
     # every row is eliminated fraction-free over Z[c], whatever the kinds
     # of its entries and of the pivots it meets; solve() divides by an
     # extension leading entry only where that gives a value
-    c = ExtField(2).generator
+    c = ExtScalar(ExtField(2), [0, 1])
     rows = [
         ({0: 2, 1: Fraction(3, 2), 2: 1}, Fraction(1, 3)),
         ({0: c, 1: 1 + c, 3: 2}, c),
@@ -273,7 +273,7 @@ def _dense_reference(rows, ncols, field=None):
     def scalar(v):
         if field is None:
             return Fraction(v)
-        return v if isinstance(v, ExtScalar) else field.element([v])
+        return v if isinstance(v, ExtScalar) else ExtScalar(field, [v])
 
     m = [[scalar(row.get(j, 0)) for j in range(ncols)] + [scalar(rhs)] for row, rhs in rows]
     pivots = []
@@ -314,8 +314,8 @@ def _ext_entries(k):
     field = ExtField(k)
     # (n_0 + n_j*c^j + ...) / d with n_j nonzero, j drawn from 1..k-1
     ext = st.builds(
-        lambda nums, j, nj, d: field.element([Fraction(n, d) for n in
-                                              nums[:j] + [nj] + nums[j + 1:]]),
+        lambda nums, j, nj, d: ExtScalar(field, [Fraction(n, d) for n in
+                                                 nums[:j] + [nj] + nums[j + 1:]]),
         st.lists(st.integers(-4, 4), min_size=k, max_size=k), st.integers(1, k - 1),
         st.integers(-4, 4).filter(bool), st.integers(1, 6))
     return st.one_of(_NONZERO, ext), st.one_of(_ENTRY, ext, ext)

@@ -7,11 +7,13 @@ from math import comb
 import pytest
 
 from frontals.corpus import a_k_front
+from frontals.linalg import scalar_rank
 from frontals.local_algebra import MAX_UNKNOWNS, _reduce_linear_part, multiplicity
-from frontals.maps import PolyMap, compose, corank_at_zero
+from frontals.maps import PolyMap, _jacobian_at_zero, compose
 from frontals.poly import Poly, PolyError, parse_poly
+from frontals.scalars import ExtField
 
-from helpers import random_linear_iso, random_origin_germ
+from helpers import corank, random_linear_iso, random_origin_germ
 
 XY = ("x", "y")
 
@@ -112,8 +114,8 @@ def test_multiplicity_one_iff_corank_zero():
             continue
         if result.value == 1:
             seen_units += 1
-            assert corank_at_zero(f) == 0
-        if corank_at_zero(f) == 0:
+            assert corank(f) == 0
+        if corank(f) == 0:
             assert result.value == 1
     assert seen_units > 0
 
@@ -137,7 +139,7 @@ def test_unknown_cap_stops_the_search(f, last):
     # order last + 1 is the first at which the monomials listed and the
     # unknowns entered by the search in the c corank variables, over the
     # orders up to it, exceed the cap
-    c = corank_at_zero(f)
+    c = corank(f)
     assert (c + 1) * comb(c + last, c + 1) <= MAX_UNKNOWNS < (c + 1) * comb(c + last + 1, c + 1)
     assert "MAX_UNKNOWNS" in result.reason
     assert str(result).endswith("; " + result.reason)
@@ -176,6 +178,30 @@ def test_a_reduction_that_scales_clears_and_lifts():
     result = multiplicity(f)
     assert result.value == 5
     assert result.dimension_sequence == (1, 2, 3, 4, 5, 5)
+
+
+def test_the_reduction_pivots_on_the_rank_of_the_linear_part():
+    # as many pivots as Jf(0) has rank; each head's linear part is 1 at its
+    # pivot variable and 0 at the other pivots, and no other component has
+    # a linear part
+    rng = random.Random(1212)
+    germs = [random_origin_germ(rng, n, 3) for n in (1, 2, 3) for _ in range(12)]
+    germs.append(PolyMap.from_exprs(["c*x + 1/2*y + x^2", "c^2*x*y - 3*y", "x + c*z^2"],
+                                    ("x", "y", "z"), ExtField(3)))
+    shapes = set()
+    for f in germs:
+        n = f.source_dim
+        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        pivots, heads, others = _reduce_linear_part(f)
+        assert len(pivots) == scalar_rank(_jacobian_at_zero(f)), f
+        for p, head in zip(pivots, heads):
+            assert [head.terms.get(units[q], 0) for q in pivots] == [
+                int(q == p) for q in pivots], f
+        for other in others:
+            assert all(other.terms.get(u, 0) == 0 for u in units), f
+        shapes.add((bool(pivots), bool(others)))
+    # every mix of heads and other components is met
+    assert shapes == {(True, True), (True, False), (False, True)}
 
 
 def test_zero_pivot_images_substitute_each_component_once(monkeypatch):

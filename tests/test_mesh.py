@@ -10,12 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frontals.maps import PolyMap
-from frontals.mesh import (MAX_RANGE_BITS, MAX_RESOLUTION, build_obj, decimal12,
+from frontals.mesh import (MAX_RANGE_BITS, MAX_RESOLUTION, _decimal12, build_obj,
                            frontal_surface, parse_range)
 from frontals.poly import Poly, PolyError, parse_poly
 from frontals.scalars import ExtField
 
+from helpers import evaluate
+
 XY = ("x", "y")
+
+
+def decimal12(q: Fraction) -> str:
+    return _decimal12(q.numerator, q.denominator)
 
 
 def test_decimal12_rendering():
@@ -99,15 +105,15 @@ def test_obj_values_are_exactly_rounded_samples():
     obj = build_obj(F, Fraction(1, 3), 2)
     first = obj.splitlines()[0]
     x = y = Fraction(-1, 3)
-    expected = F.eval([x, y])
+    expected = [evaluate(c, [x, y]) for c in F.components]
     assert first == "v " + " ".join(decimal12(v) for v in expected)
 
 
 def reference_vertices(F: PolyMap, r: Fraction, m: int) -> list[str]:
-    """The vertex records sampled one point at a time with exact F.eval."""
+    """The vertex records sampled one point at a time by exact evaluation."""
     step = Fraction(2 * r, m)
     coords = [-r + step * i for i in range(m + 1)]
-    return ["v " + " ".join(decimal12(v) for v in F.eval([x, y]))
+    return ["v " + " ".join(decimal12(evaluate(c, [x, y])) for c in F.components)
             for y in coords for x in coords]
 
 

@@ -39,6 +39,8 @@ from frontals.scalars import ExtField, ExtScalar, ScalarError
 from helpers import (
     GRAMMAR_STRINGS,
     PARSER_REFERENCE,
+    coeffs,
+    evaluate,
     monomials,
     parse_outcome,
     random_poly,
@@ -255,7 +257,7 @@ def test_a_term_of_atoms_forms_no_product(monkeypatch):
     F = ExtField(3)
     p = parse_poly("1/3*c*x^3*y^2", XY, F)
     assert not products
-    assert p == Poly(XY, {(3, 2): F.generator / 3}) and p.field == F
+    assert p == Poly(XY, {(3, 2): ExtScalar(F, [0, 1]) / 3}) and p.field == F
     assert parse_poly("-2/4*c^4*y*x^3*y*6/9", XY, F) == parse_poly("-2*c*x^3*y^2", XY, F)
     assert not products
     # a parenthesised group: one square, then one product for each factor
@@ -294,7 +296,8 @@ def test_parse_signed_literals():
 def test_parse_extension_symbol():
     field = ExtField(3)
     p = parse_poly("1/6*c^2*x + y", XY, field)
-    assert p.coefficient((1, 0)) == field.generator ** 2 / 6
+    c = ExtScalar(field, [0, 1])
+    assert p.terms.get((1, 0), 0) == c * c / 6
     # without a field, c is just an unknown name
     with pytest.raises(PolyParseError, match="unknown variable"):
         parse_poly("c*x", XY)
@@ -318,11 +321,10 @@ def test_pow_matches_expansion():
 
 def test_powers_start_from_the_base(monkeypatch):
     F = ExtField(3)
-    p, a = parse_poly("c*x + 2/3*y - 1", XY, F), F.element([1, Fraction(-1, 2), 3])
-    expected_p, expected_a = [Poly.const(XY, 1)], [F.one]
+    p = parse_poly("c*x + 2/3*y - 1", XY, F)
+    expected_p = [Poly.const(XY, 1)]
     for _ in range(9):
         expected_p.append(expected_p[-1] * p)
-        expected_a.append(expected_a[-1] * a)
     products = []
     for cls in (Poly, ExtScalar):
         multiply = cls.__mul__
@@ -333,10 +335,7 @@ def test_powers_start_from_the_base(monkeypatch):
     for e, count in enumerate([0, 0, 1, 2, 2, 3, 3, 4, 3, 4]):
         products.clear()
         assert p ** e == expected_p[e] and len(products) == count, e
-        products.clear()
-        assert a ** e == expected_a[e] and len(products) == count, e
     assert (p ** 0).field is None and (p ** 1).field == F
-    assert a ** -2 * a ** 2 == F.one
 
 
 def test_add_zero_identity():
@@ -393,24 +392,9 @@ def test_diff_power_rule():
 
 
 def test_eval_cases():
-    assert P("x + y").eval([0, 0]) == 0
-    assert P("2").eval([0, 0]) == 2
-    assert P("3*x^4 + x^2*y").eval([1, 2]) == 5
-
-
-def test_eval_arity_checked():
-    with pytest.raises(VariableMismatchError):
-        P("x").eval([1])
-
-
-def test_coefficient_arity_checked():
-    p = P("x + 2*y")
-    for mono in ((), (1,), (1, 0, 0)):
-        with pytest.raises(VariableMismatchError):
-            p.coefficient(mono)
-    assert p.coefficient((0, 1)) == 2 and p.coefficient([1, 0]) == 1
-    # a tuple of the right arity that no monomial has reads 0
-    assert p.coefficient((-1, 2)) == p.coefficient((MAX_DEGREE, 1)) == 0
+    assert evaluate(P("x + y"), [0, 0]) == 0
+    assert evaluate(P("2"), [0, 0]) == 2
+    assert evaluate(P("3*x^4 + x^2*y"), [1, 2]) == 5
 
 
 def test_jet():
@@ -499,7 +483,7 @@ def test_print_parse_roundtrip(seed):
 
 def test_print_parse_roundtrip_extension():
     field = ExtField(3)
-    c = field.generator
+    c = ExtScalar(field, [0, 1])
     p = Poly(XY, {(2, 0): c / 6, (1, 1): -c * c, (0, 0): c + 1, (0, 1): Fraction(-2, 3)})
     assert parse_poly(str(p), XY, field) == p
 
@@ -547,8 +531,8 @@ def test_substitute_is_ring_homomorphism(p, q):
 def test_eval_after_substitute(p):
     images = [parse_poly(e, XY) for e in ("x - y", "x*y", "y^2 - 2*x")]
     point = [Fraction(1, 2), Fraction(-2)]
-    image_point = [g.eval(point) for g in images]
-    assert p.substitute(images).eval(point) == p.eval(image_point)
+    image_point = [evaluate(g, point) for g in images]
+    assert evaluate(p.substitute(images), point) == evaluate(p, image_point)
 
 
 def test_monomial_keys_unpack_in_graded_lex_order():
@@ -613,7 +597,7 @@ KERNEL_VARS = ("x", "y")
 def to_reference(p: Poly) -> dict:
     ref = {}
     for mono, coeff in p.terms.items():
-        parts = coeff.coeffs if isinstance(coeff, ExtScalar) else (coeff,)
+        parts = coeffs(coeff) if isinstance(coeff, ExtScalar) else (coeff,)
         for j, q in enumerate(parts):
             if q:
                 ref[(mono, j)] = Fraction(q)
@@ -647,7 +631,8 @@ def coefficients(k: int | None):
     if k is None:
         return FRACTIONS
     field = ExtField(abs(k))
-    ext = st.lists(FRACTIONS, min_size=abs(k), max_size=abs(k)).map(field.element)
+    ext = st.lists(FRACTIONS, min_size=abs(k), max_size=abs(k)).map(
+        lambda qs: ExtScalar(field, qs))
     return st.one_of(FRACTIONS, ext) if k < 0 else ext
 
 
@@ -667,7 +652,7 @@ def from_reference(ref: dict, k: int) -> dict:
     parts: dict = {}
     for (mono, j), q in ref.items():
         parts.setdefault(mono, [Fraction(0)] * k)[j] = q
-    return {mono: ExtField(k).element(qs) if any(qs[1:]) else qs[0]
+    return {mono: ExtScalar(ExtField(k), qs) if any(qs[1:]) else qs[0]
             for mono, qs in parts.items()}
 
 
@@ -706,7 +691,7 @@ def assert_canonical(p: Poly, rational: bool) -> None:
         mono = unpacked(key - (j << cshift), n)
         parts.setdefault(mono, [Fraction(0)] * k)[j] = Fraction(num, den)
     # terms equals the reference exactly, with an ExtScalar where c is left
-    assert p.terms == {mono: p.field.element(qs) if any(qs[1:]) else qs[0]
+    assert p.terms == {mono: ExtScalar(p.field, qs) if any(qs[1:]) else qs[0]
                        for mono, qs in parts.items()}
     assert all(type(c) is (ExtScalar if any(parts[mono][1:]) else Fraction)
                for mono, c in p.terms.items())
@@ -761,8 +746,9 @@ def test_kernel_matches_reference(operands):
     assert total.field == (fields.pop() if any(j for _, j in expected) else None)
     zero = (0,) * len(KERNEL_VARS)
     assert ab.constant_term() == from_reference(rab, k).get(zero, 0)
+    terms = total.terms
     for mono in monomials(KERNEL_VARS, 2):
-        assert total.coefficient(mono) == from_reference(expected, k).get(mono, 0)
+        assert terms.get(mono, 0) == from_reference(expected, k).get(mono, 0)
     assert (ab - ab).is_zero() and ab.is_zero() == (not rab)
     for result, reference in zip(results, references):
         assert result.is_zero() == (not reference)
@@ -786,7 +772,7 @@ def test_extension_of_order_one_keeps_no_power_of_c():
     assert str(p) == "6*x + 18*y - 3" and parse_poly(str(p), XY, field) == p
     assert all(type(c) is Fraction for c in p.terms.values())
     # so is a table of its elements, which are rational ExtScalars
-    q = Poly(XY, {(1, 0): field.generator, (0, 1): field.element([9])})
+    q = Poly(XY, {(1, 0): ExtScalar(field, [6]), (0, 1): ExtScalar(field, [9])})
     assert q.field is None and q == P("6*x + 9*y")
     for result in (p * p, p.diff("x"), p.substitute([P("x*y"), p]), -p + p, q * p):
         assert result.field is None
@@ -815,8 +801,8 @@ def test_kernels_refuse_two_extension_fields():
     b = parse_poly("c*y + 1", XY, ExtField(3))
     for op in (lambda: a + b, lambda: a - b, lambda: b - a, lambda: a * b,
                lambda: sum_of_products(XY, [(a, q), (q, b)]),
-               lambda: Poly(XY, {(1, 0): a.coefficient((1, 0)),
-                                 (0, 1): b.coefficient((0, 1))})):
+               lambda: Poly(XY, {(1, 0): a.terms.get((1, 0), 0),
+                                 (0, 1): b.terms.get((0, 1), 0)})):
         with pytest.raises(ScalarError):
             op()
     # Q mixes with any one field, and equal fields mix
@@ -837,7 +823,7 @@ def test_rational_results_mix_across_extension_fields():
     assert r2 * a3 == parse_poly("6*c*x^2*y", XY, ExtField(3))
     assert sum_of_products(XY, [(r3, a2), (r2, r3)]) == parse_poly(
         "c*y^4 + 6*x*y^4", XY, ExtField(2))
-    mixed = Poly(XY, {(1, 0): r2.coefficient((1, 1)), (0, 1): a3.coefficient((1, 0))})
+    mixed = Poly(XY, {(1, 0): r2.terms.get((1, 1), 0), (0, 1): a3.terms.get((1, 0), 0)})
     assert mixed == parse_poly("6*x + c*y", XY, ExtField(3))
 
 

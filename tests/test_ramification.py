@@ -287,8 +287,9 @@ def _eager_solve(k, monos, rhs, unknowns):
                     rows.setdefault((b, target), {})[c] = coeff
     solver = SparseSolver()
     for b, target in enumerate(rhs):
+        terms = target.terms
         for mono in monos:
-            solver.add_row(*scaled_row(rows.get((b, mono), {}), target.coefficient(mono)))
+            solver.add_row(*scaled_row(rows.get((b, mono), {}), terms.get(mono, 0)))
             if solver.inconsistent:
                 return None, sum(mono)
     return solver.solve(), None

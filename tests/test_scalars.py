@@ -11,62 +11,54 @@ from frontals.linalg import SparseSolver, scaled_row
 from frontals.poly import parse_poly
 from frontals.scalars import ExtField, ExtScalar, ScalarError
 
+from helpers import coeffs, generator
+
 
 def test_generator_satisfies_defining_relation():
     for k in (2, 3, 4, 5):
-        c = ExtField(k).generator
-        assert c**k == 6
-        assert c * c ** (k - 1) == 6
+        c = generator(k)
+        assert math.prod([c] * k) == 6
+        assert c * math.prod([c] * (k - 1)) == 6
 
 
 def test_inverse_of_generator():
     for k in (2, 3, 4):
-        field = ExtField(k)
-        c = field.generator
-        assert c.inverse() == c ** (k - 1) / 6
+        c = generator(k)
+        assert c.inverse() == math.prod([c] * (k - 1)) / 6
         assert c * c.inverse() == 1
         assert 1 / c == c.inverse()
 
 
 def test_zero_has_no_inverse():
     with pytest.raises(ZeroDivisionError):
-        ExtField(3).zero.inverse()
+        ExtScalar(ExtField(3), []).inverse()
 
 
 def test_rational_embedding_and_equality():
     field = ExtField(3)
-    half = field.element([Fraction(1, 2)])
+    half = ExtScalar(field, [Fraction(1, 2)])
     assert half == Fraction(1, 2)
-    assert half.to_fraction() == Fraction(1, 2)
     assert half + half == 1
-    assert field.generator != Fraction(1)
-    with pytest.raises(ScalarError):
-        field.generator.to_fraction()
+    assert ExtScalar(field, [0, 1]) != Fraction(1)
 
 
 def test_mixing_extension_orders_is_rejected():
-    a = ExtField(2).generator
-    b = ExtField(3).generator
+    a = generator(2)
+    b = generator(3)
     with pytest.raises(ScalarError):
         a + b
     # equality across fields only holds through Q
-    assert ExtField(2).element([5]) == ExtField(3).element([5])
+    assert ExtScalar(ExtField(2), [5]) == ExtScalar(ExtField(3), [5])
     assert a != b
-
-
-def test_negative_powers():
-    c = ExtField(4).generator
-    assert c**-2 == (c * c).inverse()
-    assert c**0 == 1
 
 
 @st.composite
 def ext_elements(draw, k: int = 3):
     field = ExtField(k)
-    coeffs = draw(st.lists(
+    qs = draw(st.lists(
         st.fractions(min_value=-5, max_value=5, max_denominator=6),
         min_size=k, max_size=k))
-    return field.element(coeffs)
+    return ExtScalar(field, qs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -82,12 +74,12 @@ def test_field_axioms(a, b):
 
 def test_scalar_str_and_as_rational():
     field = ExtField(3)
-    c = field.generator
+    c = ExtScalar(field, [0, 1])
     assert str(Fraction(5, 9)) == "5/9"
-    assert str(field.element([Fraction(1, 2)])) == "1/2"
+    assert str(ExtScalar(field, [Fraction(1, 2)])) == "1/2"
     assert str(c * c / 6) == "1/6*c^2"
     assert str(-c + 1) == "-1*c + 1"
-    assert field.element([7]).to_fraction() == 7
+    assert ExtScalar(field, [7]) == 7
 
 
 # -- integer residues against a tuple-of-Fraction reference -----------------
@@ -116,7 +108,7 @@ def assert_canonical(x: ExtScalar, expected: tuple) -> None:
     assert x.den > 0
     assert math.gcd(x.den, *x.nums) == 1
     assert len(x.nums) == x.field.k
-    assert x.coeffs == expected
+    assert coeffs(x) == expected
 
 
 rationals = st.fractions(min_value=-7, max_value=7, max_denominator=9)
@@ -128,7 +120,7 @@ def ext_pairs(draw):
     field = ExtField(k)
 
     def element():
-        return field.element(draw(st.lists(rationals, min_size=0, max_size=k)))
+        return ExtScalar(field, draw(st.lists(rationals, min_size=0, max_size=k)))
 
     return element(), element(), draw(st.one_of(st.integers(-9, 9), rationals))
 
@@ -138,7 +130,7 @@ def ext_pairs(draw):
 def test_integer_residues_match_the_reference(args):
     a, b, q = args
     k = a.field.k
-    ra, rb, rq = a.coeffs, b.coeffs, ref_lift(q, k)
+    ra, rb, rq = coeffs(a), coeffs(b), ref_lift(q, k)
     assert_canonical(a, ra)
     assert_canonical(a + b, tuple(x + y for x, y in zip(ra, rb)))
     assert_canonical(a - b, tuple(x - y for x, y in zip(ra, rb)))
@@ -151,21 +143,22 @@ def test_integer_residues_match_the_reference(args):
     assert_canonical(q - a, tuple(y - x for x, y in zip(ra, rq)))
     assert_canonical(a * q, ref_mul(ra, rq))
     assert_canonical(q * a, ref_mul(ra, rq))
-    power = ref_lift(1, k)
-    for n in range(4):
-        assert_canonical(a**n, power)
-        power = ref_mul(power, ra)
+    # the powers a^0 .. a^3, as repeated products
+    product, power = ExtScalar(a.field, [1]), ref_lift(1, k)
+    for _ in range(4):
+        assert_canonical(product, power)
+        product, power = product * a, ref_mul(power, ra)
     one = ref_lift(1, k)
     if q:
         assert_canonical(a / q, ref_mul(ra, ref_lift(1 / Fraction(q), k)))
     if b:
         inv = b.inverse()
-        assert_canonical(inv, inv.coeffs)
-        assert ref_mul(inv.coeffs, rb) == one
-        assert (b * inv).coeffs == one
-        assert ref_mul((a / b).coeffs, rb) == ra
-        assert ref_mul((q / b).coeffs, rb) == rq
-        assert ref_mul((b**-2).coeffs, ref_mul(rb, rb)) == one
+        assert_canonical(inv, coeffs(inv))
+        assert ref_mul(coeffs(inv), rb) == one
+        assert coeffs(b * inv) == one
+        assert ref_mul(coeffs(a / b), rb) == ra
+        assert ref_mul(coeffs(q / b), rb) == rq
+        assert ref_mul(coeffs((b * b).inverse()), ref_mul(rb, rb)) == one
     else:
         with pytest.raises(ZeroDivisionError):
             b.inverse()
@@ -173,7 +166,7 @@ def test_integer_residues_match_the_reference(args):
     if a.is_rational():
         assert a == ra[0] and ra[0] == a
         assert hash(a) == hash(ra[0])
-        assert a == ExtField(k + 1).element([ra[0]])
+        assert a == ExtScalar(ExtField(k + 1), [ra[0]])
     else:
         assert a != ra[0]
     assert (a == b) == (ra == rb)
@@ -192,9 +185,10 @@ def test_constructor_validates_and_normalises():
     with pytest.raises(ValueError):
         ExtScalar(field, [1, 2, 3, 4])
     # products and sums leave lowest terms: 1/2 + 1/2 is 1/1
-    half = field.element([Fraction(1, 2)])
+    half = ExtScalar(field, [Fraction(1, 2)])
     assert ((half + half).nums, (half + half).den) == ((1, 0, 0), 1)
-    assert ((field.generator * 0).nums, (field.generator * 0).den) == ((0, 0, 0), 1)
+    c = ExtScalar(field, [0, 1])
+    assert ((c * 0).nums, (c * 0).den) == ((0, 0, 0), 1)
 
 
 # -- SparseSolver over extension rows -------------------------------------
@@ -207,16 +201,15 @@ def _dot(row: dict, x: dict):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 5), st.lists(rationals, min_size=27, max_size=27))
 def test_sparse_solver_over_extension_rows(k, qs):
-    field = ExtField(k)
-    c = field.generator
+    c = generator(k)
     it = iter(qs)
 
     def scalar():
-        return next(it) + next(it) * c + next(it) * c ** (k - 1)
+        return next(it) + next(it) * c + next(it) * math.prod([c] * (k - 1))
 
     # r1 and r2 are independent by their echelon shape; r3 depends on them
     r1 = {0: c + 2, 1: scalar(), 2: scalar()}
-    r2 = {1: c**2 + 1, 2: scalar()}
+    r2 = {1: c * c + 1, 2: scalar()}
     e, a, b = scalar(), scalar(), scalar()
     r2 = {col: r2.get(col, 0) + e * r1[col] for col in r1}
     r3 = {col: a * r1[col] + b * r2.get(col, 0) for col in r1}

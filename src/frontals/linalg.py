@@ -14,7 +14,10 @@ The jet systems are rows over Z[c] by construction, keyed by the packed
 monomial keys of `frontals.poly`: `scaled_form` gives each polynomial as
 the numerators of its packed form, an ExtScalar over 1 where a power of c
 is left, over one common denominator, which moves no pivot and changes no
-rank.  Each system has one scaling rule.
+rank.  Each system has one scaling rule.  A `Form` of one polynomial over
+Q is its packed form (nums, den) as ([nums], den), so a caller that keeps
+packed forms hands them over with no Poly; over Q(c) `_entries` groups
+the numerators by monomial as `scaled_form` does.
 
 `order_rows` gives the equations that jet order k adds to the multiplicity
 system of `frontals.local_algebra`, those at the monomials of degree k.
@@ -44,7 +47,8 @@ from .scalars import ExtField, ExtScalar, Scalar
 # an element of Z[c]: an int, or an ExtScalar over 1 where a power of c is left
 Entry = Union[int, ExtScalar]
 # polynomials over one denominator D (`scaled_form`): for each, its
-# numerators by packed monomial key, and D
+# numerators by packed monomial key, and D; ([nums], den) for the packed
+# form of one polynomial over Q
 Form = tuple[list[dict[int, Entry]], int]
 # one unknown of `jet_solve`: a bound on its degree, its column, the packed
 # key of its monomial shift and the form of the polynomials it multiplies
@@ -269,12 +273,20 @@ def scaled_form(polys: Sequence[Poly]) -> Form:
         nums, den = p._ints
         factor = lcm // den
         if p.field is not None:
-            nums = {key: _entry(p.field, tuple(n * factor for n in cs))
-                    for key, cs in _by_monomial(p).items()}
+            nums = _entries(nums, len(p.vars), p.field, factor)
         elif factor != 1:
             nums = {key: num * factor for key, num in nums.items()}
         forms.append(nums)
     return forms, lcm
+
+
+def _entries(nums: dict[int, int], n: int, field: ExtField,
+             factor: int = 1) -> dict[int, Entry]:
+    """Packed numerators in n variables over Q(c), times factor, as the
+    Entries of `scaled_form`: one per monomial, an ExtScalar over 1 where a
+    power of c is left, else an int."""
+    return {key: _entry(field, tuple(num * factor for num in cs))
+            for key, cs in _by_monomial(nums, n, field).items()}
 
 
 def jet_solve(k: int, keys: Sequence[int], rhs: Sequence[Poly],

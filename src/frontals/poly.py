@@ -31,11 +31,16 @@ of two.  The c field is the highest and has no width limit.
 
 Products, derivatives, jets, sums, negations, scalings and substitutions
 are computed on this form and return it; a result in which every power of
-c cancelled is over Q.  The public ``terms`` table, keyed by exponent
-tuples, is built from the form on each read: the c field is grouped back
-into one coefficient per monomial, an ExtScalar when a power of c is left
-in it, else a Fraction.  Printing is in descending graded-lexicographic
-order, so it is deterministic and ``parse(print(p)) == p``.
+c cancelled is over Q.  Every product runs one kernel, `_products`: one
+term loop, then one tail, which folds the powers of c, drops zeros and,
+for a cut product, the terms above a jet order, and divides out the common
+factor.  The cut products of `Poly.substitute(jet=k)`, and of callers that
+keep packed forms, go through `_cut_product`.  The public ``terms`` table,
+keyed by exponent tuples, is built from the form on each read: the c field
+is grouped back into one coefficient per monomial, an ExtScalar when a
+power of c is left in it, else a Fraction.  Printing is in descending
+graded-lexicographic order, so it is deterministic and
+``parse(print(p)) == p``.
 
 The accepted expression grammar (ASCII, whitespace insignificant):
 
@@ -62,6 +67,8 @@ from .scalars import (GENERATOR, ExtField, ExtScalar, Scalar, ScalarError, ratio
                       residue_str, signed_sum)
 
 Exponents = tuple[int, ...]
+# the packed form (nums, den) of a polynomial (module docstring)
+Packed = tuple[dict[int, int], int]
 
 # bits of one exponent field of a packed monomial key (module docstring);
 # `_fields` reads and writes them as big-endian unsigned 16-bit integers
@@ -192,7 +199,8 @@ class Poly:
         unpack, (nums, den), field = _unpacker(len(self.vars)), self._ints, self.field
         if field is None:
             return {unpack(key): Fraction(n, den) for key, n in nums.items()}
-        return {unpack(key): _scalar(field, cs, den) for key, cs in _by_monomial(self).items()}
+        return {unpack(key): _scalar(field, cs, den)
+                for key, cs in _by_monomial(nums, len(self.vars), field).items()}
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -356,8 +364,10 @@ class Poly:
         """Exact composition p(images); a ring homomorphism into the images' ring.
 
         Each power of an image is formed once.  A monomial's image is the
-        product of its images' powers, each partial product cut at ``jet``
-        = k, when given, as it is formed.  A monomial is dropped before any
+        product of its images' powers.  With ``jet`` = k, each image is cut
+        at degree k, and each product of two of these is one pass of the
+        product kernel, whose tail drops the terms of degree above k: no
+        uncut product and no `.jet` pass.  A monomial is dropped before any
         product when the image of one of its variables is zero, or when the
         orders of its images sum to more than k.  One `sum_of_products` then
         collects every (coefficient, image) pair, so with ``jet`` = k the
@@ -381,8 +391,13 @@ class Poly:
         if not self._ints[0]:
             return Poly.zero(target_vars)
 
-        def cut(p: Poly) -> Poly:
-            return p if jet is None else p.jet(jet)
+        def times(a: Poly, b: Poly) -> Poly:
+            """a * b, cut at degree jet by the product's own tail when given."""
+            if jet is None:
+                return a * b
+            field = a.field if a.field is b.field else _common_field({a.field, b.field})
+            return Poly._raw(target_vars, *_cut_product(a._ints, b._ints, len(target_vars),
+                                                        field, jet), field)
 
         # powers e >= 1 only: a zero exponent never reaches image_power
         pow_cache: list[dict[int, Poly]] = [{} for _ in images]
@@ -391,11 +406,11 @@ class Poly:
             cache = pow_cache[i]
             if e not in cache:
                 if e == 1:
-                    cache[e] = cut(images[i])
+                    cache[e] = images[i] if jet is None else images[i].jet(jet)
                 else:
                     half = image_power(i, e // 2)
-                    sq = cut(half * half)
-                    cache[e] = sq if e % 2 == 0 else cut(sq * image_power(i, 1))
+                    sq = times(half, half)
+                    cache[e] = sq if e % 2 == 0 else times(sq, image_power(i, 1))
             return cache[e]
 
         den = self._ints[1]
@@ -407,7 +422,7 @@ class Poly:
         # one constant per monomial, its powers of c keyed over the targets
         step = 1 << _c_shift(len(target_vars))
         pairs = []
-        for key, cs in _by_monomial(self).items():
+        for key, cs in _by_monomial(self._ints[0], len(self.vars), self.field).items():
             exponents = unpack(key)
             reach = sum([o * e for o, e in zip(orders, exponents) if e])
             if reach == math.inf or jet is not None and reach > jet:
@@ -419,7 +434,7 @@ class Poly:
             for i, e in enumerate(exponents):
                 if e:
                     power = image_power(i, e)
-                    image = power if image is one else cut(image * power)
+                    image = power if image is one else times(image, power)
             pairs.append((_lowest(target_vars, {j * step: n for j, n in enumerate(cs) if n},
                                   den, self.field), image))
         return sum_of_products(target_vars, pairs)
@@ -445,7 +460,7 @@ class Poly:
         if self.field is None:
             terms = [(key, ((0, nums[key]),)) for key in sorted(nums, reverse=True)]
         else:
-            groups = _by_monomial(self)
+            groups = _by_monomial(nums, len(self.vars), self.field)
             terms = [(key, [(j, n) for j, n in reversed(list(enumerate(groups[key]))) if n])
                      for key in sorted(groups, reverse=True)]
         names, unpack = self.vars, _unpacker(len(self.vars))
@@ -474,15 +489,16 @@ _set_vars, _set_field, _set_ints = (
     Poly.__dict__[name].__set__ for name in Poly.__slots__)
 
 
-def _by_monomial(p: Poly) -> dict[int, list[int]]:
-    """The numerators of p by monomial: each packed key with the c field
-    masked, to the numerators of 1, c, ..., c^(k-1) (k = 1 over Q)."""
-    k = 1 if p.field is None else p.field.k
-    cshift = _c_shift(len(p.vars))
+def _by_monomial(nums: dict[int, int], n: int, field: ExtField | None) -> dict[int, list[int]]:
+    """Packed numerators in n variables over field by monomial: each key
+    with the c field masked, to the numerators of 1, c, ..., c^(k-1) (k = 1
+    over Q)."""
+    k = 1 if field is None else field.k
+    cshift = _c_shift(n)
     low = (1 << cshift) - 1
     out: dict[int, list[int]] = {}
-    for key, n in p._ints[0].items():
-        out.setdefault(key & low, [0] * k)[key >> cshift] = n
+    for key, num in nums.items():
+        out.setdefault(key & low, [0] * k)[key >> cshift] = num
     return out
 
 
@@ -506,57 +522,41 @@ def _lowest(vars: tuple[str, ...], nums: dict[int, int], den: int,
     return Poly._raw(vars, nums, den, field)
 
 
-def sum_of_products(vars: Sequence[str], pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
-    """Sum of a_i * b_i over the (a_i, b_i) pairs, collected in one table.
+def _products(operands: Iterable[tuple[Packed, Packed]], den: int, field: ExtField | None,
+              cshift: int, jet: int | None = None) -> Packed:
+    """The product kernel: the packed form of the sum of a * b over the
+    pairs (a, b) of packed forms of nonzero polynomials over field (None
+    for Q), c field shift ``cshift``, cut at degree ``jet`` when given.
 
-    One pass over the pairs checks their variables, finds the field and
-    keeps the pairs with two nonzero operands.  Each operand pair's
-    numerators are brought to the common denominator D of all pair
-    products (da * db for a single pair, else their lcm); the loop adds
-    plain int products under the sum of two packed keys.  The operand with
-    fewer terms is the outer loop and the other's items are taken once per
-    pair, so a long factor times a one-term factor costs one outer step,
-    not one per long term.  A fold maps c^j with j >= k to 6 * c^(j - k),
-    and the result is returned over D with the common factor divided out.
-    Over Q an entry can be zero only where two term pairs met under one
-    key, so zero entries are looked for only then.  A pair product of
-    degree above MAX_DEGREE raises PolyError before any product is formed,
-    and operands over two different fields raise ScalarError.
+    The term loop brings each pair to den, a multiple of every da * db, and
+    adds the product of two terms under the sum of their keys.  The
+    operand with fewer terms is the outer loop and the other's items are
+    taken once per pair, so a long factor times a one-term factor costs one
+    outer step, not one per long term.  A pair whose degrees sum to more
+    than MAX_DEGREE raises PolyError before any of its term pairs is
+    formed.  The tail folds each c^j with j >= k to 6 * c^(j - k), drops the
+    zero entries and, with ``jet`` = k, every term of degree above k in the
+    same pass, and divides out the common factor with den.  Without a cut,
+    an entry over Q can be zero only where two term pairs met under one
+    key, so zero entries are looked for only then.
     """
-    vs = tuple(vars)
-    cshift = _c_shift(len(vs))
-    field = None
-    # (nums, den) of a and of b for each pair of nonzero operands, and the
-    # number of term pairs they form
-    operands = []
-    formed = 0
-    for a, b in pairs:
-        if a.vars != vs or b.vars != vs:
-            raise VariableMismatchError(
-                f"mismatched variable lists {a.vars} * {b.vars}, expected {vs}")
-        if a.field is not field or b.field is not field:
-            field = _common_field({field, a.field, b.field})
-        (ta, da), (tb, db) = a._ints, b._ints
-        if ta and tb:
-            # a masked key is at most the key, and the sum of two masked keys
-            # is below 1 << cshift exactly when their degrees sum to at most
-            # MAX_DEGREE: the degrees are worked out only past that bound
-            if max(ta) + max(tb) >> cshift and a.degree() + b.degree() > MAX_DEGREE:
-                raise PolyError(f"a product of degree {a.degree() + b.degree()} is above"
-                                f" MAX_DEGREE = {MAX_DEGREE}")
-            operands.append((ta, da, tb, db))
-            formed += len(ta) * len(tb)
-    if len(operands) == 1:
-        _, da, _, db = operands[0]
-        den = da * db
-    else:
-        den = math.lcm(*[da * db for _, da, _, db in operands])
     out: dict[int, int] = {}
     get = out.get
-    for ta, da, tb, db in operands:
+    formed = 0
+    for (ta, da), (tb, db) in operands:
+        # a masked key is at most the key, and the sum of two masked keys
+        # is below 1 << cshift exactly when their degrees sum to at most
+        # MAX_DEGREE: the degrees are worked out only past that bound
+        if max(ta) + max(tb) >> cshift:
+            low, dshift = (1 << cshift) - 1, cshift - FIELD_BITS
+            degree = sum(max(key & low for key in t) >> dshift for t in (ta, tb))
+            if degree > MAX_DEGREE:
+                raise PolyError(f"a product of degree {degree} is above"
+                                f" MAX_DEGREE = {MAX_DEGREE}")
         scale = den // (da * db)
         if len(ta) > len(tb):
             ta, tb = tb, ta
+        formed += len(ta) * len(tb)
         inner = tb.items()
         for ka, ca in ta.items():
             if scale != 1:
@@ -572,9 +572,57 @@ def sum_of_products(vars: Sequence[str], pairs: Iterable[tuple[Poly, Poly]]) -> 
         for key in [key for key in out if key >= top]:
             folded = key - top
             out[folded] = get(folded, 0) + 6 * out.pop(key)
-    if field is not None or len(out) < formed:
+    if jet is not None:
+        # a term has degree <= jet exactly when its masked key is below the
+        # key of degree jet + 1
+        low, limit = (1 << cshift) - 1, (jet + 1) << (cshift - FIELD_BITS)
+        out = {m: v for m, v in out.items() if v and m & low < limit}
+    elif field is not None or len(out) < formed:
         out = {m: v for m, v in out.items() if v}
-    return _lowest(vs, out, den, field)
+    if den != 1:
+        g = math.gcd(den, *out.values())
+        if g != 1:
+            out = {m: n // g for m, n in out.items()}
+            den //= g
+    return out, den
+
+
+def sum_of_products(vars: Sequence[str], pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
+    """Sum of a_i * b_i over the (a_i, b_i) pairs, collected in one table.
+
+    One pass over the pairs checks their variables, finds the field and
+    keeps the pairs with two nonzero operands, whose products `_products`
+    collects over the common denominator of all pair products (da * db for
+    a single pair, else their lcm).  A pair product of degree above
+    MAX_DEGREE raises PolyError before any of its term pairs is formed, and
+    operands over two different fields raise ScalarError.
+    """
+    vs = tuple(vars)
+    field = None
+    operands = []
+    for a, b in pairs:
+        if a.vars != vs or b.vars != vs:
+            raise VariableMismatchError(
+                f"mismatched variable lists {a.vars} * {b.vars}, expected {vs}")
+        if a.field is not field or b.field is not field:
+            field = _common_field({field, a.field, b.field})
+        ia, ib = a._ints, b._ints
+        if ia[0] and ib[0]:
+            operands.append((ia, ib))
+    if len(operands) == 1:
+        (_, da), (_, db) = operands[0]
+        den = da * db
+    else:
+        den = math.lcm(*[da * db for (_, da), (_, db) in operands])
+    nums, den = _products(operands, den, field, _c_shift(len(vs)))
+    return Poly._raw(vs, nums, den, field)
+
+
+def _cut_product(a: Packed, b: Packed, n: int, field: ExtField | None, k: int) -> Packed:
+    """The packed form of the k-jet of a * b, for the packed forms a and b
+    of two nonzero polynomials in n variables over field (None for Q): one
+    pass of the product kernel, cutting at degree k, and no Poly."""
+    return _products(((a, b),), a[1] * b[1], field, _c_shift(n), k)
 
 
 # ---------------------------------------------------------------------------

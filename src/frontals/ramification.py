@@ -27,10 +27,14 @@ nondecreasing order: |m| + ord(row i of Jf) for the coefficient of x^m in
 a_i, |m| + ord(det(Jf)^2) for that of x^m in mu, and sum alpha_i * ord(f_i)
 for that of y^alpha in eta, which is exact because the coefficients form a
 field, so f^alpha is formed only when the stream reaches it and never when
-its k-jet is zero.  The solve stops at the first inconsistent equation, of
-some degree d <= k; the equations entered up to it are rows of the whole
-order-k system, so NOT-MEMBER-MOD-JET(k) is proved all the same, at the
-cost of the unknowns of bound <= d.
+its k-jet is zero.  Each f^alpha is kept as the packed form of its k-jet,
+one cut product of the packed forms of f^beta and f_i (`poly._cut_product`),
+and is its column's form as it is over Q, its numerators grouped by
+monomial over Q(c): no Poly, `.jet` or `scaled_form` per power.  The solve
+stops at the first inconsistent equation, of some degree d <= k; the
+equations entered up to it are rows of the whole order-k system, so
+NOT-MEMBER-MOD-JET(k) is proved all the same, at the cost of the unknowns
+of bound <= d.
 """
 
 from __future__ import annotations
@@ -39,10 +43,11 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Sequence, Union
 
-from .linalg import jet_solve, scaled_form
+from .linalg import _entries, jet_solve, scaled_form
 from .maps import PolyMap, differential, jacobian_det, jacobian_matrix
-from .poly import (FIELD_BITS, Poly, PolyError, VariableMismatchError, _level,
-                   _monomial_keys, _unpacker, _weights, sum_of_products)
+from .poly import (FIELD_BITS, Poly, PolyError, VariableMismatchError, _common_field,
+                   _cut_product, _level, _monomial_keys, _unpacker, _weights,
+                   sum_of_products)
 from .scalars import Scalar
 
 MEMBER = "MEMBER"
@@ -210,6 +215,7 @@ def jsq_plus_pullback_membership(psi: Poly, f: PolyMap, k: int) -> MembershipVer
         keys = _monomial_keys(n, k)
         jsq = (jacobian_det(f) ** 2).jet(k)
         comps = [comp.jet(k) for comp in f.components]
+        field = _common_field({comp.field for comp in comps})
         jsq_order = min(jsq.order(), k + 1)
         orders = [min(comp.order(), k + 1) for comp in comps]
         weights, exponents = _weights(n), (1 << n * FIELD_BITS) - 1
@@ -222,15 +228,19 @@ def jsq_plus_pullback_membership(psi: Poly, f: PolyMap, k: int) -> MembershipVer
                 by_bound[bound].append((j, key, i))
 
         def unknowns():
-            pulled = {0: Poly.const(vs, 1)}
+            # the packed form (nums, den) of the k-jet of each f^alpha
+            pulled = {0: ({0: 1}, 1)}
             mu = scaled_form([jsq])
             for bound, etas in enumerate(by_bound):
                 for t in _level(n, bound - jsq_order):
                     yield bound, t, keys[t], mu
                 for j, key, i in etas:
                     if key:
-                        pulled[key] = (pulled[key - weights[i]] * comps[i]).jet(k)
-                    yield bound, len(keys) + j, 0, scaled_form([pulled[key]])
+                        pulled[key] = _cut_product(pulled[key - weights[i]], comps[i]._ints,
+                                                   n, field, k)
+                    nums, den = pulled[key]
+                    column = nums if field is None else _entries(nums, n, field)
+                    yield bound, len(keys) + j, 0, ([column], den)
 
         values = jet_solve(k, keys, [psi.jet(k)], unknowns())
         if values is None:

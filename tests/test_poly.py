@@ -378,6 +378,46 @@ def test_substitute_to_a_jet_order():
             assert p.substitute(images, jet=k) == p.substitute(images).jet(k), (p, images, k)
 
 
+def test_substitute_to_a_jet_order_over_an_extension():
+    # the Q(6^(1/e)) sibling: every image keeps c^(e-1) on a linear term, so
+    # the cut products of its powers fold c^j for j >= e
+    rng = random.Random(78)
+    targets = ("X", "Y", "Z")
+    for e in range(2, 7):
+        field = ExtField(e)
+        top = Poly(XY, {(1, 0): ExtScalar(field, [0] * (e - 1) + [1])})
+
+        def ext_poly(vars, max_degree, min_degree=0):
+            monos = [m for m in monomials(vars, max_degree) if sum(m) >= min_degree]
+            return Poly(vars, {m: ExtScalar(field, [Fraction(rng.randint(-3, 3), rng.choice(
+                [1, 2, 3])) for _ in range(e)]) for m in rng.sample(monos, rng.randint(1, 3))})
+
+        for _ in range(6):
+            p = ext_poly(targets, 4)
+            images = [ext_poly(XY, 3, rng.choice([0, 1])) + top for _ in range(3)]
+            for k in range(6):
+                assert p.substitute(images, jet=k) == p.substitute(images).jet(k), (p, images, k)
+        # X^(k-1)*Y maps to c*x^(k-1)*y, its only term of degree k, plus
+        # terms of higher degree: a c-term exactly at the cut
+        images = [parse_poly("x + c^2*y^2", XY, field), parse_poly("c*y + c*x^3", XY, field),
+                  P("x*y^2")]
+        for k in range(1, 8):
+            p = Poly(targets, {(k - 1, 1, 0): Fraction(1), (0, 0, 1): Fraction(1, 2)})
+            cut = p.substitute(images, jet=k)
+            assert cut == p.substitute(images).jet(k), (e, k)
+            assert cut.terms[(k - 1, 1)] == ExtScalar(field, [0, 1]), (e, k)
+
+
+def test_a_cut_product_past_max_degree_is_refused():
+    # the image's square has degree 80000, which the degree field cannot
+    # hold: past it the degree would spill into the c field, and the cut
+    # would keep wrong terms
+    field = ExtField(2)
+    image = parse_poly("c*y", XY, field) + Poly(XY, {(0, 40000): 1})
+    with pytest.raises(PolyError, match="^a product of degree 80000 is above MAX_DEGREE = 65535$"):
+        parse_poly("X^2", ("X",)).substitute([image], jet=40000)
+
+
 def test_diff_fold_jacobian():
     assert P("1/2*x^2 + x*y").diff("x") == P("x + y")
 

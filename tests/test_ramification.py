@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from frontals import linalg
+from frontals import linalg, ramification
+from frontals import poly as poly_module
 from frontals.linalg import SparseSolver, scaled_row
 from frontals.maps import PolyMap, differential, jacobian_det, jacobian_matrix
 from frontals.poly import Poly, VariableMismatchError, _unpacker, parse_poly
@@ -470,6 +471,107 @@ def test_a_low_obstruction_stops_the_system_early(monkeypatch):
         return product(a, b)
 
     monkeypatch.setattr(Poly, "__mul__", counted)
+    # the powers f^alpha are cut products of packed forms, with no Poly
+    cut_product = ramification._cut_product
+    monkeypatch.setattr(ramification, "_cut_product",
+                        lambda *args: calls.append(1) or cut_product(*args))
     verdict = jsq_plus_pullback_membership(psi, f, 60)
     assert str(verdict) == "NOT-MEMBER-MOD-JET(60)"
     assert len(calls) <= 8, len(calls)
+
+
+# (g, jet orders) of the germs f = (g, y) whose jsq streams are checked
+# against the Poly products: the four membership germs of the jets bench at
+# its jet orders, and 4_3- at k = 5..8, where the cut drops terms
+_PULLBACK_GERMS = [("1/2*x^2 + x*y", (8, 12, 16, 20, 24)),
+                   ("1/3*x^3 + x*y", (8, 12, 16, 20, 24)),
+                   ("1/3*x^3 + x*y^2", (8, 12, 16, 20, 24)),
+                   ("1/3*x^3 - x*y^3", (5, 6, 7, 8, 12, 16, 20, 24))]
+
+
+def _pullback_forms(monkeypatch, f, k):
+    """The form of each eta column the jsq test streams for psi = 0, by the
+    packed key of its target monomial, and the Poly products, jets and
+    scaled_form calls the stream made while it built them."""
+    forms, made, active = {}, [], [False]
+
+    def counted(name, fn):
+        def call(*args):
+            if active[0]:
+                made.append(name)
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(Poly, "__mul__", counted("mul", Poly.__mul__))
+    monkeypatch.setattr(Poly, "jet", counted("jet", Poly.jet))
+    monkeypatch.setattr(ramification, "scaled_form",
+                        counted("scaled_form", linalg.scaled_form))
+
+    def spy(k_, keys, rhs, unknowns):
+        def stream():
+            # only the generator's own steps count, not jet_solve's
+            items = iter(unknowns)
+            while True:
+                active[0] = True
+                try:
+                    item = next(items, None)
+                finally:
+                    active[0] = False
+                if item is None:
+                    return
+                if item[1] >= len(keys):
+                    forms[keys[item[1] - len(keys)]] = item[3]
+                yield item
+        return linalg.jet_solve(k_, keys, rhs, stream())
+
+    monkeypatch.setattr(ramification, "jet_solve", spy)
+    psi = Poly.zero(f.source_vars)
+    assert jsq_plus_pullback_membership(psi, f, k).is_member
+    monkeypatch.undo()
+    return forms, made
+
+
+def _check_pullback_forms(monkeypatch, f, k):
+    """Each eta column's form is scaled_form([(f^beta * f_i).jet(k)]) of the
+    Poly powers, every f^alpha with a nonzero k-jet is streamed, and the
+    stream forms no Poly product, jet or scaled_form but the one of mu."""
+    forms, made = _pullback_forms(monkeypatch, f, k)
+    assert made == ["scaled_form"], made
+    vs = f.source_vars
+    comps = [comp.jet(k) for comp in f.components]
+    powers = {(0,) * len(vs): Poly.const(vs, 1)}
+    expected = {}
+    # _monomial_keys lists the packed keys in the order of monomials
+    for key, alpha in zip(poly_module._monomial_keys(len(vs), k), monomials(vs, k)):
+        if any(alpha):
+            # f^alpha = f^beta * f_i, i the first nonzero exponent
+            i = next(i for i, e in enumerate(alpha) if e)
+            beta = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+            powers[alpha] = (powers[beta] * comps[i]).jet(k)
+        if not powers[alpha].is_zero():
+            expected[key] = linalg.scaled_form([powers[alpha]])
+    assert forms == expected, (f, k)
+
+
+def test_pullback_forms_match_the_poly_products(monkeypatch):
+    xy = ("x", "y")
+    for g, orders in _PULLBACK_GERMS:
+        for k in orders:
+            _check_pullback_forms(monkeypatch, PolyMap.from_exprs([g, "y"], xy), k)
+    # a zero component: no power of it is streamed
+    for exprs in (["1/3*x^3 - x*y^3", "0"], ["0", "y + x^2"]):
+        for k in (3, 6):
+            _check_pullback_forms(monkeypatch, PolyMap.from_exprs(exprs, xy), k)
+
+
+def test_pullback_forms_match_the_poly_products_over_an_extension(monkeypatch):
+    # the ext: k germs (a*x^3 +- b*x*y^k, y) of the CLI bench, at its jet
+    # orders 6 + 2*(k % 3): their products fold c^j for j >= k, and keep
+    # c-terms at the cut
+    xy = ("x", "y")
+    for e in range(2, 7):
+        field = ExtField(e)
+        for sign in "+-":
+            for a, b in (("1/3", "c"), ("1/3", "2*c"), ("1/3*c", "c^2")):
+                f = PolyMap.from_exprs([f"{a}*x^3 {sign} {b}*x*y^{e}", "y"], xy, field)
+                _check_pullback_forms(monkeypatch, f, 6 + 2 * (e % 3))
